@@ -30,8 +30,6 @@ from .structure import (
     is_sharply_dominating,
     has_rdp,
     meager_elements,
-    poset_join,
-    poset_meet,
     principal_elements,
     sharp_bounds,
     sharp_elements,

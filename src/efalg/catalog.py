@@ -437,7 +437,7 @@ def enumerate_all(max_order: int, *, bound: int = DEFAULT_BOUND) -> Iterator[Fin
         seen: set[bytes] = set()
         for alg in _complete_tables(n):
             canon = canonical_algebra(alg)
-            key = canonical_form(canon)
+            key = canonical_form(alg)
             if key not in seen:
                 seen.add(key)
                 yield canon

@@ -8,8 +8,8 @@ tables, so downstream code never re-checks axioms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 UNDEFINED = -1
@@ -228,12 +228,48 @@ def _associativity_violation(t, n: int, axiom: str) -> list[Violation]:
     return []
 
 
-class _SumAlgebra:
+_MEMO = "_memo"
+
+
+class _Memoizing:
+    """Base of immutable values that carry a memo of their derived data.
+
+    The memo lives in the instance __dict__, outside the dataclass fields, so
+    it takes no part in ==, hash, repr or dataclasses.replace, and pickling
+    leaves it out.
+    """
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != _MEMO}
+
+
+def memoized(fn):
+    """Memoize fn(obj, *args) on obj itself, keyed by fn and the other arguments.
+
+    Results are computed on first use and freed together with obj. Arguments
+    after obj must be hashable and passed positionally.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(obj, *args):
+        key = (fn, args)
+        try:
+            return obj.__dict__[_MEMO][key]
+        except KeyError:
+            pass
+        value = fn(obj, *args)
+        obj.__dict__.setdefault(_MEMO, {})[key] = value
+        return value
+
+    return wrapper
+
+
+class _SumAlgebra(_Memoizing):
     """Order-theoretic machinery shared by effect and generalized effect algebras.
 
     Everything is derived from the validated table; heavier derived data is
-    memoized per algebra value (instances are immutable), so the methods stay
-    cheap inside exhaustive sweeps.
+    memoized per instance (instances are immutable) and freed with the
+    algebra, so the methods stay cheap inside exhaustive sweeps.
     """
 
     table: PartialOpTable
@@ -335,7 +371,7 @@ def _mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _below_masks(alg: _SumAlgebra) -> tuple[int, ...]:
     n = alg.order
     masks = [0] * n
@@ -348,7 +384,7 @@ def _below_masks(alg: _SumAlgebra) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _above_masks(alg: _SumAlgebra) -> tuple[int, ...]:
     n = alg.order
     below = _below_masks(alg)
@@ -360,7 +396,7 @@ def _above_masks(alg: _SumAlgebra) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _ominus_matrix(alg: _SumAlgebra) -> tuple[tuple[int | None, ...], ...]:
     n = alg.order
     t = alg.table.entries
@@ -403,7 +439,7 @@ class FiniteEffectAlgebra(_SumAlgebra):
         return self.names[x] if self.names else str(x)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _sup_vector(alg: FiniteEffectAlgebra) -> tuple[int, ...]:
     t = alg.table.entries
     n = alg.order

@@ -10,7 +10,6 @@ space.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterator
 
 from .core import (
@@ -19,6 +18,7 @@ from .core import (
     FiniteGeneralizedEffectAlgebra,
     PartialOpTable,
     _SumAlgebra,
+    memoized,
 )
 from .structure import element_order, sharp_elements
 
@@ -27,7 +27,7 @@ __all__ = ["find_isomorphism", "isomorphisms", "canonical_algebra", "canonical_f
 _CANDIDATE_CAP = 2_000_000
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _invariants(alg: _SumAlgebra) -> tuple[tuple, ...]:
     n = alg.order
     heights = _heights(alg)
@@ -55,7 +55,7 @@ def _invariants(alg: _SumAlgebra) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _heights(alg: _SumAlgebra) -> tuple[int, ...]:
     n = alg.order
     heights = [0] * n
@@ -216,7 +216,7 @@ def _permute_into(cls, start, perm, cont) -> Iterator[tuple[int, ...]]:
         yield from _permute_into(rest, start + 1, perm, cont)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def canonical_algebra(alg: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
     """A canonical relabeling: least row-major table over the refined search space.
 

@@ -14,24 +14,25 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
-from .core import FiniteEffectAlgebra, _SumAlgebra
+from .core import FiniteEffectAlgebra, memoized
 from .iso import find_isomorphism, isomorphisms
 from .structure import (
+    _family_refines,
+    _reachable_totals,
     are_compatible,
     blocks,
     central_elements,
     element_order,
     has_rdp,
     heyting_block_check,
-    homogeneity_counterexample,
     hypermeager_algebra,
     hypermeager_elements,
     interval_algebra,
     is_archimedean,
     is_boolean_algebra,
+    is_homogeneous,
     is_internally_compatible,
     is_lattice,
     is_sharply_dominating,
@@ -82,53 +83,19 @@ class AnchorReport:
     notes: list
 
 
-@lru_cache(maxsize=None)
-def _homogeneous(E) -> bool:
-    return homogeneity_counterexample(E) is None
-
-
-@lru_cache(maxsize=None)
 def _qualifies(E) -> bool:
-    return _homogeneous(E) and is_sharply_dominating(E)
+    return is_homogeneous(E) and is_sharply_dominating(E)
 
 
-@lru_cache(maxsize=None)
-def _triple(E):
-    return extract_triple(E)
-
-
-@lru_cache(maxsize=None)
+@memoized
 def _block_algebra(E, block: tuple[int, ...]):
     return restrict(E, block)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _sub_center(E, block: tuple[int, ...]) -> frozenset[int]:
     sub, elems = _block_algebra(E, block)
     return frozenset(elems[c] for c in central_elements(sub))
-
-
-def _reachable_totals(
-    E: _SumAlgebra, pool: tuple[int, ...], cap: int, inside: frozenset[int] | None
-) -> set[int]:
-    """Totals of orthogonal multisets from the pool with all sums below cap."""
-    totals = {E.zero}
-    seen: set[tuple[int, int]] = set()
-
-    def dfs(start: int, total: int):
-        for k in range(start, len(pool)):
-            nxt = E.sum(total, pool[k])
-            if nxt is None or not E.leq(nxt, cap):
-                continue
-            if inside is not None and nxt not in inside:
-                continue
-            totals.add(nxt)
-            if (k, nxt) not in seen:
-                seen.add((k, nxt))
-                dfs(k, nxt)
-
-    dfs(0, E.zero)
-    return totals
 
 
 def _orthogonal_pool(E: FiniteEffectAlgebra, x: int) -> tuple[int, ...]:
@@ -144,7 +111,7 @@ def _orthogonal_pool(E: FiniteEffectAlgebra, x: int) -> tuple[int, ...]:
 
 def check_xshom(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
-    if not _homogeneous(E):
+    if not is_homogeneous(E):
         return out
     sharp = set(sharp_elements(E))
     for v1 in E.elements():
@@ -164,7 +131,7 @@ def check_xshom(E: FiniteEffectAlgebra) -> CheckOutcome:
 
 def check_modyjem(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
-    if not _homogeneous(E):
+    if not is_homogeneous(E):
         return out
     sharp = set(sharp_elements(E))
     for v in E.elements():
@@ -196,7 +163,7 @@ def _modyjem_iii(E, v) -> bool:
 
 def check_soucethat(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
-    if not _homogeneous(E):
+    if not is_homogeneous(E):
         return out
     for w in sharp_elements(E):
         for y in E.down_set(w):
@@ -261,7 +228,7 @@ def check_dusuplem(E: FiniteEffectAlgebra) -> CheckOutcome:
 
 def check_xssuplem(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
-    if not _homogeneous(E):
+    if not is_homogeneous(E):
         return out
     b = sharp_bounds(E)
     for x in E.elements():
@@ -291,7 +258,7 @@ def check_xssuplem(E: FiniteEffectAlgebra) -> CheckOutcome:
 
 def check_exssuplem(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
-    if not _homogeneous(E):
+    if not is_homogeneous(E):
         return out
     b = sharp_bounds(E)
     for x in E.elements():
@@ -384,34 +351,9 @@ def check_gejzapulm(E: FiniteEffectAlgebra) -> CheckOutcome:
     return out
 
 
-def _compatible_in_whole(E: FiniteEffectAlgebra, subset: frozenset[int]) -> bool:
-    """Compatibility with the witnessing family drawn from the whole algebra."""
-    targets = sorted(m for m in subset if m != E.zero)
-    if not targets:
-        return True
-    pool = tuple(m for m in E.elements() if m != E.zero)
-    target_set = set(targets)
-
-    def dfs(start: int, total: int, sums: frozenset[int]) -> bool:
-        if target_set <= sums:
-            return True
-        for k in range(start, len(pool)):
-            nxt = E.sum(total, pool[k])
-            if nxt is None:
-                continue
-            extra = frozenset(
-                w for v in sums if (w := E.sum(v, pool[k])) is not None
-            )
-            if dfs(k, nxt, sums | extra):
-                return True
-        return False
-
-    return dfs(0, E.zero, frozenset({E.zero}))
-
-
 def check_gejzasum(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
-    hom = _homogeneous(E)
+    hom = is_homogeneous(E)
     if orthoalgebra_counterexample(E) is None:
         out.tick(("i",), hom)
     if is_lattice(E):
@@ -429,11 +371,13 @@ def check_gejzasum(E: FiniteEffectAlgebra) -> CheckOutcome:
         covered |= set(b)
     out.tick(("v", "union"), covered == set(E.elements()))
     if E.order <= 8:
+        # compatibility with the witnessing family drawn from the whole algebra
+        nonzero = tuple(x for x in E.elements() if x != E.zero)
         universe = [x for x in E.elements() if x not in (E.zero, E.one)]
         for r in range(len(universe) + 1):
             for combo in itertools.combinations(universe, r):
                 subset = frozenset(combo) | {E.zero, E.one}
-                if _compatible_in_whole(E, subset):
+                if _family_refines(E, subset, nonzero):
                     out.tick(
                         ("v", combo), any(subset <= set(b) for b in blks)
                     )
@@ -460,7 +404,7 @@ def check_archim(E: FiniteEffectAlgebra) -> CheckOutcome:
 
 def check_cduya(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
-    if not _homogeneous(E):
+    if not is_homogeneous(E):
         return out
     meager = frozenset(meager_elements(E))
     for x in meager:
@@ -749,7 +693,7 @@ def check_m2(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     if not _qualifies(E):
         return out
-    T = _triple(E)
+    T = extract_triple(E)
     assert T.sharp_to_source and T.meager_to_source
     mea = T.meager
     meager = frozenset(meager_elements(E))
@@ -777,7 +721,7 @@ def check_m3(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     if not _qualifies(E):
         return out
-    T = _triple(E)
+    T = extract_triple(E)
     assert T.meager_to_source
     above = sharp_bounds(E).above
     for x in T.meager.elements():
@@ -796,7 +740,7 @@ def check_triple_maps(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     if not _qualifies(E):
         return out
-    T = _triple(E)
+    T = extract_triple(E)
     assert T.sharp_to_source and T.meager_to_source
     bounds = sharp_bounds(E)
     sharp = sharp_elements(E)
@@ -842,7 +786,7 @@ def check_pommeag(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     if not _qualifies(E):
         return out
-    T = _triple(E)
+    T = extract_triple(E)
     assert T.sharp_to_source and T.meager_to_source
     mea = T.meager
     for x in mea.elements():
@@ -887,7 +831,7 @@ def check_triple_pure(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     if not _qualifies(E):
         return out
-    T = _triple(E)
+    T = extract_triple(E)
     full = reconstruct_tea(T)
     bare = reconstruct_tea(T.stripped())
     ok = full.algebra.table == bare.algebra.table and full.carrier == bare.carrier
@@ -899,7 +843,7 @@ def check_triple_idem(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     if not _qualifies(E):
         return out
-    T = _triple(E)
+    T = extract_triple(E)
     tea = reconstruct_tea(T)
     T2 = extract_triple(tea.algebra)
     found = False
@@ -941,7 +885,7 @@ ANCHORS: tuple[tuple[str, CheckFn], ...] = (
     ("duscduya", check_duscduya),
     ("ocmdcduya", check_ocmdcduya),
     ("dusminimax", check_dusminimax),
-    ("minimax", check_dusminimax),
+    ("minimax", check_dusminimax),  # alias of dusminimax; kept so the suite table is unchanged
     ("meetmodjen", check_meetmodjen),
     ("blocksar", check_blocksar),
     ("archimde", check_archimde),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .core import (
@@ -27,6 +26,7 @@ from .core import (
     FiniteGeneralizedEffectAlgebra,
     PartialOpTable,
     _SumAlgebra,
+    memoized,
 )
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "SharpBounds",
     "StructureReport",
     "HypothesisError",
-    "poset_meet",
-    "poset_join",
     "sharp_elements",
     "meager_elements",
     "hypermeager_elements",
@@ -81,20 +79,11 @@ class HypothesisError(RuntimeError):
         super().__init__(f"hypothesis not met: {hypothesis}{suffix}")
 
 
-def poset_meet(alg: _SumAlgebra, x: int, y: int) -> int | None:
-    """Greatest lower bound in the derived order, None when it does not exist."""
-    return alg.meet(x, y)
-
-
-def poset_join(alg: _SumAlgebra, x: int, y: int) -> int | None:
-    return alg.join(x, y)
-
-
 # ---------------------------------------------------------------------------
 # element sets
 
 
-@lru_cache(maxsize=None)
+@memoized
 def sharp_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     """Elements whose only common lower bound with their supplement is zero."""
     out = []
@@ -105,7 +94,7 @@ def sharp_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def meager_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     """Elements with no nonzero sharp element below them."""
     sharp = set(sharp_elements(E))
@@ -116,7 +105,7 @@ def meager_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def hypermeager_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     """Elements lying below some y and below its supplement at the same time."""
     out = []
@@ -151,7 +140,7 @@ def is_archimedean(alg: _SumAlgebra) -> bool:
     return all(element_order(alg, x) != math.inf for x in alg.elements() if x != alg.zero)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def principal_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     out = []
     for x in E.elements():
@@ -165,7 +154,7 @@ def principal_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def central_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     """Elements x with x, x' principal such that every y splits across x and x'."""
     principal = set(principal_elements(E))
@@ -202,7 +191,7 @@ def are_compatible(alg: _SumAlgebra, x: int, y: int) -> bool:
     return _compat_matrix(alg)[x][y]
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _compat_matrix(alg: _SumAlgebra) -> tuple[tuple[bool, ...], ...]:
     n = alg.order
     rows = [[False] * n for _ in range(n)]
@@ -233,45 +222,42 @@ def is_internally_compatible(alg: _SumAlgebra, subset: frozenset[int] | Iterable
     return _internally_compatible(alg, members)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _internally_compatible(alg: _SumAlgebra, members: frozenset[int]) -> bool:
-    targets = tuple(sorted(m for m in members if m != alg.zero))
+    return _family_refines(alg, members, tuple(sorted(m for m in members if m != alg.zero)))
+
+
+def _family_refines(alg: _SumAlgebra, members: Iterable[int], pool: tuple[int, ...]) -> bool:
+    """Whether one orthogonal multiset drawn from the pool refines every member.
+
+    Pairwise compatibility of the members is necessary, so it prunes first.
+    The depth needs no cap: partial sums of nonzero pool elements strictly
+    increase, so every branch ends once no sum is defined.
+    """
+    targets = {m for m in members if m != alg.zero}
     if not targets:
         return True
     compat = _compat_matrix(alg)
     if any(not compat[a][b] for a in targets for b in targets):
         return False
-    pool = targets
-    cap = alg.order - 1
 
-    def reachable(sums: frozenset[int], x: int) -> frozenset[int]:
-        extra = set()
-        for v in sums:
-            w = alg.sum(v, x)
-            if w is not None:
-                extra.add(w)
-        return sums | extra
-
-    target_set = set(targets)
-
-    def dfs(start: int, total: int, size: int, sums: frozenset[int]) -> bool:
-        if target_set <= sums:
+    def dfs(start: int, total: int, sums: frozenset[int]) -> bool:
+        if targets <= sums:
             return True
-        if size >= cap:
-            return False
         for k in range(start, len(pool)):
             x = pool[k]
             nxt = alg.sum(total, x)
             if nxt is None:
                 continue
-            if dfs(k, nxt, size + 1, reachable(sums, x)):
+            extra = frozenset(w for v in sums if (w := alg.sum(v, x)) is not None)
+            if dfs(k, nxt, sums | extra):
                 return True
         return False
 
-    return dfs(0, alg.zero, 0, frozenset({alg.zero}))
+    return dfs(0, alg.zero, frozenset({alg.zero}))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def blocks(E: FiniteEffectAlgebra) -> tuple[tuple[int, ...], ...]:
     """All maximal internally compatible subsets containing the unit.
 
@@ -330,7 +316,7 @@ def blocks(E: FiniteEffectAlgebra) -> tuple[tuple[int, ...], ...]:
 
 def rdp_counterexample(E: FiniteEffectAlgebra) -> tuple[int, int, int] | None:
     """Least (u, v1, v2) with u <= v1 + v2 admitting no matching split, if any."""
-    return _riesz_counterexample(E, bounded=False)
+    return _riesz_counterexample(E, False)
 
 
 def has_rdp(E: FiniteEffectAlgebra) -> bool:
@@ -339,14 +325,14 @@ def has_rdp(E: FiniteEffectAlgebra) -> bool:
 
 def homogeneity_counterexample(E: FiniteEffectAlgebra) -> tuple[int, int, int] | None:
     """Least (u, v1, v2) with u <= v1 + v2 <= u' admitting no split, if any."""
-    return _riesz_counterexample(E, bounded=True)
+    return _riesz_counterexample(E, True)
 
 
 def is_homogeneous(E: FiniteEffectAlgebra) -> bool:
     return homogeneity_counterexample(E) is None
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _riesz_counterexample(E: FiniteEffectAlgebra, bounded: bool) -> tuple[int, int, int] | None:
     for u in E.elements():
         uc = E.orthosupplement(u)
@@ -403,7 +389,7 @@ class SharpBounds:
     above: tuple[int | None, ...]
 
 
-@lru_cache(maxsize=None)
+@memoized
 def sharp_bounds(E: FiniteEffectAlgebra) -> SharpBounds:
     sharp = sharp_elements(E)
     below: list[int | None] = []
@@ -504,7 +490,7 @@ def restrict_downset(
     return sub, elems
 
 
-@lru_cache(maxsize=None)
+@memoized
 def interval_algebra(E: FiniteEffectAlgebra, top: int) -> tuple[FiniteEffectAlgebra, tuple[int, ...]]:
     """The interval from zero to top as an effect algebra with unit top."""
     if top == E.zero:
@@ -522,12 +508,12 @@ def interval_algebra(E: FiniteEffectAlgebra, top: int) -> tuple[FiniteEffectAlge
     return sub, elems
 
 
-@lru_cache(maxsize=None)
+@memoized
 def meager_algebra(E: FiniteEffectAlgebra) -> tuple[FiniteGeneralizedEffectAlgebra, tuple[int, ...]]:
     return restrict_downset(E, meager_elements(E))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def hypermeager_algebra(E: FiniteEffectAlgebra) -> tuple[FiniteGeneralizedEffectAlgebra, tuple[int, ...]]:
     return restrict_downset(E, hypermeager_elements(E))
 
@@ -536,25 +522,22 @@ def hypermeager_algebra(E: FiniteEffectAlgebra) -> tuple[FiniteGeneralizedEffect
 # closure operators
 
 
-@lru_cache(maxsize=None)
-def vartheta(E: FiniteEffectAlgebra, u: int) -> tuple[int, ...]:
-    """Elements v and u - v for sums v of meager families orthogonal to u.
+def _reachable_totals(
+    E: _SumAlgebra, pool: tuple[int, ...], cap: int, inside: frozenset[int] | None
+) -> set[int]:
+    """Totals of orthogonal multisets from the pool with all sums below cap.
 
-    The families range over meager elements below the supplement of u, with
-    a defined sum that stays below u and lands in the meager set. Finiteness
-    bounds the family size, so plain depth-first search is exhaustive.
+    With inside given, every partial sum must also lie in that set.
     """
-    meager = set(meager_elements(E))
-    uc = E.orthosupplement(u)
-    pool = tuple(sorted(m for m in meager if m != E.zero and E.leq(m, uc) and E.leq(m, u)))
-    totals: set[int] = {E.zero}
+    totals = {E.zero}
     seen: set[tuple[int, int]] = set()
 
     def dfs(start: int, total: int):
         for k in range(start, len(pool)):
-            x = pool[k]
-            nxt = E.sum(total, x)
-            if nxt is None or not E.leq(nxt, u) or nxt not in meager:
+            nxt = E.sum(total, pool[k])
+            if nxt is None or not E.leq(nxt, cap):
+                continue
+            if inside is not None and nxt not in inside:
                 continue
             totals.add(nxt)
             if (k, nxt) not in seen:
@@ -562,6 +545,21 @@ def vartheta(E: FiniteEffectAlgebra, u: int) -> tuple[int, ...]:
                 dfs(k, nxt)
 
     dfs(0, E.zero)
+    return totals
+
+
+@memoized
+def vartheta(E: FiniteEffectAlgebra, u: int) -> tuple[int, ...]:
+    """Elements v and u - v for sums v of meager families orthogonal to u.
+
+    The families range over meager elements below the supplement of u, with
+    a defined sum that stays below u and lands in the meager set. Finiteness
+    bounds the family size, so plain depth-first search is exhaustive.
+    """
+    meager = frozenset(meager_elements(E))
+    uc = E.orthosupplement(u)
+    pool = tuple(sorted(m for m in meager if m != E.zero and E.leq(m, uc) and E.leq(m, u)))
+    totals = _reachable_totals(E, pool, u, meager)
     out = set()
     for v in totals:
         out.add(v)

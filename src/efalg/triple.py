@@ -16,13 +16,14 @@ at the original sum table. The back-maps exist only for verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .core import (
     AxiomViolationError,
     FiniteEffectAlgebra,
     FiniteGeneralizedEffectAlgebra,
     PartialOpTable,
+    _Memoizing,
+    memoized,
 )
 from .structure import (
     HypothesisError,
@@ -58,7 +59,7 @@ class ReconstructionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TripleRep:
+class TripleRep(_Memoizing):
     """The triple with freshly indexed carriers.
 
     h maps each sharp index to the set of meager indices below it. The two
@@ -85,6 +86,7 @@ class TeaAlgebra:
     phi: tuple[int, ...] | None = None
 
 
+@memoized
 def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
     """Split E into (sharp algebra, meager algebra, h) with fresh indices.
 
@@ -132,7 +134,7 @@ def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
     return TripleRep(sharp, meager, h, sharp_src, meager_src)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _widehat_vector(T: TripleRep) -> tuple[int, ...]:
     out = []
     for x in T.meager.elements():
@@ -149,7 +151,7 @@ def widehat_triple(T: TripleRep, x: int) -> int:
     return _widehat_vector(T)[x]
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _pi_table(T: TripleRep) -> tuple[tuple[int | None, ...], ...]:
     mea = T.meager
     rows = []
@@ -169,7 +171,7 @@ def pi_s(T: TripleRep, s: int, x: int) -> int | None:
     return _pi_table(T)[s][x]
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _r_vector(T: TripleRep) -> tuple[int, ...]:
     mea = T.meager
     widehat = _widehat_vector(T)
@@ -224,7 +226,7 @@ def r_map(T: TripleRep, x: int) -> int:
     return _r_vector(T)[x]
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _s_candidates(T: TripleRep, x: int, y: int) -> tuple[int, ...]:
     pi = _pi_table(T)
     widehat = _widehat_vector(T)
@@ -327,15 +329,16 @@ class RoundtripResult:
     witness: tuple | None = None
 
 
-def verify_roundtrip(E: FiniteEffectAlgebra) -> RoundtripResult:
-    """Extract, rebuild, and check that x -> (sharp floor, rest) is an isomorphism.
+def verify_roundtrip(E: FiniteEffectAlgebra, triple: TripleRep | None = None) -> RoundtripResult:
+    """Rebuild from a triple and check that x -> (sharp floor, rest) is an isomorphism.
 
-    Checks bijectivity and, in both directions, that sums are defined
-    together and map to each other. Any failure is reported with the first
-    offending pair; under the hypotheses a failure means a bug, not a
-    property of the input.
+    The triple defaults to the one extracted from E; a supplied triple must
+    carry its back-maps. Checks bijectivity, that zero and one are preserved
+    and, in both directions, that sums are defined together and map to each
+    other. Any failure is reported with the first offending pair; under the
+    hypotheses a failure means a bug, not a property of the input.
     """
-    T = extract_triple(E)
+    T = extract_triple(E) if triple is None else triple
     tea = reconstruct_tea(T)
     assert T.sharp_to_source is not None and T.meager_to_source is not None
     sharp_inv = {src: i for i, src in enumerate(T.sharp_to_source)}

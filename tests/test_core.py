@@ -1,7 +1,10 @@
-"""Axioms, derived order, supplements, and orthogonal sums."""
+"""Axioms, derived order, supplements, orthogonal sums, and the memo of derived data."""
 
+import gc
 import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,9 @@ from efalg.core import (
     verify_generalized,
 )
 from efalg.catalog import make_chain, random_algebra
-from efalg.structure import meager_algebra
+from efalg.fileformat import parse, serialize
+from efalg.structure import meager_algebra, structure_report
+from efalg.triple import verify_roundtrip
 
 from naive_oracles import oracle_effect_axioms, oracle_generalized_axioms
 
@@ -235,3 +240,19 @@ def test_orthosum_split_property(seed, order, data):
     s2 = alg.orthogonal_sum(family[cut:])
     if s1 is not None and s2 is not None and alg.sum(s1, s2) is not None:
         assert alg.orthogonal_sum(family) == alg.sum(s1, s2)
+
+
+def test_memo_is_invisible_and_freed_with_its_algebra():
+    text = serialize(make_chain(4))
+    alg = parse(text)
+    assert structure_report(alg).sharp == (0, 4)
+    assert verify_roundtrip(alg).ok
+
+    fresh = parse(text)
+    assert alg == fresh and hash(alg) == hash(fresh) and repr(alg) == repr(fresh)
+    assert pickle.loads(pickle.dumps(alg)) == fresh
+
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None

@@ -26,8 +26,6 @@ from efalg.structure import (
     is_sub_effect_algebra,
     meager_algebra,
     meager_elements,
-    poset_join,
-    poset_meet,
     principal_elements,
     restrict,
     sharp_bounds,
@@ -89,24 +87,24 @@ class TestMeetJoin:
     def test_meet_with_zero_join_with_one(self, universe_6):
         for _, alg in universe_6:
             for x in alg.elements():
-                assert poset_meet(alg, x, alg.zero) == alg.zero
-                assert poset_join(alg, x, alg.one) == alg.one
+                assert alg.meet(x, alg.zero) == alg.zero
+                assert alg.join(x, alg.one) == alg.one
 
     def test_diamond_meets_and_joins(self, diamond):
-        assert poset_meet(diamond, 1, 2) == 0
-        assert poset_join(diamond, 1, 2) == 3
+        assert diamond.meet(1, 2) == 0
+        assert diamond.join(1, 2) == 3
 
     def test_meet_matches_naive_oracle(self, universe_6):
         for _, alg in universe_6:
             entries = [list(r) for r in alg.table.entries]
             for x in alg.elements():
                 for y in alg.elements():
-                    assert poset_meet(alg, x, y) == naive_meet(entries, x, y)
+                    assert alg.meet(x, y) == naive_meet(entries, x, y)
 
     def test_lattice_flag_matches_totality(self, universe_6):
         for _, alg in universe_6:
             total = all(
-                poset_meet(alg, x, y) is not None and poset_join(alg, x, y) is not None
+                alg.meet(x, y) is not None and alg.join(x, y) is not None
                 for x in alg.elements()
                 for y in alg.elements()
             )
