@@ -20,7 +20,7 @@ from .core import (
     AxiomViolationError,
     FiniteEffectAlgebra,
     PartialOpTable,
-    verify_effect_algebra,
+    verify_effect_algebra,  # not called here; perfbench's tracer wraps this module-level name
 )
 from .iso import canonical_algebra, canonical_form
 
@@ -400,11 +400,10 @@ def _complete_tables(n: int, rng: random.Random | None = None) -> Iterator[Finit
         return [UNDEFINED] + values
 
     def leaf() -> FiniteEffectAlgebra | None:
-        rows = tuple(tuple(v for v in row) for row in t)
-        table = PartialOpTable.from_rows(rows)
-        if verify_effect_algebra(table, 0, one).ok:
-            return FiniteEffectAlgebra(table, 0, one)
-        return None
+        try:
+            return FiniteEffectAlgebra(PartialOpTable.from_rows(t), 0, one)
+        except AxiomViolationError:
+            return None
 
     def dfs(k: int) -> Iterator[FiniteEffectAlgebra]:
         while k < len(cells) and t[cells[k][0]][cells[k][1]] != _UNDECIDED:

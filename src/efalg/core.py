@@ -2,8 +2,10 @@
 
 An algebra lives on elements 0..order-1. The partial operation is a square
 lookup table whose cells hold either an element id or UNDEFINED. Validation
-is eager: constructing an algebra runs the full axiom check and refuses bad
-tables, so downstream code never re-checks axioms.
+is eager: constructing an algebra runs the full axiom check once and refuses
+bad tables, so downstream code never re-checks axioms. The same constructor
+builds the order data (below/above masks, the ominus matrix, supplements)
+once; heavier derived structure is memoized per instance on first use.
 """
 
 from __future__ import annotations
@@ -267,13 +269,52 @@ def memoized(fn):
 class _SumAlgebra(_Memoizing):
     """Order-theoretic machinery shared by effect and generalized effect algebras.
 
-    Everything is derived from the validated table; heavier derived data is
-    memoized per instance (instances are immutable) and freed with the
-    algebra, so the methods stay cheap inside exhaustive sweeps.
+    Construction verifies the table once and then builds the order data that
+    every method reads: the below and above masks, the ominus matrix and, for
+    effect algebras, the orthosupplement vector. They are plain instance
+    attributes, not dataclass fields, so they take no part in ==, hash, repr
+    or dataclasses.replace. Heavier derived structure is memoized per
+    instance (instances are immutable) and freed with the algebra.
     """
 
     table: PartialOpTable
     zero: int
+    names: tuple[str, ...] | None
+    _below: tuple[int, ...]
+    _above: tuple[int, ...]
+    _ominus: tuple[tuple[int | None, ...], ...]
+
+    def __post_init__(self):
+        n = self.table.order
+        if self.names is not None:
+            object.__setattr__(self, "names", tuple(self.names))
+            if len(self.names) != n:
+                raise MalformedTableError("names must cover every element")
+        one = getattr(self, "one", None)
+        if one is None:
+            verdict = verify_generalized(self.table, self.zero)
+        else:
+            verdict = verify_effect_algebra(self.table, self.zero, one)
+        if not verdict.ok:
+            raise AxiomViolationError(verdict)
+
+        # y + z = v puts y below v with v minus y = z; cancellation makes z unique.
+        below = [0] * n
+        above = []
+        ominus = []
+        for y, row in enumerate(self.table.entries):
+            up = 0
+            diffs: list[int | None] = [None] * n
+            for z, v in enumerate(row):
+                if v != UNDEFINED:
+                    below[v] |= 1 << y
+                    up |= 1 << v
+                    diffs[v] = z
+            above.append(up)
+            ominus.append(tuple(diffs))
+        self.__dict__.update(_below=tuple(below), _above=tuple(above), _ominus=tuple(ominus))
+        if one is not None:
+            self.__dict__["_sup"] = tuple(row.index(one) for row in self.table.entries)
 
     @property
     def order(self) -> int:
@@ -290,24 +331,24 @@ class _SumAlgebra(_Memoizing):
         return self.table.entries[x][y] != UNDEFINED
 
     def leq(self, x: int, y: int) -> bool:
-        return (_below_masks(self)[y] >> x) & 1 == 1
+        return (self._below[y] >> x) & 1 == 1
 
     def lt(self, x: int, y: int) -> bool:
         return x != y and self.leq(x, y)
 
     def ominus(self, x: int, y: int) -> int | None:
         """x minus y: the unique z with y + z = x, or None when y is not below x."""
-        return _ominus_matrix(self)[y][x]
+        return self._ominus[y][x]
 
     def below_mask(self, x: int) -> int:
         """Bitmask of elements z with z <= x."""
-        return _below_masks(self)[x]
+        return self._below[x]
 
     def above_mask(self, x: int) -> int:
-        return _above_masks(self)[x]
+        return self._above[x]
 
     def down_set(self, x: int) -> tuple[int, ...]:
-        return _mask_elements(self.below_mask(x))
+        return _mask_elements(self._below[x])
 
     def orthogonal_sum(self, family: Iterable[int]) -> int | None:
         """Left fold of the partial sum over a finite multiset; empty sums to zero.
@@ -326,34 +367,34 @@ class _SumAlgebra(_Memoizing):
     # Meets and joins in the derived partial order. A missing bound is a
     # first-class None, never an error.
     def meet(self, x: int, y: int) -> int | None:
-        lower = _below_masks(self)[x] & _below_masks(self)[y]
-        return self._greatest(lower)
+        return self._greatest(self._below[x] & self._below[y])
 
     def join(self, x: int, y: int) -> int | None:
-        upper = _above_masks(self)[x] & _above_masks(self)[y]
-        return self._least(upper)
+        return self._least(self._above[x] & self._above[y])
 
     def meet_set(self, xs: Iterable[int]) -> int | None:
         mask = (1 << self.order) - 1
         for x in xs:
-            mask &= _below_masks(self)[x]
+            mask &= self._below[x]
         return self._greatest(mask)
 
     def join_set(self, xs: Iterable[int]) -> int | None:
         mask = (1 << self.order) - 1
         for x in xs:
-            mask &= _above_masks(self)[x]
+            mask &= self._above[x]
         return self._least(mask)
 
     def _greatest(self, mask: int) -> int | None:
-        below = _below_masks(self)
+        """Greatest element of the bitmask's set, or None when it has none."""
+        below = self._below
         for m in _mask_elements(mask):
             if mask & ~below[m] == 0:
                 return m
         return None
 
     def _least(self, mask: int) -> int | None:
-        above = _above_masks(self)
+        """Least element of the bitmask's set, or None when it has none."""
+        above = self._above
         for m in _mask_elements(mask):
             if mask & ~above[m] == 0:
                 return m
@@ -371,44 +412,6 @@ def _mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@memoized
-def _below_masks(alg: _SumAlgebra) -> tuple[int, ...]:
-    n = alg.order
-    masks = [0] * n
-    t = alg.table.entries
-    for x in range(n):
-        for y in range(n):
-            v = t[x][y]
-            if v != UNDEFINED:
-                masks[v] |= 1 << x
-    return tuple(masks)
-
-
-@memoized
-def _above_masks(alg: _SumAlgebra) -> tuple[int, ...]:
-    n = alg.order
-    below = _below_masks(alg)
-    masks = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if (below[y] >> x) & 1:
-                masks[x] |= 1 << y
-    return tuple(masks)
-
-
-@memoized
-def _ominus_matrix(alg: _SumAlgebra) -> tuple[tuple[int | None, ...], ...]:
-    n = alg.order
-    t = alg.table.entries
-    rows: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for y in range(n):
-        for z in range(n):
-            v = t[y][z]
-            if v != UNDEFINED:
-                rows[y][v] = z
-    return tuple(tuple(r) for r in rows)
-
-
 @dataclass(frozen=True)
 class FiniteEffectAlgebra(_SumAlgebra):
     """A validated finite effect algebra.
@@ -422,28 +425,12 @@ class FiniteEffectAlgebra(_SumAlgebra):
     one: int
     names: tuple[str, ...] | None = None
 
-    def __post_init__(self):
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(self.names))
-            if len(self.names) != self.table.order:
-                raise MalformedTableError("names must cover every element")
-        verdict = verify_effect_algebra(self.table, self.zero, self.one)
-        if not verdict.ok:
-            raise AxiomViolationError(verdict)
-
     def orthosupplement(self, x: int) -> int:
         """The unique y with x + y = one; involutive."""
-        return _sup_vector(self)[x]
+        return self._sup[x]
 
     def label(self, x: int) -> str:
         return self.names[x] if self.names else str(x)
-
-
-@memoized
-def _sup_vector(alg: FiniteEffectAlgebra) -> tuple[int, ...]:
-    t = alg.table.entries
-    n = alg.order
-    return tuple(next(y for y in range(n) if t[x][y] == alg.one) for x in range(n))
 
 
 @dataclass(frozen=True)
@@ -453,12 +440,3 @@ class FiniteGeneralizedEffectAlgebra(_SumAlgebra):
     table: PartialOpTable
     zero: int
     names: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(self.names))
-            if len(self.names) != self.table.order:
-                raise MalformedTableError("names must cover every element")
-        verdict = verify_generalized(self.table, self.zero)
-        if not verdict.ok:
-            raise AxiomViolationError(verdict)

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 from .core import FiniteEffectAlgebra, memoized
 from .iso import find_isomorphism, isomorphisms
 from .structure import (
+    _block_algebra,
     _family_refines,
     _reachable_totals,
     are_compatible,
@@ -85,11 +86,6 @@ class AnchorReport:
 
 def _qualifies(E) -> bool:
     return is_homogeneous(E) and is_sharply_dominating(E)
-
-
-@memoized
-def _block_algebra(E, block: tuple[int, ...]):
-    return restrict(E, block)
 
 
 @memoized

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     UNDEFINED,
@@ -391,29 +391,11 @@ class SharpBounds:
 
 @memoized
 def sharp_bounds(E: FiniteEffectAlgebra) -> SharpBounds:
-    sharp = sharp_elements(E)
-    below: list[int | None] = []
-    above: list[int | None] = []
-    for x in E.elements():
-        under = [s for s in sharp if E.leq(s, x)]
-        over = [s for s in sharp if E.leq(x, s)]
-        below.append(_maximum(E, under))
-        above.append(_minimum(E, over))
-    return SharpBounds(tuple(below), tuple(above))
-
-
-def _maximum(E: _SumAlgebra, xs: Sequence[int]) -> int | None:
-    for m in xs:
-        if all(E.leq(z, m) for z in xs):
-            return m
-    return None
-
-
-def _minimum(E: _SumAlgebra, xs: Sequence[int]) -> int | None:
-    for m in xs:
-        if all(E.leq(m, z) for z in xs):
-            return m
-    return None
+    sharp = sum(1 << s for s in sharp_elements(E))
+    return SharpBounds(
+        tuple(E._greatest(sharp & E.below_mask(x)) for x in E.elements()),
+        tuple(E._least(sharp & E.above_mask(x)) for x in E.elements()),
+    )
 
 
 def is_sharply_dominating(E: FiniteEffectAlgebra) -> bool:
@@ -473,10 +455,16 @@ def restrict(E: FiniteEffectAlgebra, subset: Iterable[int]) -> tuple[FiniteEffec
     return sub, elems
 
 
-def restrict_downset(
+@memoized
+def _block_algebra(E: FiniteEffectAlgebra, block: tuple[int, ...]) -> tuple[FiniteEffectAlgebra, tuple[int, ...]]:
+    """The restriction to a block (a sorted tuple), shared by every caller."""
+    return restrict(E, block)
+
+
+def _induced_table(
     E: FiniteEffectAlgebra, downset: Iterable[int]
-) -> tuple[FiniteGeneralizedEffectAlgebra, tuple[int, ...]]:
-    """Generalized effect algebra on a down-set: sums defined when they stay inside."""
+) -> tuple[PartialOpTable, dict[int, int], tuple[int, ...]]:
+    """Sums that stay inside a down-set, re-indexed in ascending element order."""
     elems = tuple(sorted(frozenset(downset)))
     index = {e: i for i, e in enumerate(elems)}
     pairs = {}
@@ -485,9 +473,15 @@ def restrict_downset(
             v = E.sum(a, b)
             if v is not None and v in index:
                 pairs[(index[a], index[b])] = index[v]
-    table = PartialOpTable.from_pairs(max(len(elems), 1), pairs)
-    sub = FiniteGeneralizedEffectAlgebra(table, index[E.zero])
-    return sub, elems
+    return PartialOpTable.from_pairs(len(elems), pairs), index, elems
+
+
+def restrict_downset(
+    E: FiniteEffectAlgebra, downset: Iterable[int]
+) -> tuple[FiniteGeneralizedEffectAlgebra, tuple[int, ...]]:
+    """Generalized effect algebra on a down-set: sums defined when they stay inside."""
+    table, index, elems = _induced_table(E, downset)
+    return FiniteGeneralizedEffectAlgebra(table, index[E.zero]), elems
 
 
 @memoized
@@ -495,17 +489,8 @@ def interval_algebra(E: FiniteEffectAlgebra, top: int) -> tuple[FiniteEffectAlge
     """The interval from zero to top as an effect algebra with unit top."""
     if top == E.zero:
         raise ValueError("interval with top = zero is not an effect algebra")
-    elems = E.down_set(top)
-    index = {e: i for i, e in enumerate(elems)}
-    pairs = {}
-    for a in elems:
-        for b in elems:
-            v = E.sum(a, b)
-            if v is not None and E.leq(v, top):
-                pairs[(index[a], index[b])] = index[v]
-    table = PartialOpTable.from_pairs(len(elems), pairs)
-    sub = FiniteEffectAlgebra(table, index[E.zero], index[top])
-    return sub, elems
+    table, index, elems = _induced_table(E, E.down_set(top))
+    return FiniteEffectAlgebra(table, index[E.zero], index[top]), elems
 
 
 @memoized
@@ -626,13 +611,14 @@ def heyting_block_check(E: FiniteEffectAlgebra, block: Iterable[int]) -> Heyting
     if b not in blocks(E):
         return HeytingVerdict(False, "hypothesis", ("block", b))
 
-    sub, elems = restrict(E, b)
+    sub, elems = _block_algebra(E, b)
     index = {e: i for i, e in enumerate(elems)}
     bad = lattice_counterexample(sub)
     if bad is not None:
         return HeytingVerdict(False, "lattice", (elems[bad[0]], elems[bad[1]], bad[2]))
-    if rdp_counterexample(sub) is not None:
-        return HeytingVerdict(False, "rdp", rdp_counterexample(sub))
+    bad = rdp_counterexample(sub)
+    if bad is not None:
+        return HeytingVerdict(False, "rdp", bad)
 
     above = sharp_bounds(E).above
     star = {}

@@ -138,8 +138,7 @@ def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
 def _widehat_vector(T: TripleRep) -> tuple[int, ...]:
     out = []
     for x in T.meager.elements():
-        covers = [s for s in T.sharp.elements() if x in T.h[s]]
-        best = next((m for m in covers if all(T.sharp.leq(m, c) for c in covers)), None)
+        best = T.sharp._least(sum(1 << s for s in T.sharp.elements() if x in T.h[s]))
         if best is None:
             raise ReconstructionError(f"no least sharp cover for meager element {x}")
         out.append(best)
@@ -244,8 +243,7 @@ def _s_candidates(T: TripleRep, x: int, y: int) -> tuple[int, ...]:
 
 def s_map(T: TripleRep, x: int, y: int) -> int | None:
     """Top element of the sharp pieces splitting across x and y, if one exists."""
-    cands = _s_candidates(T, x, y)
-    return next((m for m in cands if all(T.sharp.leq(c, m) for c in cands)), None)
+    return T.sharp._greatest(sum(1 << c for c in _s_candidates(T, x, y)))
 
 
 def s_map_top_missing(T: TripleRep) -> tuple[tuple[int, int], ...]:

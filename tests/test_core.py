@@ -256,3 +256,23 @@ def test_memo_is_invisible_and_freed_with_its_algebra():
     del alg
     gc.collect()
     assert ref() is None
+
+
+def _assert_order_data_matches_table(alg):
+    n = alg.order
+    for x in range(n):
+        for y in range(n):
+            diffs = [z for z in range(n) if alg.sum(x, z) == y]
+            assert alg.leq(x, y) == bool(diffs)
+            assert alg.ominus(y, x) == (diffs[0] if diffs else None)
+            assert (alg.above_mask(x) >> y) & 1 == (alg.below_mask(y) >> x) & 1
+        if isinstance(alg, FiniteEffectAlgebra):
+            assert [y for y in range(n) if alg.sum(x, y) == alg.one] == [alg.orthosupplement(x)]
+
+
+def test_order_data_matches_the_table(universe_6):
+    for _, alg in universe_6:
+        mea, _ = meager_algebra(alg)
+        for a in (alg, mea):
+            _assert_order_data_matches_table(a)
+            _assert_order_data_matches_table(pickle.loads(pickle.dumps(a)))
