@@ -38,7 +38,8 @@ __all__ = [
     "random_algebra",
 ]
 
-GENERATOR_VERSION = 1
+# Raised whenever the canonical tables that enumerate_all streams change.
+GENERATOR_VERSION = 2
 
 DEFAULT_BOUND = 6
 HARD_BOUND = 7

@@ -403,12 +403,10 @@ class _SumAlgebra(_Memoizing):
 
 def _mask_elements(mask: int) -> tuple[int, ...]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

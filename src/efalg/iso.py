@@ -1,21 +1,24 @@
 """Isomorphism testing and canonical forms for finite effect algebras.
 
-Backtracking over element bijections, pruned by cheap per-element invariants
-(order of the element, height, down-set size, sum degree, sharpness). The
-pruning only speeds things up; soundness comes from re-verifying every
-witness and completeness from exhausting the invariant-respecting search
-space.
+One individualization-refinement search (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 60, 2014) labels each algebra. An
+ordered partition of the elements, seeded with label-invariant data, is
+refined against the sum table; the first non-singleton cell is then
+individualized one element at a time. Each discrete partition (a leaf)
+relabels the table, and the least relabelled table is the canonical form.
+Two leaves with equal tables differ by an automorphism; those found prune
+the children that lie in one orbit of the automorphisms fixing the current
+path, and together they generate the whole automorphism group. Every map
+handed out is re-verified.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 from .core import (
     UNDEFINED,
     FiniteEffectAlgebra,
-    FiniteGeneralizedEffectAlgebra,
     PartialOpTable,
     _SumAlgebra,
     memoized,
@@ -24,103 +27,146 @@ from .structure import element_order, sharp_elements
 
 __all__ = ["find_isomorphism", "isomorphisms", "canonical_algebra", "canonical_form"]
 
-_CANDIDATE_CAP = 2_000_000
+
+def _split(xs, key) -> list[list[int]]:
+    """xs grouped by key, groups ordered by key, each in the order of xs."""
+    groups: dict = {}
+    for x in xs:
+        groups.setdefault(key(x), []).append(x)
+    return [groups[k] for k in sorted(groups)]
+
+
+def _refine(rows, cells: list[list[int]]) -> list[list[int]]:
+    """Split cells by the multiset of (cell of y, cell of x+y) over defined sums, until stable."""
+    n = len(rows)
+    while True:
+        cell_of = [0] * n
+        for k, cell in enumerate(cells):
+            for x in cell:
+                cell_of[x] = k
+        m = len(cells)
+
+        def signature(x):
+            return tuple(sorted(cell_of[y] * m + cell_of[v] for y, v in enumerate(rows[x]) if v != UNDEFINED))
+
+        refined = []
+        for cell in cells:
+            refined.extend(_split(cell, signature) if len(cell) > 1 else (cell,))
+        if len(refined) == len(cells):
+            return cells
+        cells = refined
+
+
+def _orbit_min(gens, n: int) -> list[int]:
+    """Least element of each point's orbit under the group the generators generate."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for g in gens:
+        for x, y in enumerate(g):
+            a, b = find(x), find(y)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
 
 
 @memoized
-def _invariants(alg: _SumAlgebra) -> tuple[tuple, ...]:
+def _search(alg: _SumAlgebra) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The least leaf's key and labelling, and generators of the automorphism group.
+
+    The key is the relabelled table, row-major, with UNDEFINED encoded as the
+    order; the labelling maps each element to its new label. Zero gets label 0
+    and, in an effect algebra, one gets label order-1.
+    """
     n = alg.order
-    heights = _heights(alg)
-    sharp = set(sharp_elements(alg)) if isinstance(alg, FiniteEffectAlgebra) else set()
-    one = alg.one if isinstance(alg, FiniteEffectAlgebra) else None
     rows = alg.table.entries
-    out = []
-    for x in range(n):
-        o = element_order(alg, x)
-        degree = sum(1 for v in rows[x] if v != UNDEFINED)
-        indegree = sum(1 for a in range(n) for b in range(n) if rows[a][b] == x)
-        down = bin(alg.below_mask(x)).count("1")
-        out.append(
-            (
-                x == alg.zero,
-                x == one,
-                x in sharp,
-                -1 if o == math.inf else int(o),
-                heights[x],
-                down,
-                degree,
-                indegree,
-            )
-        )
-    return tuple(out)
+    if isinstance(alg, FiniteEffectAlgebra):
+        sharp, one = set(sharp_elements(alg)), alg.one
+    else:
+        sharp, one = set(), None
+    gens: list[tuple[int, ...]] = []
+    first = best = None  # (key, labelling, path) of the first and of the least leaf
+
+    def leaf(cells, path) -> int:
+        nonlocal first, best
+        order = [x for (x,) in cells]
+        label = [0] * n + [n]  # label[UNDEFINED] is label[-1], which is n
+        for i, x in enumerate(order):
+            label[x] = i
+        key = tuple(label[rows[x][y]] for x in order for y in order)
+        for ref in (first, best):
+            if ref is not None and key == ref[0]:
+                gens.append(tuple(order[ref[1][x]] for x in range(n)))
+                # the subtree below the first differing choice is the image of
+                # the one holding ref: resume at their common ancestor
+                return next((d for d, (u, v) in enumerate(zip(path, ref[2])) if u != v), len(path))
+        if best is None or key < best[0]:
+            best = (key, label, path)
+        if first is None:
+            first = best
+        return len(path)
+
+    def visit(cells, path) -> int:
+        """Explore a node; return the depth at which the search resumes."""
+        cells = _refine(rows, cells)
+        k = next((k for k, cell in enumerate(cells) if len(cell) > 1), None)
+        if k is None:
+            return leaf(cells, path)
+        depth = len(path)
+        known = -1
+        for w in cells[k]:
+            if len(gens) != known:  # orbits of the found automorphisms fixing the path
+                known = len(gens)
+                rep = _orbit_min([g for g in gens if all(g[v] == v for v in path)], n)
+            if rep[w] != w:
+                continue
+            rest = [u for u in cells[k] if u != w]
+            back = visit(cells[:k] + [[w], rest] + cells[k + 1 :], path + (w,))
+            if back < depth:
+                return back
+        return depth
+
+    def invariant(x):
+        return (x != alg.zero, x == one, x in sharp, element_order(alg, x))
+
+    visit(_split(alg.elements(), invariant), ())
+    key, label, _ = best
+    return key, tuple(label[:n]), tuple(gens)
 
 
-@memoized
-def _heights(alg: _SumAlgebra) -> tuple[int, ...]:
-    n = alg.order
-    heights = [0] * n
-    order_by_down = sorted(range(n), key=lambda x: bin(alg.below_mask(x)).count("1"))
-    for x in order_by_down:
-        below = [z for z in range(n) if z != x and alg.leq(z, x)]
-        heights[x] = 1 + max((heights[z] for z in below), default=-1)
-    return tuple(heights)
-
-
-def _compatible_kinds(a, b) -> bool:
-    return type(a) is type(b)
+def _group(gens, n: int) -> Iterator[tuple[int, ...]]:
+    """Each element of the group the generators generate, once, identity first."""
+    identity = tuple(range(n))
+    seen = {identity}
+    queue = [identity]
+    for g in queue:
+        yield g
+        for s in gens:
+            h = tuple(g[x] for x in s)
+            if h not in seen:
+                seen.add(h)
+                queue.append(h)
 
 
 def isomorphisms(a: _SumAlgebra, b: _SumAlgebra) -> Iterator[tuple[int, ...]]:
-    """Yield every bijection preserving the constants and the partial sum."""
-    if not _compatible_kinds(a, b) or a.order != b.order:
+    """Yield every bijection preserving the constants and the partial sum, each once."""
+    if type(a) is not type(b) or a.order != b.order:
         return
-    inv_a = _invariants(a)
-    inv_b = _invariants(b)
-    if sorted(inv_a) != sorted(inv_b):
+    key_a, label_a, gens = _search(a)
+    key_b, label_b, _ = _search(b)
+    if key_a != key_b:
         return
-    n = a.order
-    ta = a.table.entries
-    tb = b.table.entries
-    candidates = [
-        tuple(y for y in range(n) if inv_b[y] == inv_a[x]) for x in range(n)
-    ]
-    mapping: list[int] = [-1] * n
-    used = [False] * n
-
-    def image(v: int, y: int, x: int) -> int:
-        # Image of v under the partial map extended with x -> y; -1 if unmapped.
-        if v == x:
-            return y
-        return mapping[v] if v < x else -1
-
-    def consistent(x: int, y: int) -> bool:
-        for u in range(x + 1):
-            va = ta[u][x]
-            vb = tb[image(u, y, x)][y]
-            if (va == UNDEFINED) != (vb == UNDEFINED):
-                return False
-            if va != UNDEFINED:
-                img = image(va, y, x)
-                if img != -1 and img != vb:
-                    return False
-        return True
-
-    def extend(x: int) -> Iterator[tuple[int, ...]]:
-        if x == n:
-            yield tuple(mapping)
-            return
-        for y in candidates[x]:
-            if used[y] or not consistent(x, y):
-                continue
-            mapping[x] = y
-            used[y] = True
-            yield from extend(x + 1)
-            mapping[x] = -1
-            used[y] = False
-
-    for full in extend(0):
-        if _is_morphism(a, b, full):
-            yield full
+    by_label_b = sorted(range(b.order), key=label_b.__getitem__)
+    witness = [by_label_b[i] for i in label_a]
+    for auto in _group(gens, a.order):
+        mapping = tuple(witness[x] for x in auto)
+        if _is_morphism(a, b, mapping):
+            yield mapping
 
 
 def _is_morphism(a: _SumAlgebra, b: _SumAlgebra, mapping: tuple[int, ...]) -> bool:
@@ -151,99 +197,18 @@ def find_isomorphism(a: _SumAlgebra, b: _SumAlgebra) -> tuple[int, ...] | None:
     return next(isomorphisms(a, b), None)
 
 
-def _relabel_key(alg: _SumAlgebra, perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Row-major relabeled table with UNDEFINED encoded past every element id."""
-    n = alg.order
-    t = alg.table.entries
-    inverse = [0] * n
-    for old, new in enumerate(perm):
-        inverse[new] = old
-    flat = []
-    for i in range(n):
-        oi = inverse[i]
-        row = t[oi]
-        for j in range(n):
-            v = row[inverse[j]]
-            flat.append(n if v == UNDEFINED else perm[v])
-    return tuple(flat)
-
-
-def _relabel_perms(alg: FiniteEffectAlgebra) -> Iterator[tuple[int, ...]]:
-    """All invariant-respecting relabelings fixing zero at 0 and one at order-1."""
-    n = alg.order
-    inv = _invariants(alg)
-    classes: dict[tuple, list[int]] = {}
-    for x in range(n):
-        if x in (alg.zero, alg.one):
-            continue
-        classes.setdefault(inv[x], []).append(x)
-    ordered = [classes[k] for k in sorted(classes)]
-
-    total = 1
-    for cls in ordered:
-        for c in range(2, len(cls) + 1):
-            total *= c
-        if total > _CANDIDATE_CAP:
-            raise RuntimeError("canonical labeling search space too large")
-
-    label_blocks: list[tuple[int, list[int]]] = []
-    next_label = 1
-    for cls in ordered:
-        label_blocks.append((next_label, cls))
-        next_label += len(cls)
-
-    perm = [0] * n
-    perm[alg.zero] = 0
-    perm[alg.one] = n - 1
-
-    def assign(block_idx: int) -> Iterator[tuple[int, ...]]:
-        if block_idx == len(label_blocks):
-            yield tuple(perm)
-            return
-        start, cls = label_blocks[block_idx]
-        yield from _permute_into(cls, start, perm, lambda: assign(block_idx + 1))
-
-    yield from assign(0)
-
-
-def _permute_into(cls, start, perm, cont) -> Iterator[tuple[int, ...]]:
-    if not cls:
-        yield from cont()
-        return
-    for i, x in enumerate(cls):
-        rest = cls[:i] + cls[i + 1 :]
-        perm[x] = start
-        yield from _permute_into(rest, start + 1, perm, cont)
-
-
 @memoized
 def canonical_algebra(alg: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
-    """A canonical relabeling: least row-major table over the refined search space.
+    """A canonical relabeling: the least relabelled table over the leaves of the search.
 
-    Zero is relabeled 0 and one is relabeled order-1; the remaining labels
-    are assigned within invariant classes (classes and their order are
-    themselves isomorphism invariants, so restricting the search preserves
-    the canonical property) minimizing the row-major relabeled table. Equal
-    outputs exactly characterize isomorphism.
+    Zero is relabeled 0 and one is relabeled order-1. The search tree of a
+    relabelled copy is the relabelled tree, so its leaves give the same
+    tables; equal outputs exactly characterize isomorphism.
     """
-    best_key = None
-    best_perm = None
-    for perm in _relabel_perms(alg):
-        key = _relabel_key(alg, perm)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_perm = perm
-    assert best_perm is not None
+    key = _search(alg)[0]
     n = alg.order
-    rows = [[UNDEFINED] * n for _ in range(n)]
-    t = alg.table.entries
-    for i in range(n):
-        for j in range(n):
-            v = t[i][j]
-            if v != UNDEFINED:
-                rows[best_perm[i]][best_perm[j]] = best_perm[v]
-    table = PartialOpTable.from_rows(rows)
-    return FiniteEffectAlgebra(table, 0, n - 1)
+    rows = [[UNDEFINED if v == n else v for v in key[i * n : (i + 1) * n]] for i in range(n)]
+    return FiniteEffectAlgebra(PartialOpTable.from_rows(rows), 0, n - 1)
 
 
 def canonical_form(alg: FiniteEffectAlgebra) -> bytes:

@@ -363,6 +363,7 @@ def orthoalgebra_counterexample(E: FiniteEffectAlgebra) -> tuple[int] | None:
     return None
 
 
+@memoized
 def lattice_counterexample(alg: _SumAlgebra) -> tuple[int, int, str] | None:
     for x in alg.elements():
         for y in range(x + 1, alg.order):

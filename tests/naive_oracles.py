@@ -117,3 +117,35 @@ def naive_meet(entries, x, y):
         if lower <= below[m]:
             return m
     return None
+
+
+def _naive_isomorphisms(a, b):
+    """Every bijection between two (entries, zero, one) algebras preserving
+    zero, one (None when there is no unit) and the partial sum."""
+    ea, za, oa = a
+    eb, zb, ob = b
+    n = len(ea)
+    if len(eb) != n or (oa is None) != (ob is None):
+        return
+    fixed = {za: zb} if oa is None else {za: zb, oa: ob}
+    rest_a = [x for x in range(n) if x not in fixed]
+    rest_b = [x for x in range(n) if x not in fixed.values()]
+    for images in itertools.permutations(rest_b):
+        m = dict(fixed)
+        m.update(zip(rest_a, images))
+        if all(
+            (ea[x][y] == UNDEF and eb[m[x]][m[y]] == UNDEF)
+            or (ea[x][y] != UNDEF and eb[m[x]][m[y]] == m[ea[x][y]])
+            for x in range(n)
+            for y in range(n)
+        ):
+            yield m
+
+
+def naive_isomorphic(a, b) -> bool:
+    """Brute force over every permutation fixing zero (and one)."""
+    return next(_naive_isomorphisms(a, b), None) is not None
+
+
+def naive_automorphism_count(a) -> int:
+    return sum(1 for _ in _naive_isomorphisms(a, a))

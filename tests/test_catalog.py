@@ -1,9 +1,12 @@
 """Constructions, exhaustive enumeration, and random sampling."""
 
+import random
+
 import pytest
 
 from efalg.catalog import (
     EnumerationBoundError,
+    _complete_tables,
     all_up_to,
     direct_product,
     enumerate_all,
@@ -27,6 +30,8 @@ from naive_oracles import naive_enumerate_tables
 # Regression goldens, recorded from the first verified run of generator
 # version 1 and cross-checked against the naive oracle at order <= 4.
 EXPECTED_CLASS_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10}
+# Order 7 lies above the default bound; the same count under versions 1 and 2.
+ORDER_7_CLASS_COUNT = 14
 
 
 class TestChain:
@@ -142,6 +147,13 @@ class TestEnumerate:
         for entry in named_catalog():
             if entry.algebra.order <= 6:
                 assert canonical_form(entry.algebra) in forms
+
+    def test_shuffled_search_finds_the_same_classes(self):
+        counts = {**EXPECTED_CLASS_COUNTS, 7: ORDER_7_CLASS_COUNT}
+        for n in (5, 6, 7):
+            classes = {canonical_form(a) for a in _complete_tables(n)}
+            assert len(classes) == counts[n]
+            assert {canonical_form(a) for a in _complete_tables(n, random.Random(n))} == classes
 
     def test_bound_refusal(self):
         with pytest.raises(EnumerationBoundError):

@@ -2,9 +2,12 @@
 
 import random
 
-from efalg.catalog import make_boolean, make_chain, named_catalog
+from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain, named_catalog
 from efalg.core import FiniteEffectAlgebra, PartialOpTable, UNDEFINED
 from efalg.iso import canonical_form, find_isomorphism, isomorphisms
+from efalg.structure import meager_algebra
+
+from naive_oracles import naive_automorphism_count, naive_isomorphic
 
 
 def permuted_copy(alg: FiniteEffectAlgebra, rng: random.Random) -> FiniteEffectAlgebra:
@@ -20,6 +23,11 @@ def permuted_copy(alg: FiniteEffectAlgebra, rng: random.Random) -> FiniteEffectA
     return FiniteEffectAlgebra(
         PartialOpTable.from_rows(rows), perm[alg.zero], perm[alg.one]
     )
+
+
+def plain(alg):
+    """The (entries, zero, one) form the naive oracles take; one is None without a unit."""
+    return [list(row) for row in alg.table.entries], alg.zero, getattr(alg, "one", None)
 
 
 def is_witness(a, b, mapping):
@@ -103,5 +111,42 @@ def test_canonical_equality_characterizes_isomorphism(enumerated_6):
     forms = [canonical_form(a) for a in algs]
     for i, a in enumerate(algs):
         for j, b in enumerate(algs):
-            same = forms[i] == forms[j]
-            assert same == (find_isomorphism(a, b) is not None)
+            iso = naive_isomorphic(plain(a), plain(b))
+            assert (forms[i] == forms[j]) == iso == (find_isomorphism(a, b) is not None)
+
+
+def test_each_automorphism_once(universe_6):
+    for name, alg in universe_6:
+        for x in (alg, meager_algebra(alg)[0]):
+            autos = list(isomorphisms(x, x))
+            assert len(autos) == len(set(autos)) == naive_automorphism_count(plain(x)), name
+
+
+LARGE = {
+    "boolean-32": lambda: make_boolean(5),
+    "boolean-64": lambda: make_boolean(6),
+    "chain-3x3x3": lambda: direct_product(direct_product(make_chain(2), make_chain(2)), make_chain(2)),
+    "hsum-5x5": lambda: horizontal_sum([make_chain(4)] * 5),
+    "hsum-8x3": lambda: horizontal_sum([make_chain(2)] * 8),
+    "boolean-4xchain-6": lambda: direct_product(make_boolean(2), make_chain(5)),
+}
+
+
+def test_canonical_form_of_large_symmetric_algebras():
+    forms = {}
+    for name, build in LARGE.items():
+        alg = build()
+        got = {canonical_form(permuted_copy(alg, random.Random(seed))) for seed in range(3)}
+        assert len(got) == 1, name
+        forms[name] = got.pop()
+    assert len(set(forms.values())) == len(forms)
+
+
+def test_boolean_64_relabelled_pair():
+    # perfbench/README.md reports this pair running past 3.5 minutes under
+    # a bijection backtracker that follows the first argument's labels
+    rng = random.Random(9)
+    b64 = make_boolean(6)
+    a, b = permuted_copy(b64, rng), permuted_copy(b64, rng)
+    w = find_isomorphism(a, b)
+    assert w is not None and is_witness(a, b, w)
