@@ -26,6 +26,7 @@ from .core import (
     FiniteGeneralizedEffectAlgebra,
     PartialOpTable,
     _SumAlgebra,
+    _mask_elements,
     memoized,
 )
 
@@ -97,22 +98,17 @@ def sharp_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
 @memoized
 def meager_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     """Elements with no nonzero sharp element below them."""
-    sharp = set(sharp_elements(E))
-    out = []
-    for x in E.elements():
-        if all(s == E.zero for s in E.down_set(x) if s in sharp):
-            out.append(x)
-    return tuple(out)
+    sharp = sum(1 << s for s in sharp_elements(E))
+    return tuple(x for x in E.elements() if E._below[x] & sharp == 1 << E.zero)
 
 
 @memoized
 def hypermeager_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     """Elements lying below some y and below its supplement at the same time."""
-    out = []
-    for x in E.elements():
-        if any(E.leq(x, y) and E.leq(x, E.orthosupplement(y)) for y in E.elements()):
-            out.append(x)
-    return tuple(out)
+    above, sup = E._above, E._sup
+    return tuple(
+        x for x in E.elements() if any((above[x] >> sup[y]) & 1 for y in _mask_elements(above[x]))
+    )
 
 
 def element_order(alg: _SumAlgebra, x: int) -> int | float:
@@ -142,40 +138,41 @@ def is_archimedean(alg: _SumAlgebra) -> bool:
 
 @memoized
 def principal_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
-    out = []
-    for x in E.elements():
-        down = E.down_set(x)
-        if all(
-            E.sum(y, z) is None or E.leq(E.sum(y, z), x)
-            for y in down
-            for z in down
-        ):
-            out.append(x)
-    return tuple(out)
+    """Elements x whose down-set holds every defined sum of two of its members.
+
+    For y <= x and z orthogonal to y (z <= y'), y + z <= x exactly when
+    z <= x - y, so one mask test per y decides x.
+    """
+    below, sup, ominus = E._below, E._sup, E._ominus
+    return tuple(
+        x
+        for x in E.elements()
+        if all(below[x] & below[sup[y]] & ~below[ominus[y][x]] == 0 for y in _mask_elements(below[x]))
+    )
 
 
 @memoized
 def central_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
-    """Elements x with x, x' principal such that every y splits across x and x'."""
-    principal = set(principal_elements(E))
+    """Elements x with x, x' principal such that every y splits across x and x'.
+
+    y splits when y = y1 + y2 with y1 <= x and y2 <= x', that is, when y is a
+    defined sum a + b with a <= x and b <= x' (a = y1, b = y2 and back). So x
+    is central iff those sums cover every element, which one pass over the
+    two down-sets decides.
+    """
+    principal = principal_elements(E)
+    below, sup, rows = E._below, E._sup, E.table.entries
     out = []
-    for x in E.elements():
-        xc = E.orthosupplement(x)
-        if x not in principal or xc not in principal:
+    for x in principal:
+        if sup[x] not in principal:
             continue
-        if all(_splits_across(E, y, x, xc) for y in E.elements()):
+        covered = 0
+        for a in _mask_elements(below[x]):
+            for b in _mask_elements(below[sup[x]] & below[sup[a]]):
+                covered |= 1 << rows[a][b]
+        if covered == (1 << E.order) - 1:
             out.append(x)
     return tuple(out)
-
-
-def _splits_across(E: FiniteEffectAlgebra, y: int, x: int, xc: int) -> bool:
-    for y1 in E.down_set(y):
-        if not E.leq(y1, x):
-            continue
-        y2 = E.ominus(y, y1)
-        if y2 is not None and E.leq(y2, xc):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +196,7 @@ def _compat_matrix(alg: _SumAlgebra) -> tuple[tuple[bool, ...], ...]:
         for y in range(x, n):
             ok = False
             common = alg.below_mask(x) & alg.below_mask(y)
-            for q in alg.elements():
-                if not (common >> q) & 1:
-                    continue
+            for q in _mask_elements(common):
                 r = alg.ominus(y, q)
                 if r is not None and alg.sum(x, r) is not None:
                     ok = True
@@ -334,26 +329,28 @@ def is_homogeneous(E: FiniteEffectAlgebra) -> bool:
 
 @memoized
 def _riesz_counterexample(E: FiniteEffectAlgebra, bounded: bool) -> tuple[int, int, int] | None:
+    # Per (u, v1), on masks of v2: `need` holds each v2 with v1 + v2 a target
+    # (above u, and below u' when bounded), `ok` each v2 above some u - u1 with
+    # u1 <= v1 and u1 <= u, i.e. u = u1 + u2 with u2 <= v2. The lowest bit of
+    # need & ~ok is the least v2 without a split. A u comparable with v1 always
+    # splits: as u + 0 when u <= v1, as v1 + (u - v1) when v1 <= u <= v1 + v2.
+    below, above, ominus = E._below, E._above, E._ominus
     for u in E.elements():
-        uc = E.orthosupplement(u)
+        targets_u = above[u] & below[E._sup[u]] if bounded else above[u]
+        comparable = below[u] | above[u]
         for v1 in E.elements():
-            for v2 in E.elements():
-                s = E.sum(v1, v2)
-                if s is None or not E.leq(u, s):
-                    continue
-                if bounded and not E.leq(s, uc):
-                    continue
-                if not _riesz_split(E, u, v1, v2):
-                    return (u, v1, v2)
+            targets = targets_u & above[v1]
+            if not targets or (comparable >> v1) & 1:
+                continue
+            need = 0
+            for s in _mask_elements(targets):
+                need |= 1 << ominus[v1][s]
+            ok = 0
+            for u1 in _mask_elements(below[v1] & below[u]):
+                ok |= above[ominus[u1][u]]
+            if missing := need & ~ok:
+                return (u, v1, (missing & -missing).bit_length() - 1)
     return None
-
-
-def _riesz_split(E: FiniteEffectAlgebra, u: int, v1: int, v2: int) -> bool:
-    for u1 in E.down_set(v1):
-        u2 = E.ominus(u, u1)
-        if u2 is not None and E.leq(u2, v2):
-            return True
-    return False
 
 
 def orthoalgebra_counterexample(E: FiniteEffectAlgebra) -> tuple[int] | None:

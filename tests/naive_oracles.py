@@ -149,3 +149,73 @@ def naive_isomorphic(a, b) -> bool:
 
 def naive_automorphism_count(a) -> int:
     return sum(1 for _ in _naive_isomorphisms(a, a))
+
+
+def _naive_leq(entries) -> set[tuple[int, int]]:
+    """Pairs (x, y) with x + z = y for some z: the order, from its definition."""
+    n = len(entries)
+    return {(x, entries[x][z]) for x in range(n) for z in range(n) if entries[x][z] != UNDEF}
+
+
+def _naive_supplement(entries, one) -> list[int]:
+    n = len(entries)
+    return [next(y for y in range(n) if entries[x][y] == one) for x in range(n)]
+
+
+def naive_riesz_counterexample(entries, zero, one, bounded):
+    """Least (u, v1, v2), scanning u, then v1, then v2 upward, with
+    u <= v1 + v2 (and v1 + v2 <= u' when bounded) and no u1 + u2 = u with
+    u1 <= v1, u2 <= v2; None when every such u splits (RDP/homogeneity)."""
+    n = len(entries)
+    leq = _naive_leq(entries)
+    sup = _naive_supplement(entries, one)
+    for u in range(n):
+        splits = [(u1, u2) for u1 in range(n) for u2 in range(n) if entries[u1][u2] == u]
+        for v1 in range(n):
+            for v2 in range(n):
+                s = entries[v1][v2]
+                if s == UNDEF or (u, s) not in leq:
+                    continue
+                if bounded and (s, sup[u]) not in leq:
+                    continue
+                if not any((u1, v1) in leq and (u2, v2) in leq for u1, u2 in splits):
+                    return (u, v1, v2)
+    return None
+
+
+def naive_principal(entries, zero, one) -> tuple[int, ...]:
+    """x with y + z <= x whenever y, z <= x and y + z is defined."""
+    n = len(entries)
+    leq = _naive_leq(entries)
+    return tuple(
+        x
+        for x in range(n)
+        if all(
+            entries[y][z] == UNDEF or (entries[y][z], x) in leq
+            for y in range(n)
+            for z in range(n)
+            if (y, x) in leq and (z, x) in leq
+        )
+    )
+
+
+def naive_central(entries, zero, one) -> tuple[int, ...]:
+    """x with x and x' principal such that every y is y1 + y2 with y1 <= x, y2 <= x'."""
+    n = len(entries)
+    leq = _naive_leq(entries)
+    sup = _naive_supplement(entries, one)
+    principal = set(naive_principal(entries, zero, one))
+    return tuple(
+        x
+        for x in range(n)
+        if x in principal
+        and sup[x] in principal
+        and all(
+            any(
+                entries[y1][y2] == y and (y1, x) in leq and (y2, sup[x]) in leq
+                for y1 in range(n)
+                for y2 in range(n)
+            )
+            for y in range(n)
+        )
+    )

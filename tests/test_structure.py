@@ -1,10 +1,11 @@
 """Structural classifiers: element sets, bounds, blocks, closures, Heyting."""
 
 import math
+import random
 
 import pytest
 
-from efalg.catalog import horizontal_sum, make_boolean, make_chain
+from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain
 from efalg.structure import (
     HypothesisError,
     are_compatible,
@@ -27,6 +28,7 @@ from efalg.structure import (
     meager_algebra,
     meager_elements,
     principal_elements,
+    rdp_counterexample,
     restrict,
     sharp_bounds,
     sharp_elements,
@@ -36,7 +38,8 @@ from efalg.structure import (
     vartheta,
 )
 
-from naive_oracles import naive_meet
+from naive_oracles import naive_central, naive_meet, naive_principal, naive_riesz_counterexample
+from test_iso import LARGE, permuted_copy, plain
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +311,22 @@ class TestRdpHomogeneity:
             alg.ominus(u, u1) is not None and alg.leq(alg.ominus(u, u1), v2)
             for u1 in down1
         )
+
+
+def test_mask_classifiers_match_naive_oracles(universe_6):
+    """Exact answers, witnesses included, against the definitions, on the
+    constructors' labellings and on seeded relabellings."""
+    rng = random.Random(5)
+    algs = [alg for _, alg in universe_6]
+    algs += [permuted_copy(alg, rng) for alg in algs]
+    algs += [permuted_copy(LARGE[name](), rng) for name in ("chain-3x3x3", "hsum-5x5", "boolean-4xchain-6")]
+    # a product with a chain puts several failing v2 behind the least (u, v1)
+    algs += [direct_product(alg, make_chain(1)) for _, alg in universe_6 if alg.order <= 6]
+    for alg in algs:
+        assert rdp_counterexample(alg) == naive_riesz_counterexample(*plain(alg), False)
+        assert homogeneity_counterexample(alg) == naive_riesz_counterexample(*plain(alg), True)
+        assert principal_elements(alg) == naive_principal(*plain(alg))
+        assert central_elements(alg) == naive_central(*plain(alg))
 
 
 class TestSharpBounds:
