@@ -21,6 +21,7 @@ from .iso import find_isomorphism, isomorphisms
 from .structure import (
     _block_algebra,
     _family_refines,
+    _orthogonal_pool,
     _reachable_totals,
     are_compatible,
     blocks,
@@ -92,13 +93,6 @@ def _qualifies(E) -> bool:
 def _sub_center(E, block: tuple[int, ...]) -> frozenset[int]:
     sub, elems = _block_algebra(E, block)
     return frozenset(elems[c] for c in central_elements(sub))
-
-
-def _orthogonal_pool(E: FiniteEffectAlgebra, x: int) -> tuple[int, ...]:
-    """Nonzero elements below x that stay summable with x itself."""
-    return tuple(
-        m for m in E.elements() if m != E.zero and E.leq(m, x) and E.defined(m, x)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +256,7 @@ def check_exssuplem(E: FiniteEffectAlgebra) -> CheckOutcome:
         if floor is None:
             continue
         rest = E.ominus(x, floor)
-        for total in _reachable_totals(E, _orthogonal_pool(E, x), x, None):
+        for total in _reachable_totals(E, _orthogonal_pool(E, x), E.below_mask(x)):
             ok = E.leq(total, rest) and b.below[E.ominus(x, total)] == floor
             out.tick((x, total), ok)
     return out
@@ -402,10 +396,9 @@ def check_cduya(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     if not is_homogeneous(E):
         return out
-    meager = frozenset(meager_elements(E))
-    for x in meager:
+    for x in meager_elements(E):
         pool = _orthogonal_pool(E, x)
-        totals = _reachable_totals(E, pool, x, None)
+        totals = _reachable_totals(E, pool, E.below_mask(x))
         for t in totals:
             extendable = any(
                 (n := E.sum(t, y)) is not None and E.leq(n, x) for y in pool
@@ -420,11 +413,12 @@ def check_corcduya(E: FiniteEffectAlgebra) -> CheckOutcome:
     if not _qualifies(E):
         return out
     meager = frozenset(meager_elements(E))
+    meager_mask = sum(1 << m for m in meager)
     bounds = sharp_bounds(E)
     for x in E.elements():
         floor, hat = bounds.below[x], bounds.above[x]
         pool = _orthogonal_pool(E, x)
-        totals = _reachable_totals(E, pool, x, meager)
+        totals = _reachable_totals(E, pool, E.below_mask(x) & meager_mask)
         for t in totals:
             extendable = any(
                 (n := E.sum(t, y)) is not None and E.leq(n, x) and n in meager

@@ -5,20 +5,23 @@ principal, central), blocks, the classifier flags, sharp bounds and the
 unique sharp-meager decomposition, the closure operators used in the block
 theory, and the Heyting check for blocks.
 
-Finiteness is load bearing in two places and both are deliberate:
+Finiteness is load bearing in three places and all are deliberate:
 every orthogonal family of nonzero elements has size below the order
 (partial sums strictly increase), so orthocompleteness and its meager
-variant hold automatically, and every nonzero element has finite order,
-so the Archimedean property holds automatically. The classifiers still
-compute these honestly from the table so that bugs in the primitives
-surface.
+variant hold automatically; every nonzero element has finite order,
+so the Archimedean property holds automatically; and every nonzero element
+is a sum of atoms, so the blocks are the maximal sub-sum sets of the
+atom decompositions of the unit. One walk over orthogonal families,
+`_families`, finds those sets and also decides internal compatibility. The
+classifiers still compute these honestly from the table so that bugs in
+the primitives surface.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     UNDEFINED,
@@ -214,42 +217,45 @@ def is_internally_compatible(alg: _SumAlgebra, subset: frozenset[int] | Iterable
     family size is bounded by the order because partial sums strictly grow.
     """
     members = frozenset(subset)
-    return _internally_compatible(alg, members)
-
-
-@memoized
-def _internally_compatible(alg: _SumAlgebra, members: frozenset[int]) -> bool:
     return _family_refines(alg, members, tuple(sorted(m for m in members if m != alg.zero)))
+
+
+def _families(alg: _SumAlgebra, pool: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """(sum of F, mask of the sub-sums of F) for each nondecreasing orthogonal
+    multiset F drawn from the pool, the empty family first.
+
+    Adding x to F adds v + x for every sub-sum v; those sums are defined
+    because v <= sum of F. The walk needs no depth cap: partial sums of
+    nonzero pool elements strictly increase, so every branch ends once no sum
+    is defined.
+    """
+    rows = alg.table.entries
+    stack = [(0, alg.zero, 1 << alg.zero)]
+    while stack:
+        start, total, sums = stack.pop()
+        yield total, sums
+        for k in reversed(range(start, len(pool))):
+            x = pool[k]
+            nxt = rows[total][x]
+            if nxt == UNDEFINED:
+                continue
+            extra = 0
+            for v in _mask_elements(sums):
+                extra |= 1 << rows[v][x]
+            stack.append((k, nxt, sums | extra))
 
 
 def _family_refines(alg: _SumAlgebra, members: Iterable[int], pool: tuple[int, ...]) -> bool:
     """Whether one orthogonal multiset drawn from the pool refines every member.
 
     Pairwise compatibility of the members is necessary, so it prunes first.
-    The depth needs no cap: partial sums of nonzero pool elements strictly
-    increase, so every branch ends once no sum is defined.
     """
     targets = {m for m in members if m != alg.zero}
-    if not targets:
-        return True
     compat = _compat_matrix(alg)
     if any(not compat[a][b] for a in targets for b in targets):
         return False
-
-    def dfs(start: int, total: int, sums: frozenset[int]) -> bool:
-        if targets <= sums:
-            return True
-        for k in range(start, len(pool)):
-            x = pool[k]
-            nxt = alg.sum(total, x)
-            if nxt is None:
-                continue
-            extra = frozenset(w for v in sums if (w := alg.sum(v, x)) is not None)
-            if dfs(k, nxt, sums | extra):
-                return True
-        return False
-
-    return dfs(0, alg.zero, frozenset({alg.zero}))
+    need = sum(1 << m for m in targets)
+    return any(sums & need == need for _, sums in _families(alg, pool))
 
 
 @memoized
@@ -257,56 +263,23 @@ def blocks(E: FiniteEffectAlgebra) -> tuple[tuple[int, ...], ...]:
     """All maximal internally compatible subsets containing the unit.
 
     In a homogeneous algebra these are exactly the blocks of the theory
-    (maximal RDP sub-effect algebras); on other input the operation still
-    returns the maximal internally compatible subsets, and callers consult
-    the homogeneity flag to know whether the block theory applies.
+    (maximal RDP sub-effect algebras; Jenča, "Blocks of homogeneous effect
+    algebras", Bull. Austral. Math. Soc. 64, 2001); on other input the
+    operation still returns the maximal internally compatible subsets, and
+    callers consult the homogeneity flag to know whether the block theory
+    applies.
 
-    Internal compatibility is not downward hereditary, so the search first
-    enumerates maximal cliques of the pairwise compatibility relation and
-    then refines each clique top-down, memoizing visited subsets.
+    They are the maximal sub-sum sets R(F) over the multisets F of atoms that
+    sum to the unit. R(F) is internally compatible, since F lies in it and
+    refines it; every internally compatible M lies in R(F) for a family F
+    drawn from M; and splitting a member of F into atoms (finite order makes
+    every nonzero element a sum of atoms) or adding the supplement of the sum
+    of F only enlarges R(F).
     """
-    n = E.order
-    compat = _compat_matrix(E)
-    neighbours = [frozenset(y for y in range(n) if y != x and compat[x][y]) for x in range(n)]
-
-    cliques: list[frozenset[int]] = []
-
-    def bron_kerbosch(r: frozenset[int], p: frozenset[int], x: frozenset[int]):
-        if not p and not x:
-            cliques.append(r)
-            return
-        pivot = max(p | x, key=lambda v: len(neighbours[v] & p))
-        for v in sorted(p - neighbours[pivot]):
-            bron_kerbosch(r | {v}, p & neighbours[v], x & neighbours[v])
-            p = p - {v}
-            x = x | {v}
-
-    bron_kerbosch(frozenset(), frozenset(range(n)), frozenset())
-
-    found: set[frozenset[int]] = set()
-    memo: dict[frozenset[int], frozenset[frozenset[int]]] = {}
-
-    def refine(subset: frozenset[int]) -> frozenset[frozenset[int]]:
-        if subset in memo:
-            return memo[subset]
-        if _internally_compatible(E, subset):
-            result = frozenset({subset})
-        else:
-            collected: set[frozenset[int]] = set()
-            for v in sorted(subset):
-                if v in (E.zero, E.one):
-                    continue
-                collected |= refine(subset - {v})
-            result = frozenset(s for s in collected if not any(s < t for t in collected))
-        memo[subset] = result
-        return result
-
-    for clique in cliques:
-        if E.one in clique:
-            found |= refine(clique)
-
-    maximal = [s for s in found if not any(s < t for t in found)]
-    return tuple(sorted(tuple(sorted(s)) for s in maximal))
+    atoms = tuple(x for x in E.elements() if x != E.zero and E._below[x] == (1 << E.zero) | (1 << x))
+    found = {sums for total, sums in _families(E, atoms) if total == E.one}
+    maximal = [m for m in found if not any(m != o and m & o == m for o in found)]
+    return tuple(sorted(_mask_elements(m) for m in maximal))
 
 
 def rdp_counterexample(E: FiniteEffectAlgebra) -> tuple[int, int, int] | None:
@@ -396,21 +369,25 @@ def sharp_bounds(E: FiniteEffectAlgebra) -> SharpBounds:
     )
 
 
+def _missing_sharp_bound(bounds: SharpBounds) -> tuple[int, str] | None:
+    """Least element lacking a sharp bound, with the side ("below" first) it lacks."""
+    for x, (lo, hi) in enumerate(zip(bounds.below, bounds.above)):
+        if lo is None:
+            return (x, "below")
+        if hi is None:
+            return (x, "above")
+    return None
+
+
 def is_sharply_dominating(E: FiniteEffectAlgebra) -> bool:
-    b = sharp_bounds(E)
-    return all(v is not None for v in b.below) and all(v is not None for v in b.above)
+    return _missing_sharp_bound(sharp_bounds(E)) is None
 
 
 def decompose(E: FiniteEffectAlgebra, x: int) -> tuple[int, int]:
     """Split x into its sharp part and meager part; unique in qualifying algebras."""
     bounds = sharp_bounds(E)
     if not is_sharply_dominating(E):
-        bad = next(
-            i
-            for i in E.elements()
-            if bounds.below[i] is None or bounds.above[i] is None
-        )
-        raise HypothesisError("sharply_dominating", bad)
+        raise HypothesisError("sharply_dominating", _missing_sharp_bound(bounds)[0])
     xt = bounds.below[x]
     rest = E.ominus(x, xt)
     assert rest is not None
@@ -438,19 +415,12 @@ def is_sub_effect_algebra(E: FiniteEffectAlgebra, subset: Iterable[int]) -> bool
 
 def restrict(E: FiniteEffectAlgebra, subset: Iterable[int]) -> tuple[FiniteEffectAlgebra, tuple[int, ...]]:
     """Sub-effect algebra on a closed subset, with the element back-map."""
-    elems = tuple(sorted(frozenset(subset)))
-    index = {e: i for i, e in enumerate(elems)}
-    pairs = {}
+    table, index, elems = _induced_table(E, subset)
     for a in elems:
         for b in elems:
-            v = E.sum(a, b)
-            if v is not None:
-                if v not in index:
-                    raise ValueError(f"subset not closed under defined sums at ({a},{b})")
-                pairs[(index[a], index[b])] = index[v]
-    table = PartialOpTable.from_pairs(len(elems), pairs)
-    sub = FiniteEffectAlgebra(table, index[E.zero], index[E.one])
-    return sub, elems
+            if (v := E.sum(a, b)) is not None and v not in index:
+                raise ValueError(f"subset not closed under defined sums at ({a},{b})")
+    return FiniteEffectAlgebra(table, index[E.zero], index[E.one]), elems
 
 
 @memoized
@@ -460,10 +430,10 @@ def _block_algebra(E: FiniteEffectAlgebra, block: tuple[int, ...]) -> tuple[Fini
 
 
 def _induced_table(
-    E: FiniteEffectAlgebra, downset: Iterable[int]
+    E: FiniteEffectAlgebra, subset: Iterable[int]
 ) -> tuple[PartialOpTable, dict[int, int], tuple[int, ...]]:
-    """Sums that stay inside a down-set, re-indexed in ascending element order."""
-    elems = tuple(sorted(frozenset(downset)))
+    """Sums that stay inside the subset, re-indexed in ascending element order."""
+    elems = tuple(sorted(frozenset(subset)))
     index = {e: i for i, e in enumerate(elems)}
     pairs = {}
     for a in elems:
@@ -505,30 +475,29 @@ def hypermeager_algebra(E: FiniteEffectAlgebra) -> tuple[FiniteGeneralizedEffect
 # closure operators
 
 
-def _reachable_totals(
-    E: _SumAlgebra, pool: tuple[int, ...], cap: int, inside: frozenset[int] | None
-) -> set[int]:
-    """Totals of orthogonal multisets from the pool with all sums below cap.
+def _orthogonal_pool(E: FiniteEffectAlgebra, x: int) -> tuple[int, ...]:
+    """Nonzero elements below x that stay summable with x itself."""
+    return _mask_elements(E._below[x] & E._below[E._sup[x]] & ~(1 << E.zero))
 
-    With inside given, every partial sum must also lie in that set.
+
+def _reachable_totals(E: _SumAlgebra, pool: tuple[int, ...], allowed: int) -> tuple[int, ...]:
+    """Sums of orthogonal multisets from the pool that lie in the down-set mask allowed.
+
+    Partial sums lie below the total, so when the total is allowed so is every
+    partial sum in any order: the totals are the closure of zero under adding
+    pool elements inside allowed.
     """
-    totals = {E.zero}
-    seen: set[tuple[int, int]] = set()
-
-    def dfs(start: int, total: int):
-        for k in range(start, len(pool)):
-            nxt = E.sum(total, pool[k])
-            if nxt is None or not E.leq(nxt, cap):
-                continue
-            if inside is not None and nxt not in inside:
-                continue
-            totals.add(nxt)
-            if (k, nxt) not in seen:
-                seen.add((k, nxt))
-                dfs(k, nxt)
-
-    dfs(0, E.zero)
-    return totals
+    rows = E.table.entries
+    reached = 1 << E.zero
+    frontier = [E.zero]
+    while frontier:
+        t = frontier.pop()
+        for x in pool:
+            s = rows[t][x]
+            if s != UNDEFINED and (allowed >> s) & 1 and not (reached >> s) & 1:
+                reached |= 1 << s
+                frontier.append(s)
+    return _mask_elements(reached)
 
 
 @memoized
@@ -536,15 +505,13 @@ def vartheta(E: FiniteEffectAlgebra, u: int) -> tuple[int, ...]:
     """Elements v and u - v for sums v of meager families orthogonal to u.
 
     The families range over meager elements below the supplement of u, with
-    a defined sum that stays below u and lands in the meager set. Finiteness
-    bounds the family size, so plain depth-first search is exhaustive.
+    a defined sum that stays below u and lands in the meager set. Both bounds
+    are down-sets, so the sums are a closure (see _reachable_totals).
     """
-    meager = frozenset(meager_elements(E))
-    uc = E.orthosupplement(u)
-    pool = tuple(sorted(m for m in meager if m != E.zero and E.leq(m, uc) and E.leq(m, u)))
-    totals = _reachable_totals(E, pool, u, meager)
+    meager = sum(1 << m for m in meager_elements(E))
+    pool = tuple(m for m in _orthogonal_pool(E, u) if (meager >> m) & 1)
     out = set()
-    for v in totals:
+    for v in _reachable_totals(E, pool, E._below[u] & meager):
         out.add(v)
         w = E.ominus(u, v)
         assert w is not None
@@ -714,14 +681,7 @@ def structure_report(E: FiniteEffectAlgebra) -> StructureReport:
     lat = lattice_counterexample(E)
     orth = orthoalgebra_counterexample(E)
     b = sharp_bounds(E)
-    sd_witness = None
-    for x in E.elements():
-        if b.below[x] is None:
-            sd_witness = (x, "below")
-            break
-        if b.above[x] is None:
-            sd_witness = (x, "above")
-            break
+    sd_witness = _missing_sharp_bound(b)
     arch_witness = next(
         (x for x in E.elements() if x != E.zero and element_order(E, x) == math.inf), None
     )

@@ -27,6 +27,7 @@ from .core import (
 )
 from .structure import (
     HypothesisError,
+    _missing_sharp_bound,
     homogeneity_counterexample,
     is_sharply_dominating,
     is_sub_effect_algebra,
@@ -98,13 +99,7 @@ def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
     if witness is not None:
         raise HypothesisError("homogeneous", witness)
     if not is_sharply_dominating(E):
-        bounds = sharp_bounds(E)
-        bad = next(
-            x
-            for x in E.elements()
-            if bounds.below[x] is None or bounds.above[x] is None
-        )
-        raise HypothesisError("sharply_dominating", bad)
+        raise HypothesisError("sharply_dominating", _missing_sharp_bound(sharp_bounds(E))[0])
 
     sharp_ids = sharp_elements(E)
     if not is_sub_effect_algebra(E, sharp_ids):

@@ -219,3 +219,56 @@ def naive_central(entries, zero, one) -> tuple[int, ...]:
             for y in range(n)
         )
     )
+
+
+def _naive_fold(entries, zero, family):
+    """x1 + ... + xk summed left to right, or None where a sum is undefined."""
+    acc = zero
+    for x in family:
+        acc = entries[acc][x]
+        if acc == UNDEF:
+            return None
+    return acc
+
+
+def _naive_families(entries, zero):
+    """(members, sub-sums) of every multiset of nonzero elements, of size below
+    the order, whose fold is defined; the sub-sums fold every sub-multiset."""
+    n = len(entries)
+    nonzero = [x for x in range(n) if x != zero]
+    out = []
+    for size in range(n):
+        for family in itertools.combinations_with_replacement(nonzero, size):
+            if _naive_fold(entries, zero, family) is None:
+                continue
+            subs = {
+                _naive_fold(entries, zero, [family[i] for i in idx])
+                for r in range(size + 1)
+                for idx in itertools.combinations(range(size), r)
+            }
+            out.append((frozenset(family), frozenset(subs)))
+    return out
+
+
+def _naive_refined(families, subset) -> bool:
+    return any(members <= subset <= subs for members, subs in families)
+
+
+def naive_internally_compatible(entries, zero, subset) -> bool:
+    """Some multiset of nonzero members of the subset, of size below the order,
+    has a defined fold and sub-sums covering the subset."""
+    return _naive_refined(_naive_families(entries, zero), frozenset(subset))
+
+
+def naive_blocks(entries, zero, one) -> list[tuple[int, ...]]:
+    """The maximal internally compatible subsets containing one, by filtering
+    every subset of the carrier."""
+    families = _naive_families(entries, zero)
+    rest = [x for x in range(len(entries)) if x != one]
+    good = [
+        frozenset(combo) | {one}
+        for r in range(len(rest) + 1)
+        for combo in itertools.combinations(rest, r)
+        if _naive_refined(families, frozenset(combo) | {one})
+    ]
+    return sorted(tuple(sorted(s)) for s in good if not any(s < t for t in good))

@@ -1,5 +1,6 @@
 """Structural classifiers: element sets, bounds, blocks, closures, Heyting."""
 
+import itertools
 import math
 import random
 
@@ -38,7 +39,14 @@ from efalg.structure import (
     vartheta,
 )
 
-from naive_oracles import naive_central, naive_meet, naive_principal, naive_riesz_counterexample
+from naive_oracles import (
+    naive_blocks,
+    naive_central,
+    naive_internally_compatible,
+    naive_meet,
+    naive_principal,
+    naive_riesz_counterexample,
+)
 from test_iso import LARGE, permuted_copy, plain
 
 
@@ -196,22 +204,6 @@ def brute_compatible(alg, x, y):
     return False
 
 
-def brute_maximal_compatible_sets(alg):
-    """All maximal internally compatible subsets containing the unit, by
-    filtering every subset of the carrier."""
-    import itertools
-
-    rest = [x for x in alg.elements() if x != alg.one]
-    good = []
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            s = frozenset(combo) | {alg.one}
-            if is_internally_compatible(alg, s):
-                good.append(s)
-    maximal = [s for s in good if not any(s < t for t in good)]
-    return sorted(tuple(sorted(s)) for s in maximal)
-
-
 class TestCompatibility:
     def test_supplement_always_compatible(self, universe_6):
         for _, alg in universe_6:
@@ -227,10 +219,22 @@ class TestCompatibility:
                     assert are_compatible(alg, x, y) == brute_compatible(alg, x, y)
 
     def test_blocks_match_subset_filter_oracle(self, universe_6):
+        rng = random.Random(11)
+        for _, alg in universe_6:
+            for copy in (alg, permuted_copy(alg, rng)):
+                assert list(blocks(copy)) == naive_blocks(*plain(copy))
+
+    def test_internal_compatibility_matches_oracle(self, universe_6):
         for _, alg in universe_6:
             if alg.order > 6:
                 continue
-            assert list(blocks(alg)) == brute_maximal_compatible_sets(alg)
+            entries, zero, one = plain(alg)
+            rest = [x for x in alg.elements() if x != one]
+            for r in range(len(rest) + 1):
+                for combo in itertools.combinations(rest, r):
+                    subset = frozenset(combo) | {one}
+                    expected = naive_internally_compatible(entries, zero, subset)
+                    assert is_internally_compatible(alg, subset) == expected
 
     def test_diamond_interiors_incompatible(self, diamond):
         assert not are_compatible(diamond, 1, 2)
@@ -271,7 +275,7 @@ class TestBlocks:
         # report's flag tells callers the block theory does not apply
         alg = next(a for a in enumerated_6 if not is_homogeneous(a))
         got = blocks(alg)
-        assert list(got) == brute_maximal_compatible_sets(alg)
+        assert list(got) == naive_blocks(*plain(alg))
         assert all(alg.one in b for b in got)
         report = structure_report(alg)
         assert not report.block_theory_applies
