@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from .catalog import (
-    EnumerationBoundError,
     direct_product,
     enumerate_all,
     horizontal_sum,
@@ -224,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, MalformedTableError, EnumerationBoundError, ValueError) as exc:
+    except ValueError as exc:
         if isinstance(exc, AxiomViolationError):
             print(f"error: input fails the algebra axioms: {exc}", file=sys.stderr)
             return EXIT_PROPERTY

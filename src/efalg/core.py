@@ -138,11 +138,7 @@ def verify_effect_algebra(table: PartialOpTable, zero: int, one: int) -> Verdict
         violations.append(Violation("E0", (zero,), "zero and one coincide"))
 
     # (Ei) commutativity, read off the stored table.
-    for x in range(n):
-        hit = next((y for y in range(x + 1, n) if t[x][y] != t[y][x]), None)
-        if hit is not None:
-            violations.append(Violation("Ei", (x, hit), "asymmetric cells"))
-            break
+    violations.extend(_commutativity_violation(t, n, "Ei"))
 
     # (Eii) associativity: if one side is defined, both are and they agree.
     violations.extend(_associativity_violation(t, n, "Eii"))
@@ -173,12 +169,7 @@ def verify_generalized(table: PartialOpTable, zero: int) -> Verdict:
     n = table.order
     violations: list[Violation] = []
 
-    for x in range(n):
-        hit = next((y for y in range(x + 1, n) if t[x][y] != t[y][x]), None)
-        if hit is not None:
-            violations.append(Violation("GE1", (x, hit), "asymmetric cells"))
-            break
-
+    violations.extend(_commutativity_violation(t, n, "GE1"))
     violations.extend(_associativity_violation(t, n, "GE2"))
 
     # (GE3) cancellation: a row may not repeat a defined value.
@@ -215,6 +206,14 @@ def verify_generalized(table: PartialOpTable, zero: int) -> Verdict:
             break
 
     return Verdict(not violations, tuple(violations))
+
+
+def _commutativity_violation(t, n: int, axiom: str) -> list[Violation]:
+    for x in range(n):
+        hit = next((y for y in range(x + 1, n) if t[x][y] != t[y][x]), None)
+        if hit is not None:
+            return [Violation(axiom, (x, hit), "asymmetric cells")]
+    return []
 
 
 def _associativity_violation(t, n: int, axiom: str) -> list[Violation]:

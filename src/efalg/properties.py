@@ -51,6 +51,7 @@ from .structure import (
     theta_map,
 )
 from .triple import (
+    _split,
     extract_triple,
     pi_s,
     r_map,
@@ -778,32 +779,16 @@ def check_pommeag(E: FiniteEffectAlgebra) -> CheckOutcome:
         return out
     T = extract_triple(E)
     assert T.sharp_to_source and T.meager_to_source
-    mea = T.meager
-    for x in mea.elements():
-        for y in mea.elements():
+    for x in T.meager.elements():
+        for y in T.meager.elements():
             x_src = T.meager_to_source[x]
             y_src = T.meager_to_source[y]
             lhs = E.sum(x_src, y_src) is not None
-            s = s_map(T, x, y)
-            rhs = False
-            diff_sum = None
-            if s is not None:
-                px = pi_s(T, s, x)
-                py = pi_s(T, s, y)
-                if px is not None and py is not None:
-                    a = mea.ominus(x, px)
-                    b = mea.ominus(y, py)
-                    if a is not None and b is not None:
-                        diff_sum = mea.sum(a, b)
-                        rhs = (
-                            diff_sum is not None
-                            and diff_sum in T.h[T.sharp.orthosupplement(s)]
-                        )
+            s, diff_sum = _split(T, x, y)
+            rhs = diff_sum is not None and diff_sum in T.h[T.sharp.orthosupplement(s)]
             out.tick((x_src, y_src, "iff"), lhs == rhs)
             if lhs and rhs:
-                total = E.sum(
-                    T.sharp_to_source[s], T.meager_to_source[diff_sum]
-                )
+                total = E.sum(T.sharp_to_source[s], T.meager_to_source[diff_sum])
                 out.tick((x_src, y_src, "split"), total == E.sum(x_src, y_src))
     return out
 

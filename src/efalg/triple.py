@@ -23,6 +23,7 @@ from .core import (
     FiniteGeneralizedEffectAlgebra,
     PartialOpTable,
     _Memoizing,
+    _mask_elements,
     memoized,
 )
 from .structure import (
@@ -107,33 +108,36 @@ def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
     sharp, sharp_src = restrict(E, sharp_ids)
     meager, meager_src = meager_algebra(E)
 
-    h = tuple(
-        frozenset(
-            m for m, src_m in enumerate(meager_src) if E.leq(src_m, sharp_src[s])
-        )
-        for s in sharp.elements()
-    )
-
-    if h[sharp.zero] != frozenset({meager.zero}):
+    hm = [
+        sum(1 << m for m, src_m in enumerate(meager_src) if E.leq(src_m, src_s))
+        for src_s in sharp_src
+    ]
+    if hm[sharp.zero] != 1 << meager.zero:
         raise ReconstructionError("h at zero must be the zero singleton")
-    if h[sharp.one] != frozenset(meager.elements()):
+    if hm[sharp.one] != (1 << meager.order) - 1:
         raise ReconstructionError("h at one must cover the meager carrier")
-    for s in sharp.elements():
-        for m in h[s]:
-            if not frozenset(meager.down_set(m)) <= h[s]:
-                raise ReconstructionError("h values must be down-sets")
-        for t in sharp.elements():
-            if sharp.leq(s, t) and not h[s] <= h[t]:
-                raise ReconstructionError("h is not monotone")
+    for s, mask in enumerate(hm):
+        if any(meager._below[m] & ~mask for m in _mask_elements(mask)):
+            raise ReconstructionError("h values must be down-sets")
+        if any(mask & ~hm[t] for t in _mask_elements(sharp._above[s])):
+            raise ReconstructionError("h is not monotone")
 
+    h = tuple(frozenset(_mask_elements(mask)) for mask in hm)
     return TripleRep(sharp, meager, h, sharp_src, meager_src)
 
 
 @memoized
+def _h_masks(T: TripleRep) -> tuple[int, ...]:
+    """h(s) as a bitmask over the meager carrier, one per sharp element."""
+    return tuple(sum(1 << m for m in hs) for hs in T.h)
+
+
+@memoized
 def _widehat_vector(T: TripleRep) -> tuple[int, ...]:
+    hm = _h_masks(T)
     out = []
     for x in T.meager.elements():
-        best = T.sharp._least(sum(1 << s for s in T.sharp.elements() if x in T.h[s]))
+        best = T.sharp._least(sum(1 << s for s in T.sharp.elements() if hm[s] >> x & 1))
         if best is None:
             raise ReconstructionError(f"no least sharp cover for meager element {x}")
         out.append(best)
@@ -147,16 +151,14 @@ def widehat_triple(T: TripleRep, x: int) -> int:
 
 @memoized
 def _pi_table(T: TripleRep) -> tuple[tuple[int | None, ...], ...]:
+    # The join of D = {y <= x in h(s)} lies in h(s) exactly when D has a
+    # greatest element, and then it is that element.
     mea = T.meager
-    rows = []
-    for s in T.sharp.elements():
-        row: list[int | None] = []
-        for x in mea.elements():
-            below = [y for y in mea.elements() if mea.leq(y, x) and y in T.h[s]]
-            z = mea.join_set(below)
-            row.append(z if z is not None and z in T.h[s] else None)
-        rows.append(tuple(row))
-    return tuple(rows)
+    hm = _h_masks(T)
+    return tuple(
+        tuple(mea._greatest(mea._below[x] & hm[s]) for x in mea.elements())
+        for s in T.sharp.elements()
+    )
 
 
 def pi_s(T: TripleRep, s: int, x: int) -> int | None:
@@ -169,46 +171,39 @@ def pi_s(T: TripleRep, s: int, x: int) -> int | None:
 def _r_vector(T: TripleRep) -> tuple[int, ...]:
     mea = T.meager
     widehat = _widehat_vector(T)
+    hm = _h_masks(T)
+    # Cancellation profile: adding z to x stays under the cover exactly for
+    # the z below y that leave the cover of the difference unchanged. Group
+    # each y by its cover and its side R(y), then look x up by its side L(x).
+    by_profile: dict[tuple[int, int], list[int]] = {}
+    for y in mea.elements():
+        hat = widehat[y]
+        right = sum(
+            1 << z
+            for z in _mask_elements(hm[hat] & mea._below[y])
+            if widehat[mea.ominus(y, z)] == hat
+        )
+        by_profile.setdefault((hat, right), []).append(y)
     out = []
     for x in mea.elements():
-        matches = [y for y in mea.elements() if _r_candidate(T, widehat, x, y)]
+        hat = widehat[x]
+        left = hm[hat] & sum(
+            1 << mea.ominus(v, x) for v in _mask_elements(hm[hat] & mea._above[x])
+        )
+        # the pair must meet inside the meager algebra and x + (y - (x meet y))
+        # must stay meager and below the cover
+        matches = []
+        for y in by_profile.get((hat, left), ()):
+            u = mea.meet(x, y)
+            w = None if u is None else mea.sum(x, mea.ominus(y, u))
+            if w is not None and hm[hat] >> w & 1:
+                matches.append(y)
         if len(matches) != 1:
             raise ReconstructionError(
                 f"difference-to-cover search for meager {x} found {len(matches)} candidates"
             )
         out.append(matches[0])
     return tuple(out)
-
-
-def _r_candidate(T: TripleRep, widehat: tuple[int, ...], x: int, y: int) -> bool:
-    mea = T.meager
-    hat = widehat[x]
-    if widehat[y] != hat:
-        return False
-    # the pair must meet inside the meager algebra and x + (y - (x meet y))
-    # must stay meager and below the cover
-    u = mea.meet(x, y)
-    if u is None:
-        return False
-    d = mea.ominus(y, u)
-    if d is None:
-        return False
-    w = mea.sum(x, d)
-    if w is None or w not in T.h[hat]:
-        return False
-    # cancellation profile: adding z to x stays under the cover exactly for
-    # z below y that leave the cover of the difference unchanged
-    for z in sorted(T.h[hat]):
-        zx = mea.sum(z, x)
-        lhs = zx is not None and zx in T.h[hat]
-        if mea.leq(z, y):
-            rest = mea.ominus(y, z)
-            rhs = rest is not None and widehat[rest] == hat
-        else:
-            rhs = False
-        if lhs != rhs:
-            return False
-    return True
 
 
 def r_map(T: TripleRep, x: int) -> int:
@@ -255,12 +250,28 @@ def s_map_top_missing(T: TripleRep) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _split(T: TripleRep, x: int, y: int) -> tuple[int | None, int | None]:
+    """(s, (x - pi_s x) + (y - pi_s y)) for the top split piece s of x and y.
+
+    Both are None without a top split piece, and the sum is None where it is
+    undefined. s is a split candidate, so pi_s is defined at x and y, and
+    pi_s x lies below x, so both differences exist.
+    """
+    s = s_map(T, x, y)
+    if s is None:
+        return None, None
+    mea = T.meager
+    pi = _pi_table(T)[s]
+    return s, mea.sum(mea.ominus(x, pi[x]), mea.ominus(y, pi[y]))
+
+
 def reconstruct_tea(T: TripleRep) -> TeaAlgebra:
     """Rebuild the algebra on pairs (z_S, z_M) with z_M in h(z_S').
 
-    Uses only the triple's own data. The four definedness conditions are
-    evaluated in order and short-circuit; any axiom failure of the result
-    is reported as a theorem violation, never repaired.
+    Uses only the triple's own data. A pair sums to (x_S + y_S + s, z_M) for
+    the split (s, z_M) of its meager parts, when that sum is defined and z_M
+    lies in h of its supplement; any axiom failure of the result is reported
+    as a theorem violation, never repaired.
     """
     sharp = T.sharp
     mea = T.meager
@@ -273,36 +284,17 @@ def reconstruct_tea(T: TripleRep) -> TeaAlgebra:
     zero = index[(sharp.zero, mea.zero)]
     one = index[(sharp.one, mea.zero)]
 
-    pi = _pi_table(T)
+    hm = _h_masks(T)
     pairs: dict[tuple[int, int], int] = {}
     for k1, (xs, xm) in enumerate(carrier):
         for k2 in range(k1, len(carrier)):
             ys, ym = carrier[k2]
-            s = s_map(T, xm, ym)
-            if s is None:
-                continue
-            partial = sharp.sum(xs, ys)
-            if partial is None:
-                continue
-            zs = sharp.sum(partial, s)
-            if zs is None:
-                continue
-            px = pi[s][xm]
-            py = pi[s][ym]
-            if px is None or py is None:
-                raise ReconstructionError(
-                    f"split piece lacks its meet against pair ({xm},{ym})"
-                )
-            a = mea.ominus(xm, px)
-            b = mea.ominus(ym, py)
-            if a is None or b is None:
-                raise ReconstructionError("meager difference undefined below its element")
-            zm = mea.sum(a, b)
+            s, zm = _split(T, xm, ym)
             if zm is None:
                 continue
-            if zm not in T.h[sharp.orthosupplement(zs)]:
-                continue
-            pairs[(k1, k2)] = index[(zs, zm)]
+            zs = sharp.orthogonal_sum((xs, ys, s))
+            if zs is not None and hm[sharp.orthosupplement(zs)] >> zm & 1:
+                pairs[(k1, k2)] = index[(zs, zm)]
 
     table = PartialOpTable.from_pairs(len(carrier), pairs)
     try:
@@ -332,8 +324,9 @@ def verify_roundtrip(E: FiniteEffectAlgebra, triple: TripleRep | None = None) ->
     hypotheses a failure means a bug, not a property of the input.
     """
     T = extract_triple(E) if triple is None else triple
+    if T.sharp_to_source is None or T.meager_to_source is None:
+        raise ValueError("triple lacks its back-maps sharp_to_source and meager_to_source")
     tea = reconstruct_tea(T)
-    assert T.sharp_to_source is not None and T.meager_to_source is not None
     sharp_inv = {src: i for i, src in enumerate(T.sharp_to_source)}
     meager_inv = {src: i for i, src in enumerate(T.meager_to_source)}
     index = {pair: k for k, pair in enumerate(tea.carrier)}

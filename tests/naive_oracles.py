@@ -272,3 +272,29 @@ def naive_blocks(entries, zero, one) -> list[tuple[int, ...]]:
         if _naive_refined(families, frozenset(combo) | {one})
     ]
     return sorted(tuple(sorted(s)) for s in good if not any(s < t for t in good))
+
+
+def naive_pi(entries, hs, x):
+    """Join of the members of hs below x, kept when it lies in hs; entries is a
+    generalized effect algebra's table and hs a set of its elements."""
+    n = len(entries)
+    leq = _naive_leq(entries)
+    part = [y for y in hs if (y, x) in leq]
+    upper = [u for u in range(n) if all((y, u) in leq for y in part)]
+    join = next((u for u in upper if all((u, v) in leq for v in upper)), None)
+    return join if join in hs else None
+
+
+def naive_r_map(entries, zero, one, x):
+    """(least sharp element above x) minus x, where s is sharp when zero is the
+    only lower bound of s and its supplement."""
+    n = len(entries)
+    leq = _naive_leq(entries)
+    sup = _naive_supplement(entries, one)
+    sharp = [
+        s for s in range(n)
+        if all(z == zero for z in range(n) if (z, s) in leq and (z, sup[s]) in leq)
+    ]
+    covers = [s for s in sharp if (x, s) in leq]
+    cover = next(c for c in covers if all((c, d) in leq for d in covers))
+    return next(z for z in range(n) if entries[x][z] == cover)

@@ -88,6 +88,13 @@ class TestVerifyGeneralized:
         ]
         assert verify_generalized(table_of(rows), 0).ok
 
+    def test_asymmetric_table_reports_ge1(self):
+        rows = [r[:] for r in CHAIN3_ROWS]
+        rows[1][2] = 1
+        verdict = verify_generalized(table_of(rows), 0)
+        violation = next(v for v in verdict.violations if v.axiom == "GE1")
+        assert (violation.witness, violation.detail) == ((1, 2), "asymmetric cells")
+
     def test_cancellation_to_zero_rejected(self):
         rows = [
             [0, 1],

@@ -1,10 +1,11 @@
 """Triple extraction, the four derived mappings, reconstruction, roundtrip."""
 
 import dataclasses
+import random
 
 import pytest
 
-from efalg.catalog import horizontal_sum, make_boolean, make_chain
+from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain
 from efalg.structure import (
     HypothesisError,
     is_homogeneous,
@@ -21,6 +22,9 @@ from efalg.triple import (
     verify_roundtrip,
     widehat_triple,
 )
+
+from naive_oracles import naive_pi, naive_r_map
+from test_iso import permuted_copy
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +114,32 @@ class TestMappings:
         q = T.meager_to_source.index(2)
         assert r_map(T, p) == q
 
+    def test_pi_and_r_agree_with_naive_oracles(self, universe_6):
+        # relabellings and products with the 2-chain move elements off the
+        # constructor order, where a kernel that leans on it would diverge
+        rng = random.Random(4242)
+        inputs = []
+        for name, alg in universe_6:
+            inputs += [
+                (name, alg),
+                (f"{name} relabelled", permuted_copy(alg, rng)),
+                (f"{name} x 2-chain", direct_product(alg, make_chain(1))),
+            ]
+        checked = 0
+        for name, alg in qualifying(inputs):
+            T = extract_triple(alg)
+            mea = [list(row) for row in T.meager.table.entries]
+            src = [list(row) for row in alg.table.entries]
+            for s in T.sharp.elements():
+                for x in T.meager.elements():
+                    assert pi_s(T, s, x) == naive_pi(mea, T.h[s], x), (name, s, x)
+            for x in T.meager.elements():
+                got = T.meager_to_source[r_map(T, x)]
+                want = naive_r_map(src, alg.zero, alg.one, T.meager_to_source[x])
+                assert got == want, (name, x)
+            checked += 1
+        assert checked > 90
+
     def test_s_map_trivial_and_diamond(self, chain3_triple, diamond_triple):
         assert s_map(chain3_triple, 0, 0) == chain3_triple.sharp.zero
         assert s_map(chain3_triple, 1, 1) == chain3_triple.sharp.one
@@ -145,6 +175,10 @@ class TestReconstruct:
             assert tea.carrier[tea.phi[alg.zero]] == (0, 0)
             sharp_one = extract_triple(alg).sharp.one
             assert tea.carrier[tea.phi[alg.one]] == (sharp_one, 0)
+
+    def test_roundtrip_needs_backmaps(self, chain3_triple):
+        with pytest.raises(ValueError, match="back-maps"):
+            verify_roundtrip(make_chain(2), chain3_triple.stripped())
 
     def test_roundtrip_enumerated(self, universe_6):
         for name, alg in qualifying(universe_6):
