@@ -280,6 +280,8 @@ def reconstruct_tea(T: TripleRep) -> TeaAlgebra:
         for s in sharp.elements()
         for m in sorted(T.h[sharp.orthosupplement(s)])
     )
+    if mea.zero not in T.h[sharp.zero] or mea.zero not in T.h[sharp.one]:
+        raise ReconstructionError("h at zero and at one must contain the meager zero")
     index = {pair: k for k, pair in enumerate(carrier)}
     zero = index[(sharp.zero, mea.zero)]
     one = index[(sharp.one, mea.zero)]

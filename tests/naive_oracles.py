@@ -83,6 +83,74 @@ def oracle_generalized_axioms(entries, zero) -> set[str]:
     return bad
 
 
+def naive_assoc_witness(entries, axiom):
+    """(axiom, (x, y, z), detail) for the least triple, scanning x, then y,
+    then z upward, where exactly one of (x + y) + z and x + (y + z) is
+    defined or the two differ; None when the table is associative."""
+    n = len(entries)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        xy, yz = entries[x][y], entries[y][z]
+        left = entries[xy][z] if xy != UNDEF else UNDEF
+        right = entries[x][yz] if yz != UNDEF else UNDEF
+        if left != right:
+            return (axiom, (x, y, z), "associativity fails")
+    return None
+
+
+def _naive_asymmetry(entries, axiom):
+    n = len(entries)
+    pairs = itertools.combinations(range(n), 2)
+    hit = next(((x, y) for x, y in pairs if entries[x][y] != entries[y][x]), None)
+    return [(axiom, hit, "asymmetric cells")] if hit else []
+
+
+def naive_effect_verdict(entries, zero, one):
+    """Every violation (axiom, witness, detail) in the order, and with the
+    least witness, that verify_effect_algebra documents."""
+    n = len(entries)
+    out = [("E0", (zero,), "zero and one coincide")] if zero == one else []
+    out += _naive_asymmetry(entries, "Ei")
+    out += [w for w in [naive_assoc_witness(entries, "Eii")] if w]
+    sups = [[y for y in range(n) if entries[x][y] == one] for x in range(n)]
+    x = next((x for x in range(n) if len(sups[x]) != 1), None)
+    if x is not None and not sups[x]:
+        out.append(("Eiii", (x,), "no orthosupplement"))
+    elif x is not None:
+        out.append(("Eiii", (x, sups[x][0], sups[x][1]), "orthosupplement not unique"))
+    x = next((x for x in range(n) if x != zero and entries[one][x] != UNDEF), None)
+    if x is not None:
+        out.append(("Eiv", (x,), "sum with one defined"))
+    return out
+
+
+def naive_generalized_verdict(entries, zero):
+    """Every violation (axiom, witness, detail) in the order, and with the
+    least witness, that verify_generalized documents."""
+    n = len(entries)
+    out = _naive_asymmetry(entries, "GE1")
+    out += [w for w in [naive_assoc_witness(entries, "GE2")] if w]
+    repeat = next(
+        (
+            (x, y1, y2)
+            for x in range(n)
+            for y2 in range(n)
+            for y1 in range(y2)
+            if entries[x][y2] != UNDEF and entries[x][y1] == entries[x][y2]
+        ),
+        None,
+    )
+    if repeat:
+        out.append(("GE3", repeat, "cancellation fails"))
+    pairs = itertools.product(range(n), repeat=2)
+    hit = next(((x, y) for x, y in pairs if entries[x][y] == zero and (x, y) != (zero, zero)), None)
+    if hit:
+        out.append(("GE4", hit, "nonzero elements sum to zero"))
+    x = next((x for x in range(n) if entries[x][zero] != x), None)
+    if x is not None:
+        out.append(("GE5", (x,), "zero not neutral"))
+    return out
+
+
 def naive_enumerate_tables(n: int):
     """Every symmetric table with zero 0, one n-1, and a forced neutral row.
 

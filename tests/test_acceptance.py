@@ -184,7 +184,7 @@ def test_criterion_5_mutation_sensitivity():
                 continue
             try:
                 ok = verify_roundtrip(E, mutated).ok
-            except (ReconstructionError, AxiomViolationError, KeyError):
+            except (ReconstructionError, AxiomViolationError):
                 detected += 1
                 continue
             if not ok:

@@ -1,12 +1,19 @@
 """Command behaviors and the exit-code contract."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efalg.catalog import make_chain, named_catalog
 from efalg.cli import main
+from efalg.core import UNDEFINED, AxiomViolationError
 from efalg.fileformat import parse, parse_generalized, serialize
+
+from test_core import PLANTED, PLANTED_VERDICTS
 
 
 @pytest.fixture()
@@ -41,6 +48,25 @@ def test_verify_reports_violations(capsys, broken_file):
     code, out, _ = run(capsys, "verify", broken_file)
     assert code == 1
     assert "Eiii" in out
+
+
+# The file format stores each pair once, so only symmetric tables reach `verify`.
+SYMMETRIC_PLANTED = sorted(
+    name for name, (rows, _, _) in PLANTED.items() if rows == [list(col) for col in zip(*rows)]
+)
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_PLANTED)
+def test_verify_planted_violations_pinned(capsys, tmp_path, name):
+    rows, zero, one = PLANTED[name]
+    n = len(rows)
+    sums = [f"sum {i} {j} {rows[i][j]}\n" for i in range(n) for j in range(i, n) if rows[i][j] != UNDEFINED]
+    path = tmp_path / f"{name}.efa"
+    path.write_text(f"efa 1\norder {n}\nzero {zero}\none {one}\n" + "".join(sums))
+    code, out, _ = run(capsys, "verify", str(path))
+    effect, _ = PLANTED_VERDICTS[name]
+    assert effect, "every symmetric planted table fails some axiom"
+    assert (code, out) == (1, "".join(f"{path}: violation {d}\n" for d in effect))
 
 
 def test_missing_file_is_input_error(capsys):
@@ -192,3 +218,98 @@ def test_module_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "isomorphism" in proc.stdout
+
+
+# --- fuzzing `verify` and `parse` --------------------------------------------
+
+# Orders stay at 8 or below: the parser has no size ceiling yet, and a large
+# order line would make it build an order² table.
+MAX_FUZZ_ORDER = 8
+FUZZ = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+CATALOG_TEXTS = [serialize(e.algebra) for e in named_catalog()]
+DIRECTIVES = ["efa", "gefa", "order", "zero", "one", "name", "sum", "#", "bogus"]
+_small_int = st.integers(-2, MAX_FUZZ_ORDER).map(str)
+_token = st.one_of(_small_int, st.text(alphabet="0123456789+-_ .ab#", max_size=4))
+
+
+def _pair(s):
+    return min(s[0], s[1]), max(s[0], s[1])
+
+
+@st.composite
+def structured_files(draw):
+    """Headers and sum lines of a table of order 1..8. Cells and constants may
+    fall out of range and pairs may repeat; zero may be drawn neutral."""
+    order = draw(st.integers(1, MAX_FUZZ_ORDER))
+    element = draw(st.sampled_from([st.integers(0, order - 1), st.integers(-1, order)]))
+    unique_by = _pair if draw(st.booleans()) else None
+    sums = draw(st.lists(st.tuples(element, element, element), max_size=order * order, unique_by=unique_by))
+    zero, one = draw(element), draw(element)
+    if draw(st.booleans()):
+        sums = [(zero, x, x) for x in range(order)] + [s for s in sums if zero not in s[:2]]
+    lines = ["efa 1", f"order {order}", f"zero {zero}", f"one {one}"]
+    lines += [f"sum {i} {j} {k}" for i, j, k in sums]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_catalog_files(draw):
+    """A serialized catalog algebra with a few lines deleted, duplicated,
+    swapped, replaced or with one field changed."""
+    lines = draw(st.sampled_from(CATALOG_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "field"]))
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        if op == "delete" and lines:
+            del lines[i]
+        elif op == "duplicate" and lines:
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "swap" and lines:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "replace" or not lines:
+            words = [draw(st.sampled_from(DIRECTIVES))] + draw(st.lists(_token, max_size=4))
+            lines[i:i + 1] = [" ".join(words)]
+        else:
+            fields = lines[i].split(" ")
+            k = draw(st.integers(0, len(fields) - 1))
+            fields[k] = draw(st.sampled_from(DIRECTIVES)) if k == 0 else draw(_token)
+            lines[i] = " ".join(fields)
+    return "\n".join(_cap_order(line) for line in lines) + "\n"
+
+
+def _cap_order(line):
+    fields = line.split("#", 1)[0].split()
+    if fields[:1] == ["order"] and len(fields) > 1:
+        try:
+            if int(fields[1]) > MAX_FUZZ_ORDER:
+                return f"order {MAX_FUZZ_ORDER}"
+        except ValueError:
+            pass
+    return line
+
+
+def _verify_exit_matches_parse(path, text):
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(path)])
+    try:
+        parse(text)
+        expected = 0
+    except AxiomViolationError:
+        expected = 1
+    except ValueError:
+        expected = 3
+    assert code == expected
+
+
+@FUZZ
+@given(text=structured_files())
+def test_fuzz_verify_structured_tables(tmp_path_factory, text):
+    _verify_exit_matches_parse(tmp_path_factory.getbasetemp() / "structured.efa", text)
+
+
+@FUZZ
+@given(text=mutated_catalog_files())
+def test_fuzz_verify_mutated_catalog_files(tmp_path_factory, text):
+    _verify_exit_matches_parse(tmp_path_factory.getbasetemp() / "mutated.efa", text)

@@ -16,15 +16,23 @@ from efalg.core import (
     FiniteEffectAlgebra,
     MalformedTableError,
     PartialOpTable,
+    Verdict,
+    Violation,
     verify_effect_algebra,
     verify_generalized,
 )
-from efalg.catalog import make_chain, random_algebra
+from efalg.catalog import all_up_to, make_chain, random_algebra
 from efalg.fileformat import parse, serialize
 from efalg.structure import meager_algebra, structure_report
 from efalg.triple import verify_roundtrip
 
-from naive_oracles import oracle_effect_axioms, oracle_generalized_axioms
+from naive_oracles import (
+    naive_effect_verdict,
+    naive_generalized_verdict,
+    oracle_effect_axioms,
+    oracle_generalized_axioms,
+)
+from test_iso import permuted_copy
 
 
 def table_of(rows):
@@ -108,6 +116,94 @@ class TestVerifyGeneralized:
             meager_algebra(entry.algebra)  # constructor validates
 
 
+U = UNDEFINED
+
+# Planted violations: (rows, zero, one). Every axiom of both verifiers is hit.
+# "eii-right-only" defines x + (y + z) but not (x + y) + z at its least
+# witness (1, 1, 2); "ei-eii-right-only" records 1 + 2 = 2 one way only, so
+# every triple whose left side is defined agrees and only the right side at
+# (1, 1, 1) exposes the failure.
+PLANTED = {
+    "e0": ([[0, 1], [1, U]], 0, 0),
+    "eii-right-only": (
+        [[0, 1, 2, 3, 4], [1, U, 3, 4, U], [2, 3, 4, U, U], [3, 4, U, U, U], [4, U, U, U, U]],
+        0,
+        4,
+    ),
+    "eii-values-differ": (
+        [[0, 1, 2, 3, 4], [1, 2, 3, 4, U], [2, 3, 3, U, U], [3, 4, U, U, U], [4, U, U, U, U]],
+        0,
+        4,
+    ),
+    "eiii-missing": ([[0, 1, 2], [1, U, U], [2, U, U]], 0, 2),
+    "eiii-not-unique": ([[0, 1, 2, 3], [1, 3, 3, U], [2, 3, U, U], [3, U, U, U]], 0, 3),
+    "eiv": ([[0, 1, 2], [1, 2, U], [2, U, 2]], 0, 2),
+    "ge4": ([[0, 1], [1, 0]], 0, 1),
+    "ge5": ([[0, U], [U, U]], 0, 1),
+    "ei": ([[0, 1, 2], [1, 2, 1], [2, U, U]], 0, 2),
+    "ei-eii": ([[0, 1, 2, 3], [1, 2, 3, U], [2, 3, U, U], [3, 2, U, U]], 0, 3),
+    "ei-eii-right-only": ([[0, 1, 2], [1, 2, 2], [2, U, U]], 0, 2),
+}
+
+# describe() of each violation, pinned from the full lexicographic scan.
+PLANTED_VERDICTS = {
+    "e0": (
+        ["E0 at (0,) (zero and one coincide)", "Eiii at (1,) (no orthosupplement)",
+         "Eiv at (1,) (sum with one defined)"],
+        [],
+    ),
+    "eii-right-only": (
+        ["Eii at (1, 1, 2) (associativity fails)"],
+        ["GE2 at (1, 1, 2) (associativity fails)"],
+    ),
+    "eii-values-differ": (
+        ["Eii at (1, 1, 2) (associativity fails)", "Eiii at (2,) (no orthosupplement)"],
+        ["GE2 at (1, 1, 2) (associativity fails)", "GE3 at (2, 1, 2) (cancellation fails)"],
+    ),
+    "eiii-missing": (["Eiii at (1,) (no orthosupplement)"], []),
+    "eiii-not-unique": (
+        ["Eiii at (1, 1, 2) (orthosupplement not unique)"],
+        ["GE3 at (1, 1, 2) (cancellation fails)"],
+    ),
+    "eiv": (
+        ["Eii at (1, 1, 2) (associativity fails)",
+         "Eiii at (2, 0, 2) (orthosupplement not unique)", "Eiv at (2,) (sum with one defined)"],
+        ["GE2 at (1, 1, 2) (associativity fails)", "GE3 at (2, 0, 2) (cancellation fails)"],
+    ),
+    "ge4": (
+        ["Eiv at (1,) (sum with one defined)"],
+        ["GE4 at (1, 1) (nonzero elements sum to zero)"],
+    ),
+    "ge5": (["Eiii at (0,) (no orthosupplement)"], ["GE5 at (1,) (zero not neutral)"]),
+    "ei": (
+        ["Ei at (1, 2) (asymmetric cells)", "Eii at (1, 1, 1) (associativity fails)"],
+        ["GE1 at (1, 2) (asymmetric cells)", "GE2 at (1, 1, 1) (associativity fails)",
+         "GE3 at (1, 0, 2) (cancellation fails)"],
+    ),
+    "ei-eii": (
+        ["Ei at (1, 3) (asymmetric cells)", "Eii at (1, 2, 1) (associativity fails)",
+         "Eiv at (1,) (sum with one defined)"],
+        ["GE1 at (1, 3) (asymmetric cells)", "GE2 at (1, 2, 1) (associativity fails)"],
+    ),
+    "ei-eii-right-only": (
+        ["Ei at (1, 2) (asymmetric cells)", "Eii at (1, 1, 1) (associativity fails)",
+         "Eiii at (1, 1, 2) (orthosupplement not unique)"],
+        ["GE1 at (1, 2) (asymmetric cells)", "GE2 at (1, 1, 1) (associativity fails)",
+         "GE3 at (1, 1, 2) (cancellation fails)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_planted_verdicts_are_pinned(name):
+    rows, zero, one = PLANTED[name]
+    effect, generalized = PLANTED_VERDICTS[name]
+    verdict = verify_effect_algebra(table_of(rows), zero, one)
+    assert [v.describe() for v in verdict.violations] == effect and verdict.ok == (not effect)
+    gen = verify_generalized(table_of(rows), zero)
+    assert [v.describe() for v in gen.violations] == generalized and gen.ok == (not generalized)
+
+
 def _random_table(rng: random.Random):
     """Random symmetric-ish tables biased toward near-miss algebras."""
     n = rng.randint(2, 5)
@@ -142,6 +238,47 @@ def test_verify_agrees_with_oracle_quick():
         assert verdict.axioms == frozenset(oracle_effect_axioms(rows, zero, one))
         gen = verify_generalized(table_of(rows), zero)
         assert gen.axioms == frozenset(oracle_generalized_axioms(rows, zero))
+
+
+def _single_cell_mutations(alg):
+    """Every table that differs from alg's in one cell, written one way only
+    or on both sides of the diagonal."""
+    n = alg.order
+    for i, j in itertools.product(range(n), repeat=2):
+        for v in [UNDEFINED, *range(n)]:
+            if v == alg.table.entries[i][j]:
+                continue
+            for both in (False, True) if i != j else (False,):
+                rows = [list(r) for r in alg.table.entries]
+                rows[i][j] = v
+                if both:
+                    rows[j][i] = v
+                yield rows, alg.zero, alg.one
+
+
+def _oracle_inputs(kind, universe_6):
+    if kind == "universe":
+        rng = random.Random(8)
+        for _, alg in universe_6:
+            for a in (alg, permuted_copy(alg, rng)):
+                yield [list(r) for r in a.table.entries], a.zero, a.one
+    elif kind == "mutations":
+        for alg in all_up_to(5):
+            yield from _single_cell_mutations(alg)
+    else:
+        rng = random.Random(20240817)
+        for _ in range(500):
+            yield _random_table(rng)
+
+
+@pytest.mark.parametrize("kind", ["universe", "mutations", "random"])
+def test_verdicts_match_naive_oracle_exactly(kind, universe_6):
+    """Axiom, least witness and detail of every violation, in order."""
+    for rows, zero, one in _oracle_inputs(kind, universe_6):
+        expected = tuple(Violation(*v) for v in naive_effect_verdict(rows, zero, one))
+        assert verify_effect_algebra(table_of(rows), zero, one) == Verdict(not expected, expected)
+        expected = tuple(Violation(*v) for v in naive_generalized_verdict(rows, zero))
+        assert verify_generalized(table_of(rows), zero) == Verdict(not expected, expected)
 
 
 def test_zero_neutrality_is_forced_by_the_axioms():

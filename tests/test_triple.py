@@ -212,6 +212,16 @@ class TestPurityAndMutation:
         with pytest.raises(ReconstructionError):
             reconstruct_tea(corrupted)
 
+    @pytest.mark.parametrize("at", ["zero", "one"])
+    def test_h_without_the_meager_zero_is_a_reconstruction_error(self, diamond_triple, at):
+        T = diamond_triple
+        s = getattr(T.sharp, at)
+        h = list(T.h)
+        h[s] = h[s] - {T.meager.zero}
+        corrupted = dataclasses.replace(T, h=tuple(h))
+        with pytest.raises(ReconstructionError, match="meager zero"):
+            reconstruct_tea(corrupted)
+
     def test_extract_of_rebuild_isomorphic(self, universe_6):
         from efalg.properties import check_triple_idem
 
