@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .catalog import (
+    HARD_BOUND,
     direct_product,
     enumerate_all,
     horizontal_sum,
@@ -139,7 +140,7 @@ def cmd_enumerate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     counts: dict[int, int] = {}
-    for alg in enumerate_all(args.max_order):
+    for alg in enumerate_all(args.max_order, bound=HARD_BOUND):
         k = counts.get(alg.order, 0)
         counts[alg.order] = k + 1
         (out / f"order{alg.order}_{k:03d}.efa").write_text(serialize(alg))
@@ -152,7 +153,7 @@ def cmd_suite(args) -> int:
     universe: list[tuple[str, object]] = [
         (entry.name, entry.algebra) for entry in named_catalog()
     ]
-    for i, alg in enumerate(enumerate_all(args.max_order)):
+    for i, alg in enumerate(enumerate_all(args.max_order, bound=HARD_BOUND)):
         universe.append((f"enum-{alg.order}-{i:03d}", alg))
     reports = run_suite(universe, jobs=args.jobs if args.jobs else None)
     width = max(len(r.anchor) for r in reports)

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from efalg.catalog import all_up_to, named_catalog
+from efalg.catalog import all_up_to, enumerate_all, named_catalog
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +25,9 @@ def universe_6(catalog):
 @pytest.fixture(scope="session")
 def enumerated_6():
     return all_up_to(6)
+
+
+@pytest.fixture(scope="session")
+def enumerated_8():
+    """Every isomorphism class up to order 8, the enumerator's hard ceiling."""
+    return tuple(enumerate_all(8, bound=8))

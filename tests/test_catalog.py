@@ -1,10 +1,12 @@
 """Constructions, exhaustive enumeration, and random sampling."""
 
+import hashlib
 import random
 
 import pytest
 
 from efalg.catalog import (
+    SEARCH_COST,
     EnumerationBoundError,
     _complete_tables,
     all_up_to,
@@ -30,8 +32,17 @@ from naive_oracles import naive_enumerate_tables
 # Regression goldens, recorded from the first verified run of generator
 # version 1 and cross-checked against the naive oracle at order <= 4.
 EXPECTED_CLASS_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10}
-# Order 7 lies above the default bound; the same count under versions 1 and 2.
+# Order 7 lies above the default bound; the same count under versions 1 to 3.
 ORDER_7_CLASS_COUNT = 14
+# Order 8, recorded from the exhaustive search without symmetry breaking
+# (generator version 2, bound raised by hand): the class count and the sha256
+# of the sorted canonical bytes of its classes.
+ORDER_8_CLASS_COUNT = 40
+ORDER_8_DIGEST = "320f567ec9c5735ec27329e725a2a26569cc8ec9aaabb1339b96d5c17f05075e"
+# Tables the unshuffled search yields per order. Without the least-number
+# heuristic (generator version 2) it yielded 16, 142 and 1006; a rise back
+# means the symmetry break has stopped pruning.
+REDUCED_LEAVES = {5: 14, 6: 95, 7: 510}
 
 
 class TestChain:
@@ -155,11 +166,28 @@ class TestEnumerate:
             assert len(classes) == counts[n]
             assert {canonical_form(a) for a in _complete_tables(n, random.Random(n))} == classes
 
+    def test_symmetry_break_prunes(self):
+        for n, want in REDUCED_LEAVES.items():
+            assert sum(1 for _ in _complete_tables(n)) == want == SEARCH_COST[n][1]
+
+    def test_stream_sorted_by_canonical_bytes(self, enumerated_6):
+        keys = [(a.order, canonical_form(a)) for a in enumerated_6]
+        assert keys == sorted(keys)
+
     def test_bound_refusal(self):
         with pytest.raises(EnumerationBoundError):
             list(enumerate_all(7))
-        with pytest.raises(EnumerationBoundError):
-            list(enumerate_all(8, bound=8))
+        with pytest.raises(EnumerationBoundError, match="not measured"):
+            list(enumerate_all(10, bound=10))
+        nodes, leaves = SEARCH_COST[9]
+        with pytest.raises(EnumerationBoundError, match=f"{nodes} nodes and validates {leaves} leaves"):
+            list(enumerate_all(9, bound=9))
+
+    @pytest.mark.slow
+    def test_order_8_matches_the_search_without_symmetry_breaking(self, enumerated_8):
+        forms = [canonical_form(a) for a in enumerated_8 if a.order == 8]
+        assert len(forms) == ORDER_8_CLASS_COUNT
+        assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_8_DIGEST
 
 
 class TestRandom:

@@ -205,6 +205,12 @@ def test_suite_small(capsys):
     assert "failing: 0" in out
 
 
+def test_suite_reaches_past_the_default_bound(capsys):
+    code, out, _ = run(capsys, "suite", "--max-order", "7")
+    assert code == 0
+    assert "failing: 0" in out
+
+
 def test_module_entry_point_subprocess(tmp_path):
     import subprocess
     import sys

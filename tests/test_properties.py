@@ -1,5 +1,7 @@
 """Suite plumbing: anchor registry, worker handling, witness quality."""
 
+import pytest
+
 from efalg.catalog import horizontal_sum, make_chain, named_catalog
 from efalg.properties import ANCHORS, run_checks, run_suite, worker_count
 from efalg.structure import homogeneity_counterexample, rdp_counterexample
@@ -21,6 +23,15 @@ def test_run_suite_aggregates(universe_6):
     reports = run_suite(sample, jobs=1)
     assert [r.anchor for r in reports] == [a for a, _ in ANCHORS]
     assert all(not r.failures for r in reports)
+
+
+@pytest.mark.slow
+def test_suite_passes_on_the_order_8_universe(enumerated_8):
+    universe = [(e.name, e.algebra) for e in named_catalog()]
+    universe += [(f"enum-{a.order}-{i:03d}", a) for i, a in enumerate(enumerated_8)]
+    reports = run_suite(universe, jobs=1)
+    assert len(universe) == 88
+    assert [(r.anchor, r.failures) for r in reports] == [(a, []) for a, _ in ANCHORS]
 
 
 def test_worker_count_env(monkeypatch):
