@@ -3,7 +3,8 @@
 The enumerator completes partial sum tables cell by cell with constraint
 propagation (forced zero row, forbidden unit row, cancellation within rows,
 orthosupplement uniqueness, associativity) and de-duplicates leaves by
-canonical form. Two devices keep the search small:
+their canonical labelling, building one canonical algebra per class. Two
+devices keep the search small:
 
 - the least-number heuristic of SEM (J. Zhang & H. Zhang, "SEM: a system for
   enumerating models", IJCAI 1995; also used in Mace4): cells are filled
@@ -35,7 +36,7 @@ from .core import (
     PartialOpTable,
     verify_effect_algebra,  # not called here; perfbench's tracer wraps this module-level name
 )
-from .iso import canonical_algebra, canonical_form
+from .iso import _search, canonical_algebra, canonical_form
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -500,12 +501,13 @@ def enumerate_all(max_order: int, *, bound: int = DEFAULT_BOUND) -> Iterator[Fin
     if max_order > min(bound, HARD_BOUND):
         raise EnumerationBoundError(max_order, min(bound, HARD_BOUND))
     for n in range(2, max_order + 1):
-        classes: dict[bytes, FiniteEffectAlgebra] = {}
+        # equal labelling keys give equal canonical tables, so only the first
+        # leaf of each class is relabelled into a new algebra
+        firsts: dict[tuple[int, ...], FiniteEffectAlgebra] = {}
         for alg in _complete_tables(n):
-            canon = canonical_algebra(alg)
-            classes.setdefault(canonical_form(alg), canon)
-        for key in sorted(classes):
-            yield classes[key]
+            firsts.setdefault(_search(alg)[0], alg)
+        for alg in sorted(firsts.values(), key=canonical_form):
+            yield canonical_algebra(alg)
 
 
 @lru_cache(maxsize=None)

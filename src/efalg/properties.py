@@ -624,13 +624,17 @@ def check_infasoc(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     nonzero = [x for x in E.elements() if x != E.zero]
     for size in range(2, 5):
+        full = (1 << size) - 1
         for family in itertools.combinations_with_replacement(nonzero, size):
-            whole = E.orthogonal_sum(family)
+            # sums[bits]: the left fold of the members picked by bits, in
+            # index order, as E.orthogonal_sum computes it; None once undefined
+            sums = [E.zero]
+            for x in family:
+                sums += [None if s is None else E.sum(s, x) for s in sums]
+            whole = sums[full]
             for bits in range(1 << size):
-                g1 = [family[i] for i in range(size) if bits >> i & 1]
-                g2 = [family[i] for i in range(size) if not bits >> i & 1]
-                s1 = E.orthogonal_sum(g1)
-                s2 = E.orthogonal_sum(g2)
+                s1 = sums[bits]
+                s2 = sums[full ^ bits]
                 if s1 is None or s2 is None:
                     continue
                 both = E.sum(s1, s2)

@@ -265,6 +265,7 @@ def _split(T: TripleRep, x: int, y: int) -> tuple[int | None, int | None]:
     return s, mea.sum(mea.ominus(x, pi[x]), mea.ominus(y, pi[y]))
 
 
+@memoized
 def reconstruct_tea(T: TripleRep) -> TeaAlgebra:
     """Rebuild the algebra on pairs (z_S, z_M) with z_M in h(z_S').
 

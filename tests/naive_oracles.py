@@ -366,3 +366,25 @@ def naive_r_map(entries, zero, one, x):
     covers = [s for s in sharp if (x, s) in leq]
     cover = next(c for c in covers if all((c, d) in leq for d in covers))
     return next(z for z in range(n) if entries[x][z] == cover)
+
+
+def naive_infasoc(entries, zero):
+    """(checked, failures) of the finite associativity law: for every multiset
+    of 2 to 4 nonzero elements and every split of it into two parts whose
+    folds are defined and summable, that sum equals the fold of the whole;
+    each split is keyed (family, bits), bits marking the first part."""
+    n = len(entries)
+    nonzero = [x for x in range(n) if x != zero]
+    checked, failures = 0, []
+    for size in range(2, 5):
+        for family in itertools.combinations_with_replacement(nonzero, size):
+            whole = _naive_fold(entries, zero, family)
+            for bits in range(1 << size):
+                s1 = _naive_fold(entries, zero, [family[i] for i in range(size) if bits >> i & 1])
+                s2 = _naive_fold(entries, zero, [family[i] for i in range(size) if not bits >> i & 1])
+                if s1 is None or s2 is None or entries[s1][s2] == UNDEF:
+                    continue
+                checked += 1
+                if entries[s1][s2] != whole:
+                    failures.append((family, bits))
+    return checked, failures

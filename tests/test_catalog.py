@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import efalg.core
 from efalg.catalog import (
     SEARCH_COST,
     EnumerationBoundError,
@@ -169,6 +170,21 @@ class TestEnumerate:
     def test_symmetry_break_prunes(self):
         for n, want in REDUCED_LEAVES.items():
             assert sum(1 for _ in _complete_tables(n)) == want == SEARCH_COST[n][1]
+
+    def test_one_canonical_algebra_per_class(self, monkeypatch):
+        # each leaf is verified once as found; only the first leaf of each
+        # class is relabelled into a second, verified algebra
+        leaves = sum(1 for n in range(2, 8) for _ in _complete_tables(n))
+        calls = []
+        original = efalg.core.verify_effect_algebra
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(efalg.core, "verify_effect_algebra", counting)
+        classes = list(enumerate_all(7, bound=7))
+        assert len(calls) == leaves + len(classes)
 
     def test_stream_sorted_by_canonical_bytes(self, enumerated_6):
         keys = [(a.order, canonical_form(a)) for a in enumerated_6]

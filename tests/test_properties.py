@@ -1,10 +1,15 @@
 """Suite plumbing: anchor registry, worker handling, witness quality."""
 
+import random
+
 import pytest
 
-from efalg.catalog import horizontal_sum, make_chain, named_catalog
-from efalg.properties import ANCHORS, run_checks, run_suite, worker_count
+from efalg.catalog import direct_product, horizontal_sum, make_chain, named_catalog
+from efalg.properties import ANCHORS, check_infasoc, run_checks, run_suite, worker_count
 from efalg.structure import homogeneity_counterexample, rdp_counterexample
+
+from naive_oracles import naive_infasoc
+from test_iso import permuted_copy, plain
 
 
 def test_anchor_names_unique():
@@ -55,10 +60,6 @@ def test_false_flags_carry_least_witness():
 
 def test_checks_are_label_agnostic():
     # nothing may silently assume zero = 0 or one = order - 1
-    import random
-
-    from test_iso import permuted_copy
-
     rng = random.Random(31337)
     for entry in named_catalog():
         if entry.algebra.order > 5:
@@ -66,3 +67,16 @@ def test_checks_are_label_agnostic():
         shuffled = permuted_copy(entry.algebra, rng)
         for anchor, outcome in run_checks(shuffled):
             assert not outcome.failures, (entry.name, anchor, outcome.failures[:1])
+
+
+def test_infasoc_matches_naive_oracle(universe_6):
+    """The subset-sum table gives the same ticks and witnesses as folding
+    every part of every split afresh."""
+    rng = random.Random(11)
+    algs = [alg for _, alg in universe_6]
+    algs += [permuted_copy(alg, rng) for alg in algs]
+    algs += [direct_product(alg, make_chain(1)) for _, alg in universe_6]
+    for alg in algs:
+        outcome = check_infasoc(alg)
+        entries, zero, _ = plain(alg)
+        assert (outcome.checked, outcome.failures) == naive_infasoc(entries, zero)

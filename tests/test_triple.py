@@ -212,6 +212,14 @@ class TestPurityAndMutation:
         with pytest.raises(ReconstructionError):
             reconstruct_tea(corrupted)
 
+    def test_memoized_rebuild_does_not_reach_a_corrupted_copy(self):
+        T = extract_triple(horizontal_sum([make_chain(2), make_chain(2)]))
+        assert reconstruct_tea(T) is reconstruct_tea(T)
+        h = list(T.h)
+        h[T.sharp.one] = h[T.sharp.one] - {1}
+        with pytest.raises(ReconstructionError):
+            reconstruct_tea(dataclasses.replace(T, h=tuple(h)))
+
     @pytest.mark.parametrize("at", ["zero", "one"])
     def test_h_without_the_meager_zero_is_a_reconstruction_error(self, diamond_triple, at):
         T = diamond_triple
