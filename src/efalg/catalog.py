@@ -3,7 +3,7 @@
 The enumerator completes partial sum tables cell by cell with constraint
 propagation (forced zero row, forbidden unit row, cancellation within rows,
 orthosupplement uniqueness, associativity) and de-duplicates leaves by
-their canonical labelling, building one canonical algebra per class. Two
+their canonical labelling, building one canonical algebra per class. Three
 devices keep the search small:
 
 - the least-number heuristic of SEM (J. Zhang & H. Zhang, "SEM: a system for
@@ -12,14 +12,31 @@ devices keep the search small:
   touched, as an index or a value, only the least is tried. Untouched labels
   are interchangeable under every constraint of the frame, so no class is
   lost;
+- lex-leader constraints (Crawford, Ginsberg, Luks & Roy, "Symmetry-breaking
+  predicates for search problems", KR 1996) for the swaps s = (k k+1) of
+  adjacent interior labels: the table T, read as the sequence of its
+  interior cells in the search's column-major order with UNDEFINED below
+  every label, must not exceed its relabelling s.T. A node is pruned once
+  its assigned cells prove s.T < T for some s;
 - watch lists: a newly assigned cell re-examines only its two rows and the
   interior triples that read it, found through an index from each value to
   the cells holding it, instead of rescanning every triple.
 
+The first two together keep a member of every class. Let T* be the least
+table, in that order, among the relabellings of an algebra that fix zero
+and one. Every s.T* is such a relabelling, so T* passes the lex-leader
+test, and propagation only assigns cells that every completion shares. Nor
+does the heuristic prune T*: suppose it skips the value v = T*[c] at cell c
+because a smaller label u is untouched too. Every cell before c is
+assigned and the labels up to c's column count as touched, so neither u
+nor v is an index of c or occurs in that prefix as an index or a value.
+The relabelling (u v).T* then agrees with T* on the prefix and holds u < v
+at c, so it is smaller than T*, which is absurd. Hence T* is a leaf.
+
 Pruning is a speed device only: every surviving leaf is re-validated by the
 full axiom check, and completeness is guarded by an independent
-generate-and-filter oracle and by a seeded search without the heuristic in
-the test suite.
+generate-and-filter oracle and by a seeded search without either symmetry
+break in the test suite.
 """
 
 from __future__ import annotations
@@ -57,18 +74,20 @@ __all__ = [
 GENERATOR_VERSION = 3
 
 DEFAULT_BOUND = 6
-HARD_BOUND = 8
+HARD_BOUND = 10
 
 # (search nodes, leaves) that _complete_tables(n) visits, measured per order.
 SEARCH_COST = {
     2: (1, 1),
     3: (2, 1),
-    4: (8, 4),
-    5: (48, 14),
-    6: (431, 95),
-    7: (3647, 510),
-    8: (47806, 5445),
-    9: (677754, 43779),
+    4: (7, 3),
+    5: (26, 5),
+    6: (112, 17),
+    7: (458, 40),
+    8: (2515, 177),
+    9: (14398, 514),
+    10: (114553, 2776),
+    11: (1154984, 9571),
 }
 
 _UNDECIDED = -2
@@ -344,10 +363,11 @@ def _complete_tables(n: int, rng: random.Random | None = None) -> Iterator[Finit
     stream is complete up to isomorphism once de-duplicated. Yields only
     tables that pass the full axiom check.
 
-    Unseeded, cells are filled column by column and an interior label no
-    assigned cell has touched is tried only if it is the least such label.
-    Seeded (``rng``), cells are filled row by row and every candidate is tried
-    in shuffled order, so that search shares no symmetry breaking with the
+    Unseeded, cells are filled column by column, an interior label no
+    assigned cell has touched is tried only if it is the least such label,
+    and nodes that break a lex-leader constraint are pruned. Seeded
+    (``rng``), cells are filled row by row and every candidate is tried in
+    shuffled order, so that search shares no symmetry breaking with the
     unseeded one.
     """
     one = n - 1
@@ -467,7 +487,38 @@ def _complete_tables(n: int, rng: random.Random | None = None) -> Iterator[Finit
         except AxiomViolationError:
             return None
 
-    def dfs(k: int, touched: int) -> Iterator[FiniteEffectAlgebra]:
+    def swap(k: int, x: int) -> int:
+        return k + 1 if x == k else k if x == k + 1 else x
+
+    # lex-leader, unseeded only: for each swap s = (k k+1) of adjacent
+    # interior labels and each cell (i, j) in cell order, the row and column
+    # of T at (i, j) and at (s(i), s(j)); s.T holds s(T[s(i)][s(j)]) at (i, j)
+    lex_swaps = range(1, one - 1) if rng is None else ()
+    swaps = {k: [(t[i], j, t[swap(k, i)], swap(k, j)) for i, j in cells] for k in lex_swaps}
+
+    def lex_open(pending: list) -> list | None:
+        """The comparisons T <= s.T still undecided, or None if the assigned cells prove s.T < T.
+
+        Each entry is (k, p): cells before p agree in T and s.T.
+        """
+        out = []
+        for k, p in pending:
+            image = swaps[k]
+            while p < len(image):
+                row, j, srow, sj = image[p]
+                x, y = row[j], srow[sj]
+                if x == _UNDECIDED or y == _UNDECIDED:
+                    out.append((k, p))
+                    break
+                y = swap(k, y)
+                if x != y:
+                    if y < x:
+                        return None
+                    break
+                p += 1
+        return out
+
+    def dfs(k: int, touched: int, pending: list) -> Iterator[FiniteEffectAlgebra]:
         while k < len(cells) and t[cells[k][0]][cells[k][1]] != _UNDECIDED:
             k += 1
         if k == len(cells):
@@ -479,14 +530,16 @@ def _complete_tables(n: int, rng: random.Random | None = None) -> Iterator[Finit
         for v in candidates(i, j, touched):
             trail: list = []
             if assign(i, j, v, trail) and propagate(trail):
-                # labels the new cells touch, as an index or a value
-                marks = touched
-                for a, b, w in trail:
-                    marks |= 1 << a | 1 << b | (1 << w if w >= 0 else 0)
-                yield from dfs(k + 1, marks & interior_mask)
+                still = lex_open(pending)
+                if still is not None:
+                    # labels the new cells touch, as an index or a value
+                    marks = touched
+                    for a, b, w in trail:
+                        marks |= 1 << a | 1 << b | (1 << w if w >= 0 else 0)
+                    yield from dfs(k + 1, marks & interior_mask, still)
             undo(trail)
 
-    yield from dfs(0, 0)
+    yield from dfs(0, 0, [(k, 0) for k in swaps])
 
 
 def enumerate_all(max_order: int, *, bound: int = DEFAULT_BOUND) -> Iterator[FiniteEffectAlgebra]:
@@ -494,9 +547,10 @@ def enumerate_all(max_order: int, *, bound: int = DEFAULT_BOUND) -> Iterator[Fin
 
     Streams canonical relabelings, order by order, each order's classes
     sorted by canonical bytes, so the stream does not depend on the search.
-    Refuses orders past the configured bound with the measured search cost;
-    the hard ceiling is two above the default because the search is
-    exponential in the cell count.
+    Refuses orders past the configured bound with the measured search cost.
+    The hard ceiling is the largest order whose class count a search with
+    other symmetry breaking has confirmed; the search is exponential in the
+    cell count.
     """
     if max_order > min(bound, HARD_BOUND):
         raise EnumerationBoundError(max_order, min(bound, HARD_BOUND))

@@ -17,7 +17,8 @@ Generalized effect algebras use the magic line ``gefa 1`` and carry no
 I + J = K; absent pairs are undefined. The serializer emits sums only for
 I <= J in sorted order, so output is canonical and diff friendly; the
 parser applies the commutative closure and rejects duplicate definitions
-for a pair, contradictory or not.
+for a pair, contradictory or not. An ``order`` above ``MAX_ORDER`` is
+refused on its own line.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from .core import (
     UNDEFINED,
 )
 
-__all__ = ["ParseError", "parse", "parse_raw", "serialize", "parse_generalized", "serialize_generalized"]
+__all__ = ["MAX_ORDER", "ParseError", "parse", "parse_raw", "serialize", "parse_generalized", "serialize_generalized"]
+
+# The largest order a file may declare, checked on the 'order' line before any
+# order x order table is built. The table, the axiom check and the order data
+# grow with the square of the order or faster; 512 admits the largest algebras
+# the toolkit is run on (a 405-element product, a 401-element chain).
+MAX_ORDER = 512
 
 
 class ParseError(ValueError):
@@ -74,6 +81,10 @@ def _parse_common(text: str, magic: str, with_one: bool):
             order = _int_field(no, fields, 1, "order")
             if order < 1:
                 raise ParseError(no, "order must be positive")
+            if order > MAX_ORDER:
+                raise ParseError(
+                    no, f"order {order} exceeds the ceiling {MAX_ORDER}; its table would hold {order * order} cells"
+                )
         elif kind == "zero":
             if zero is not None:
                 raise ParseError(no, "duplicate 'zero'")

@@ -29,5 +29,5 @@ def enumerated_6():
 
 @pytest.fixture(scope="session")
 def enumerated_8():
-    """Every isomorphism class up to order 8, the enumerator's hard ceiling."""
+    """Every isomorphism class up to order 8."""
     return tuple(enumerate_all(8, bound=8))

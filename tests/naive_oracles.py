@@ -171,6 +171,27 @@ def naive_enumerate_tables(n: int):
             yield entries
 
 
+def naive_is_lex_leader(entries, n: int) -> bool:
+    """No swap of two adjacent interior labels makes the table smaller.
+
+    Each swap relabels the whole table; the two tables are then compared as
+    the sequences of their interior cells i <= j, column by column, with
+    the undefined marker below every element.
+    """
+    cells = [(i, j) for j in range(1, n - 1) for i in range(1, j + 1)]
+    for k in range(1, n - 2):
+        perm = list(range(n))
+        perm[k], perm[k + 1] = k + 1, k
+        swapped = [[UNDEF] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                v = entries[i][j]
+                swapped[perm[i]][perm[j]] = UNDEF if v == UNDEF else perm[v]
+        if [swapped[i][j] for i, j in cells] < [entries[i][j] for i, j in cells]:
+            return False
+    return True
+
+
 def naive_meet(entries, x, y):
     """Greatest common lower bound computed straight from the definition."""
     n = len(entries)

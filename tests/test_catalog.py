@@ -7,6 +7,7 @@ import pytest
 
 import efalg.core
 from efalg.catalog import (
+    HARD_BOUND,
     SEARCH_COST,
     EnumerationBoundError,
     _complete_tables,
@@ -28,7 +29,7 @@ from efalg.structure import (
     structure_report,
 )
 
-from naive_oracles import naive_enumerate_tables
+from naive_oracles import naive_enumerate_tables, naive_is_lex_leader
 
 # Regression goldens, recorded from the first verified run of generator
 # version 1 and cross-checked against the naive oracle at order <= 4.
@@ -40,10 +41,30 @@ ORDER_7_CLASS_COUNT = 14
 # of the sorted canonical bytes of its classes.
 ORDER_8_CLASS_COUNT = 40
 ORDER_8_DIGEST = "320f567ec9c5735ec27329e725a2a26569cc8ec9aaabb1339b96d5c17f05075e"
-# Tables the unshuffled search yields per order. Without the least-number
-# heuristic (generator version 2) it yielded 16, 142 and 1006; a rise back
-# means the symmetry break has stopped pruning.
-REDUCED_LEAVES = {5: 14, 6: 95, 7: 510}
+# Order 9, recorded from the seeded search, which breaks no symmetry
+# (`_complete_tables(9, random.Random(1))`, 165,544 leaves): the class count
+# and the sha256 of the sorted canonical bytes of its classes.
+ORDER_9_CLASS_COUNT = 60
+ORDER_9_DIGEST = "c89978240444266991fb0a59071a3f2836e92309e4ac9dc93d741a6881ca8005"
+# Order 10, recorded from the search with the least-number heuristic alone
+# (the enumerator before lex-leader pruning, 678,935 leaves), which agreed
+# with the search that added it.
+ORDER_10_CLASS_COUNT = 172
+ORDER_10_DIGEST = "0a3571b4923bb49a4ebca8f66f2427ff57f953568cbd14e2a61b6e7164964ab8"
+# Tables the unshuffled search yields per order. With the least-number
+# heuristic alone it yielded 14, 95 and 510, and without symmetry breaking
+# (generator version 2) 16, 142 and 1006; a rise back means a symmetry break
+# has stopped pruning.
+REDUCED_LEAVES = {5: 5, 6: 17, 7: 40}
+# sha256 of repr([random_algebra(seed, n).table.entries for seed in range(20)])
+# per order n, recorded before lex-leader pruning entered the unseeded search:
+# the seeded search, and so every random draw, must not move.
+SEEDED_DRAW_DIGESTS = {
+    4: "e18f2b30a52c0015dbf75308ae0ccd1bf1e70931f5c2d00f47bae761a21d00df",
+    5: "8e8c688db4624c23ddaac1a48dfcb783d1c11c9a63d0e88968d9de9257a6b464",
+    6: "70556c0d6b626ec6bcb5df407b3443295e75651cf68fb903abce5fbb8f16e600",
+    7: "ef4ba797224d673130834c96cb82ca86eedf303ad1c9279b26f089b9c7500fde",
+}
 
 
 class TestChain:
@@ -171,6 +192,11 @@ class TestEnumerate:
         for n, want in REDUCED_LEAVES.items():
             assert sum(1 for _ in _complete_tables(n)) == want == SEARCH_COST[n][1]
 
+    def test_leaves_are_lex_leaders(self):
+        for n in range(2, 9):
+            for alg in _complete_tables(n):
+                assert naive_is_lex_leader(alg.table.entries, n)
+
     def test_one_canonical_algebra_per_class(self, monkeypatch):
         # each leaf is verified once as found; only the first leaf of each
         # class is relabelled into a second, verified algebra
@@ -193,11 +219,13 @@ class TestEnumerate:
     def test_bound_refusal(self):
         with pytest.raises(EnumerationBoundError):
             list(enumerate_all(7))
+        over = HARD_BOUND + 1
+        assert sorted(SEARCH_COST) == list(range(2, over + 1))
         with pytest.raises(EnumerationBoundError, match="not measured"):
-            list(enumerate_all(10, bound=10))
-        nodes, leaves = SEARCH_COST[9]
+            list(enumerate_all(over + 1, bound=over + 1))
+        nodes, leaves = SEARCH_COST[over]
         with pytest.raises(EnumerationBoundError, match=f"{nodes} nodes and validates {leaves} leaves"):
-            list(enumerate_all(9, bound=9))
+            list(enumerate_all(over, bound=over))
 
     @pytest.mark.slow
     def test_order_8_matches_the_search_without_symmetry_breaking(self, enumerated_8):
@@ -205,8 +233,25 @@ class TestEnumerate:
         assert len(forms) == ORDER_8_CLASS_COUNT
         assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_8_DIGEST
 
+    @pytest.mark.slow
+    def test_order_9_matches_the_seeded_search(self):
+        forms = [canonical_form(a) for a in enumerate_all(9, bound=9) if a.order == 9]
+        assert len(forms) == ORDER_9_CLASS_COUNT
+        assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_9_DIGEST
+
+    @pytest.mark.slow
+    def test_order_10_matches_the_search_without_lex_leader(self):
+        forms = [canonical_form(a) for a in enumerate_all(10, bound=10) if a.order == 10]
+        assert len(forms) == ORDER_10_CLASS_COUNT
+        assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_10_DIGEST
+
 
 class TestRandom:
+    def test_draws_are_pinned(self):
+        for n, want in SEEDED_DRAW_DIGESTS.items():
+            tables = [random_algebra(seed, n, bound=7).table.entries for seed in range(20)]
+            assert hashlib.sha256(repr(tables).encode()).hexdigest() == want
+
     def test_deterministic_per_seed(self):
         a = random_algebra(1234, 5)
         b = random_algebra(1234, 5)

@@ -3,12 +3,13 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efalg.catalog import make_chain, named_catalog
+from efalg.catalog import HARD_BOUND, make_chain, named_catalog
 from efalg.cli import main
 from efalg.core import UNDEFINED, AxiomViolationError
 from efalg.fileformat import parse, parse_generalized, serialize
@@ -79,6 +80,15 @@ def test_parse_error_is_input_error(capsys, tmp_path):
     p.write_text("efa 1\norder 2\nzero 0\none 1\nsum 1 1\n")
     code, _, err = run(capsys, "analyze", str(p))
     assert code == 3 and "line 5" in err
+
+
+def test_oversized_order_refused_on_its_line(capsys, tmp_path):
+    p = tmp_path / "huge.efa"
+    p.write_text("efa 1\norder 100000\nzero 0\none 99999\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", str(p))
+    assert time.perf_counter() - start < 0.1
+    assert code == 3 and "line 2" in err and "10000000000 cells" in err
 
 
 def test_analyze_json_schema(capsys, chain3_file):
@@ -193,7 +203,8 @@ def test_enumerate_writes_files(capsys, tmp_path):
 
 
 def test_enumerate_bound_refusal(capsys, tmp_path):
-    code, _, err = run(capsys, "enumerate", "--max-order", "9", "--out", str(tmp_path / "x"))
+    over = str(HARD_BOUND + 1)
+    code, _, err = run(capsys, "enumerate", "--max-order", over, "--out", str(tmp_path / "x"))
     assert code == 3 and "bound" in err
 
 
@@ -228,8 +239,8 @@ def test_module_entry_point_subprocess(tmp_path):
 
 # --- fuzzing `verify` and `parse` --------------------------------------------
 
-# Orders stay at 8 or below: the parser has no size ceiling yet, and a large
-# order line would make it build an order² table.
+# Orders stay at 8 or below so that each example stays fast: any order up to
+# the parser's ceiling builds an order² table.
 MAX_FUZZ_ORDER = 8
 FUZZ = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 CATALOG_TEXTS = [serialize(e.algebra) for e in named_catalog()]

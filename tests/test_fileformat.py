@@ -5,6 +5,7 @@ import pytest
 from efalg.catalog import named_catalog
 from efalg.core import AxiomViolationError, FiniteEffectAlgebra
 from efalg.fileformat import (
+    MAX_ORDER,
     ParseError,
     parse,
     parse_generalized,
@@ -99,3 +100,16 @@ def test_axiom_failure_is_not_a_parse_error():
     table, zero, one, _ = parse_raw(text)  # parse fine
     with pytest.raises(AxiomViolationError):
         FiniteEffectAlgebra(table, zero, one)
+
+
+def test_order_ceiling():
+    # the ceiling admits the largest algebras the toolkit is run on
+    assert MAX_ORDER >= 405
+    body = "zero 0\none {}\nsum 0 0 0\n"
+    with pytest.raises(ParseError, match=f"{(MAX_ORDER + 1) ** 2} cells") as info:
+        parse_raw(f"efa 1\norder {MAX_ORDER + 1}\n" + body.format(MAX_ORDER))
+    assert info.value.line_no == 2
+    with pytest.raises(ParseError, match="ceiling"):
+        parse_generalized(f"gefa 1\norder {MAX_ORDER + 1}\nzero 0\n")
+    table, *_ = parse_raw(f"efa 1\norder {MAX_ORDER}\n" + body.format(MAX_ORDER - 1))
+    assert table.order == MAX_ORDER
