@@ -305,8 +305,9 @@ class _SumAlgebra(_Memoizing):
     every method reads: the below and above masks, the ominus matrix and, for
     effect algebras, the orthosupplement vector. They are plain instance
     attributes, not dataclass fields, so they take no part in ==, hash, repr
-    or dataclasses.replace. Heavier derived structure is memoized per
-    instance (instances are immutable) and freed with the algebra.
+    or dataclasses.replace. The rank numbering that greatest/least lookups
+    read, and heavier derived structure, are built on first use per instance
+    (instances are immutable) and freed with the algebra.
     """
 
     table: PartialOpTable
@@ -396,41 +397,79 @@ class _SumAlgebra(_Memoizing):
             acc = nxt
         return acc
 
+    # Rank numbering, built on first use: the elements sorted by the size of
+    # their down-sets, ties broken by label. x < y gives y a strictly larger
+    # down-set, so this is a linear extension of the order, and a set's
+    # greatest element, if it has one, holds the set's top rank and its least
+    # element the bottom rank. The label masks _below/_above stay the primary
+    # order data; their iteration order fixes every witness.
+    @functools.cached_property
+    def _by_rank(self) -> tuple[int, ...]:
+        below = self._below
+        return tuple(sorted(self.elements(), key=lambda x: (below[x].bit_count(), x)))
+
+    @functools.cached_property
+    def _rank(self) -> tuple[int, ...]:
+        rank = [0] * self.order
+        for r, x in enumerate(self._by_rank):
+            rank[x] = r
+        return tuple(rank)
+
+    @functools.cached_property
+    def _rbelow(self) -> tuple[int, ...]:
+        """Down-set of each element (indexed by label) in rank numbering."""
+        return tuple(self._rank_mask(m) for m in self._below)
+
+    @functools.cached_property
+    def _rabove(self) -> tuple[int, ...]:
+        """Up-set of each element (indexed by label) in rank numbering."""
+        return tuple(self._rank_mask(m) for m in self._above)
+
+    def _rank_mask(self, mask: int) -> int:
+        """A label mask renumbered by rank."""
+        rank = self._rank
+        out = 0
+        for x in _mask_elements(mask):
+            out |= 1 << rank[x]
+        return out
+
     # Meets and joins in the derived partial order. A missing bound is a
     # first-class None, never an error.
     def meet(self, x: int, y: int) -> int | None:
-        return self._greatest(self._below[x] & self._below[y])
+        return self._greatest(self._rbelow[x] & self._rbelow[y])
 
     def join(self, x: int, y: int) -> int | None:
-        return self._least(self._above[x] & self._above[y])
+        return self._least(self._rabove[x] & self._rabove[y])
 
     def meet_set(self, xs: Iterable[int]) -> int | None:
         mask = (1 << self.order) - 1
         for x in xs:
-            mask &= self._below[x]
+            mask &= self._rbelow[x]
         return self._greatest(mask)
 
     def join_set(self, xs: Iterable[int]) -> int | None:
         mask = (1 << self.order) - 1
         for x in xs:
-            mask &= self._above[x]
+            mask &= self._rabove[x]
         return self._least(mask)
 
-    def _greatest(self, mask: int) -> int | None:
-        """Greatest element of the bitmask's set, or None when it has none."""
-        below = self._below
-        for m in _mask_elements(mask):
-            if mask & ~below[m] == 0:
-                return m
-        return None
+    def _greatest(self, rmask: int) -> int | None:
+        """Greatest element of a rank mask's set, or None when it has none.
 
-    def _least(self, mask: int) -> int | None:
-        """Least element of the bitmask's set, or None when it has none."""
-        above = self._above
-        for m in _mask_elements(mask):
-            if mask & ~above[m] == 0:
-                return m
-        return None
+        Only the top rank can be the greatest element; it is when its
+        down-set covers the set.
+        """
+        if not rmask:
+            return None
+        m = self._by_rank[rmask.bit_length() - 1]
+        return m if rmask & ~self._rbelow[m] == 0 else None
+
+    def _least(self, rmask: int) -> int | None:
+        """Least element of a rank mask's set, or None when it has none."""
+        if not rmask:
+            return None
+        m = self._by_rank[(rmask & -rmask).bit_length() - 1]
+        return m if rmask & ~self._rabove[m] == 0 else None
 
 
 def _mask_elements(mask: int) -> tuple[int, ...]:

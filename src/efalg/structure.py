@@ -307,6 +307,10 @@ def _riesz_counterexample(E: FiniteEffectAlgebra, bounded: bool) -> tuple[int, i
     # u1 <= v1 and u1 <= u, i.e. u = u1 + u2 with u2 <= v2. The lowest bit of
     # need & ~ok is the least v2 without a split. A u comparable with v1 always
     # splits: as u + 0 when u <= v1, as v1 + (u - v1) when v1 <= u <= v1 + v2.
+    # The bounded targets are a subset of the unbounded ones and `ok` is the
+    # same, so an algebra with RDP is homogeneous and needs one scan, not two.
+    if bounded and _riesz_counterexample(E, False) is None:
+        return None
     below, above, ominus = E._below, E._above, E._ominus
     for u in E.elements():
         targets_u = above[u] & below[E._sup[u]] if bounded else above[u]
@@ -335,11 +339,14 @@ def orthoalgebra_counterexample(E: FiniteEffectAlgebra) -> tuple[int] | None:
 
 @memoized
 def lattice_counterexample(alg: _SumAlgebra) -> tuple[int, int, str] | None:
+    """Least pair (x, y), in label order, without a meet or without a join."""
+    rbelow, rabove, greatest, least = alg._rbelow, alg._rabove, alg._greatest, alg._least
     for x in alg.elements():
+        bx, ax = rbelow[x], rabove[x]
         for y in range(x + 1, alg.order):
-            if alg.meet(x, y) is None:
+            if greatest(bx & rbelow[y]) is None:
                 return (x, y, "meet")
-            if alg.join(x, y) is None:
+            if least(ax & rabove[y]) is None:
                 return (x, y, "join")
     return None
 
@@ -362,10 +369,10 @@ class SharpBounds:
 
 @memoized
 def sharp_bounds(E: FiniteEffectAlgebra) -> SharpBounds:
-    sharp = sum(1 << s for s in sharp_elements(E))
+    sharp = E._rank_mask(sum(1 << s for s in sharp_elements(E)))
     return SharpBounds(
-        tuple(E._greatest(sharp & E.below_mask(x)) for x in E.elements()),
-        tuple(E._least(sharp & E.above_mask(x)) for x in E.elements()),
+        tuple(E._greatest(sharp & below) for below in E._rbelow),
+        tuple(E._least(sharp & above) for above in E._rabove),
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .core import (
+    UNDEFINED,
     AxiomViolationError,
     FiniteEffectAlgebra,
     FiniteGeneralizedEffectAlgebra,
@@ -135,9 +136,11 @@ def _h_masks(T: TripleRep) -> tuple[int, ...]:
 @memoized
 def _widehat_vector(T: TripleRep) -> tuple[int, ...]:
     hm = _h_masks(T)
+    sharp = T.sharp
+    rank = sharp._rank
     out = []
     for x in T.meager.elements():
-        best = T.sharp._least(sum(1 << s for s in T.sharp.elements() if hm[s] >> x & 1))
+        best = sharp._least(sum(1 << rank[s] for s in sharp.elements() if hm[s] >> x & 1))
         if best is None:
             raise ReconstructionError(f"no least sharp cover for meager element {x}")
         out.append(best)
@@ -154,10 +157,10 @@ def _pi_table(T: TripleRep) -> tuple[tuple[int | None, ...], ...]:
     # The join of D = {y <= x in h(s)} lies in h(s) exactly when D has a
     # greatest element, and then it is that element.
     mea = T.meager
-    hm = _h_masks(T)
+    rbelow, greatest = mea._rbelow, mea._greatest
     return tuple(
-        tuple(mea._greatest(mea._below[x] & hm[s]) for x in mea.elements())
-        for s in T.sharp.elements()
+        tuple(greatest(below & hs) for below in rbelow)
+        for hs in map(mea._rank_mask, _h_masks(T))
     )
 
 
@@ -233,7 +236,8 @@ def _s_candidates(T: TripleRep, x: int, y: int) -> tuple[int, ...]:
 
 def s_map(T: TripleRep, x: int, y: int) -> int | None:
     """Top element of the sharp pieces splitting across x and y, if one exists."""
-    return T.sharp._greatest(sum(1 << c for c in _s_candidates(T, x, y)))
+    rank = T.sharp._rank
+    return T.sharp._greatest(sum(1 << rank[c] for c in _s_candidates(T, x, y)))
 
 
 def s_map_top_missing(T: TripleRep) -> tuple[tuple[int, int], ...]:
@@ -288,11 +292,17 @@ def reconstruct_tea(T: TripleRep) -> TeaAlgebra:
     one = index[(sharp.one, mea.zero)]
 
     hm = _h_masks(T)
+    # The split depends on the meager parts only, and one meager pair recurs
+    # across many carrier pairs.
+    splits: dict[tuple[int, int], tuple[int | None, int | None]] = {}
     pairs: dict[tuple[int, int], int] = {}
     for k1, (xs, xm) in enumerate(carrier):
         for k2 in range(k1, len(carrier)):
             ys, ym = carrier[k2]
-            s, zm = _split(T, xm, ym)
+            split = splits.get((xm, ym))
+            if split is None:
+                split = splits[(xm, ym)] = _split(T, xm, ym)
+            s, zm = split
             if zm is None:
                 continue
             zs = sharp.orthogonal_sum((xs, ys, s))
@@ -353,14 +363,14 @@ def verify_roundtrip(E: FiniteEffectAlgebra, triple: TripleRep | None = None) ->
     if phi[E.one] != index[(T.sharp.one, T.meager.zero)]:
         return RoundtripResult(False, tea, "one not preserved", (E.one,))
 
-    rebuilt = tea.algebra
-    for x in E.elements():
-        for y in E.elements():
-            v = E.sum(x, y)
-            w = rebuilt.sum(phi[x], phi[y])
-            if (v is None) != (w is None):
+    rebuilt = tea.algebra.table.entries
+    for x, row in enumerate(E.table.entries):
+        image = rebuilt[phi[x]]
+        for y, v in enumerate(row):
+            w = image[phi[y]]
+            if (v == UNDEFINED) != (w == UNDEFINED):
                 return RoundtripResult(False, tea, "definedness mismatch", (x, y))
-            if v is not None and phi[v] != w:
+            if v != UNDEFINED and phi[v] != w:
                 return RoundtripResult(False, tea, "sum value mismatch", (x, y))
 
     return RoundtripResult(True, replace(tea, phi=tuple(phi)))

@@ -192,20 +192,29 @@ def naive_is_lex_leader(entries, n: int) -> bool:
     return True
 
 
+def naive_meet_set(entries, xs):
+    """Greatest element below every member of xs, from the definition of the
+    order; below everything when xs is empty. None when there is none."""
+    leq = _naive_leq(entries)
+    lower = [m for m in range(len(entries)) if all((m, x) in leq for x in xs)]
+    return next((m for m in lower if all((l, m) in leq for l in lower)), None)
+
+
+def naive_join_set(entries, xs):
+    """Least element above every member of xs, or None; the mirror of naive_meet_set."""
+    leq = _naive_leq(entries)
+    upper = [m for m in range(len(entries)) if all((x, m) in leq for x in xs)]
+    return next((m for m in upper if all((m, u) in leq for u in upper)), None)
+
+
 def naive_meet(entries, x, y):
     """Greatest common lower bound computed straight from the definition."""
-    n = len(entries)
-    below = [set() for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            v = entries[a][b]
-            if v != UNDEF:
-                below[v].add(a)
-    lower = below[x] & below[y]
-    for m in lower:
-        if lower <= below[m]:
-            return m
-    return None
+    return naive_meet_set(entries, (x, y))
+
+
+def naive_join(entries, x, y):
+    """Least common upper bound computed straight from the definition."""
+    return naive_join_set(entries, (x, y))
 
 
 def _naive_isomorphisms(a, b):

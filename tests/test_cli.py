@@ -3,18 +3,23 @@
 import contextlib
 import io
 import json
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efalg.catalog import HARD_BOUND, make_chain, named_catalog
+from efalg.catalog import HARD_BOUND, enumerate_all, make_chain, named_catalog
 from efalg.cli import main
 from efalg.core import UNDEFINED, AxiomViolationError
 from efalg.fileformat import parse, parse_generalized, serialize
+from efalg.iso import canonical_form
+from efalg.structure import HypothesisError
+from efalg.triple import extract_triple
 
 from test_core import PLANTED, PLANTED_VERDICTS
+from test_iso import permuted_copy
 
 
 @pytest.fixture()
@@ -88,7 +93,7 @@ def test_oversized_order_refused_on_its_line(capsys, tmp_path):
     start = time.perf_counter()
     code, _, err = run(capsys, "verify", str(p))
     assert time.perf_counter() - start < 0.1
-    assert code == 3 and "line 2" in err and "10000000000 cells" in err
+    assert code == 3 and "line 2" in err and "10000000000 cells, about 940 GB" in err
 
 
 def test_analyze_json_schema(capsys, chain3_file):
@@ -136,10 +141,6 @@ def test_roundtrip_pass(capsys, chain3_file):
 
 
 def test_iso_with_permuted_copy(capsys, tmp_path):
-    import random
-
-    from test_iso import permuted_copy
-
     alg = make_chain(3)
     a = tmp_path / "a.efa"
     b = tmp_path / "b.efa"
@@ -237,12 +238,14 @@ def test_module_entry_point_subprocess(tmp_path):
     assert "isomorphism" in proc.stdout
 
 
-# --- fuzzing `verify` and `parse` --------------------------------------------
+# --- fuzzing `verify`, `analyze`, `roundtrip`, `triple` and `iso` -----------
 
 # Orders stay at 8 or below so that each example stays fast: any order up to
 # the parser's ceiling builds an order² table.
 MAX_FUZZ_ORDER = 8
 FUZZ = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+# Each example runs five commands, so fewer examples keep the cost near FUZZ's.
+FUZZ_COMMANDS = settings(FUZZ, max_examples=40)
 CATALOG_TEXTS = [serialize(e.algebra) for e in named_catalog()]
 DIRECTIVES = ["efa", "gefa", "order", "zero", "one", "name", "sum", "#", "bogus"]
 _small_int = st.integers(-2, MAX_FUZZ_ORDER).map(str)
@@ -306,10 +309,17 @@ def _cap_order(line):
     return line
 
 
+def _quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code, out.getvalue()
+
+
 def _verify_exit_matches_parse(path, text):
     path.write_text(text)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["verify", str(path)])
+    code, _ = _quiet(["verify", str(path)])
     try:
         parse(text)
         expected = 0
@@ -330,3 +340,66 @@ def test_fuzz_verify_structured_tables(tmp_path_factory, text):
 @given(text=mutated_catalog_files())
 def test_fuzz_verify_mutated_catalog_files(tmp_path_factory, text):
     _verify_exit_matches_parse(tmp_path_factory.getbasetemp() / "mutated.efa", text)
+
+
+def _commands_keep_the_exit_contract(base, text, partner):
+    """analyze --json, roundtrip, triple and iso give the exit code the parsed
+    input calls for: 3 or 1 for a file that parse refuses, else 0 for analyze,
+    2 or 0 by the triple's hypotheses, 0 or 1 by isomorphism."""
+    path, other = base / "fuzzed.efa", base / "partner.efa"
+    path.write_text(text)
+    other.write_text(partner)
+    try:
+        alg = parse(text)
+    except ValueError as exc:
+        refused = 1 if isinstance(exc, AxiomViolationError) else 3
+        expected = dict.fromkeys(("analyze", "roundtrip", "triple", "iso-self", "iso-partner"), refused)
+    else:
+        try:
+            extract_triple(alg)
+            triple = 0
+        except HypothesisError:
+            triple = 2
+        partner_iso = canonical_form(alg) == canonical_form(parse(partner))
+        expected = {"analyze": 0, "roundtrip": triple, "triple": triple,
+                    "iso-self": 0, "iso-partner": 0 if partner_iso else 1}
+    code, out = _quiet(["analyze", str(path), "--json"])
+    if code == 0:
+        json.loads(out)
+    got = {
+        "analyze": code,
+        "roundtrip": _quiet(["roundtrip", str(path)])[0],
+        "triple": _quiet(["triple", str(path), "--out", str(base / "triple")])[0],
+        "iso-self": _quiet(["iso", str(path), str(path)])[0],
+        "iso-partner": _quiet(["iso", str(path), str(other)])[0],
+    }
+    assert got == expected
+
+
+UNIVERSE_7 = tuple(enumerate_all(7, bound=7))
+
+
+@st.composite
+def relabelled_classes(draw):
+    """A class of order 7 or less under a drawn relabelling, so that valid
+    input, homogeneous or not, reaches every command."""
+    alg = draw(st.sampled_from(UNIVERSE_7))
+    return serialize(permuted_copy(alg, random.Random(draw(st.integers(0, 2**16)))))
+
+
+@FUZZ_COMMANDS
+@given(text=structured_files(), partner=st.sampled_from(CATALOG_TEXTS))
+def test_fuzz_commands_on_structured_tables(tmp_path_factory, text, partner):
+    _commands_keep_the_exit_contract(tmp_path_factory.getbasetemp(), text, partner)
+
+
+@FUZZ_COMMANDS
+@given(text=mutated_catalog_files(), partner=st.sampled_from(CATALOG_TEXTS))
+def test_fuzz_commands_on_mutated_catalog_files(tmp_path_factory, text, partner):
+    _commands_keep_the_exit_contract(tmp_path_factory.getbasetemp(), text, partner)
+
+
+@FUZZ_COMMANDS
+@given(text=relabelled_classes(), partner=st.sampled_from(CATALOG_TEXTS))
+def test_fuzz_commands_on_relabelled_classes(tmp_path_factory, text, partner):
+    _commands_keep_the_exit_contract(tmp_path_factory.getbasetemp(), text, partner)

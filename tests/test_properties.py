@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from efalg.catalog import direct_product, horizontal_sum, make_chain, named_catalog
+from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_chain, named_catalog
 from efalg.properties import ANCHORS, check_infasoc, run_checks, run_suite, worker_count
 from efalg.structure import homogeneity_counterexample, rdp_counterexample
 
@@ -36,6 +36,14 @@ def test_suite_passes_on_the_order_8_universe(enumerated_8):
     universe += [(f"enum-{a.order}-{i:03d}", a) for i, a in enumerate(enumerated_8)]
     reports = run_suite(universe, jobs=1)
     assert len(universe) == 88
+    assert [(r.anchor, r.failures) for r in reports] == [(a, []) for a, _ in ANCHORS]
+
+
+@pytest.mark.slow
+def test_suite_passes_on_the_order_9_classes():
+    universe = [(f"enum-9-{i:03d}", a) for i, a in enumerate(a for a in enumerate_all(9, bound=9) if a.order == 9)]
+    reports = run_suite(universe, jobs=1)
+    assert len(universe) == 60
     assert [(r.anchor, r.failures) for r in reports] == [(a, []) for a, _ in ANCHORS]
 
 

@@ -43,7 +43,10 @@ from naive_oracles import (
     naive_blocks,
     naive_central,
     naive_internally_compatible,
+    naive_join,
+    naive_join_set,
     naive_meet,
+    naive_meet_set,
     naive_principal,
     naive_riesz_counterexample,
 )
@@ -105,12 +108,27 @@ class TestMeetJoin:
         assert diamond.meet(1, 2) == 0
         assert diamond.join(1, 2) == 3
 
-    def test_meet_matches_naive_oracle(self, universe_6):
-        for _, alg in universe_6:
+    def test_meet_matches_naive_oracle(self, universe_6, catalog):
+        # meet, join and their set versions against the order's definition, on
+        # the universe, relabelled copies, products with the 2-chain and a GEA
+        rng = random.Random(12)
+        algebras = [alg for _, alg in universe_6]
+        algebras += [permuted_copy(alg, rng) for alg in algebras]
+        algebras += [direct_product(alg, make_chain(1)) for alg in algebras if alg.order <= 6]
+        hsum, = (e.algebra for e in catalog if e.name == "hsum-3-3")
+        mea, _ = meager_algebra(hsum)
+        atoms = [x for x in mea.elements() if x != mea.zero]
+        assert len(atoms) == 2 and mea.join(*atoms) is None  # no common upper bound
+        for alg in algebras + [mea]:
             entries = [list(r) for r in alg.table.entries]
-            for x in alg.elements():
-                for y in alg.elements():
+            elems = list(alg.elements())
+            for x in elems:
+                for y in elems:
                     assert alg.meet(x, y) == naive_meet(entries, x, y)
+                    assert alg.join(x, y) == naive_join(entries, x, y)
+            for xs in ([], *([x] for x in elems), elems, elems[::2], elems[1::2], elems[1:3]):
+                assert alg.meet_set(xs) == naive_meet_set(entries, xs)
+                assert alg.join_set(xs) == naive_join_set(entries, xs)
 
     def test_lattice_flag_matches_totality(self, universe_6):
         for _, alg in universe_6:
