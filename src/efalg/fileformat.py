@@ -18,8 +18,8 @@ I + J = K; absent pairs are undefined. The serializer emits sums only for
 I <= J in sorted order, so output is canonical and diff friendly; the
 parser applies the commutative closure and rejects duplicate definitions
 for a pair, contradictory or not. An ``order`` above ``MAX_ORDER`` is
-refused on its own line, with the table's cell count and an estimate of
-the memory that parsing and verifying it would take.
+refused on its own line, with the table's cell count, an estimate of the
+memory that parsing and verifying it would take and a lower bound on the time.
 """
 
 from __future__ import annotations
@@ -44,6 +44,15 @@ MAX_ORDER = 512
 # chain, whose sums fill about half the cells (Python 3.11.7, x86-64 Linux).
 # `efalg roundtrip` on the same file peaks at about 300 bytes per cell.
 BYTES_PER_CELL = 94
+
+# Time per table cell of `efalg verify` on the sparsest valid tables, the
+# horizontal sums of 3-chains: their sum lines grow with the order, so the
+# work done for every cell (building the table, its range check and the
+# axiom scans) is nearly the whole cost. Wall clock over an idle run, median
+# of seven, at orders 128, 256 and 512: 0.10-0.12 us per cell (Intel Xeon,
+# Python 3.11.7, x86-64 Linux). More sums only add work, so the estimate is
+# a lower bound.
+SECONDS_PER_CELL = 1e-7
 
 
 class ParseError(ValueError):
@@ -93,7 +102,8 @@ def _parse_common(text: str, magic: str, with_one: bool):
                 raise ParseError(
                     no,
                     f"order {order} exceeds the ceiling {MAX_ORDER}; its table would hold {cells} cells,"
-                    f" about {_bytes(cells * BYTES_PER_CELL)} to parse and verify",
+                    f" about {_bytes(cells * BYTES_PER_CELL)} and at least"
+                    f" {_seconds(cells * SECONDS_PER_CELL)} to parse and verify",
                 )
         elif kind == "zero":
             if zero is not None:
@@ -143,6 +153,10 @@ def _parse_common(text: str, magic: str, with_one: bool):
 
 def _bytes(n: int) -> str:
     return f"{n / 1e9:,.0f} GB" if n >= 1e10 else f"{n / 1e6:,.0f} MB"
+
+
+def _seconds(s: float) -> str:
+    return f"{s:,.0f} s" if s >= 10 else f"{s:.2g} s"
 
 
 def _int_field(no: int, fields: list[str], idx: int, what: str) -> int:

@@ -302,16 +302,22 @@ def is_homogeneous(E: FiniteEffectAlgebra) -> bool:
 
 @memoized
 def _riesz_counterexample(E: FiniteEffectAlgebra, bounded: bool) -> tuple[int, int, int] | None:
-    # Per (u, v1), on masks of v2: `need` holds each v2 with v1 + v2 a target
-    # (above u, and below u' when bounded), `ok` each v2 above some u - u1 with
-    # u1 <= v1 and u1 <= u, i.e. u = u1 + u2 with u2 <= v2. The lowest bit of
-    # need & ~ok is the least v2 without a split. A u comparable with v1 always
-    # splits: as u + 0 when u <= v1, as v1 + (u - v1) when v1 <= u <= v1 + v2.
-    # The bounded targets are a subset of the unbounded ones and `ok` is the
-    # same, so an algebra with RDP is homogeneous and needs one scan, not two.
+    # Per (u, v1), on masks of the sums s = v1 + v2: the targets are the s
+    # above u and v1 (and below u' when bounded). u splits as u1 + u2 with
+    # u1 <= v1, u2 <= v2 = s - v1 exactly when s - v1 >= u - u1 for a common
+    # lower bound u1, i.e. s >= v1 + (u - u1), so the covered sums are the
+    # up-sets of those translates. u1 -> u - u1 is antitone, so when u and v1
+    # have a meet its translate's up-set holds all the others; otherwise every
+    # common lower bound is tried. s -> s - v1 is one to one, so the least v2
+    # without a split is the least difference over the uncovered targets.
+    # A u comparable with v1 always splits: as u + 0 when u <= v1, as
+    # v1 + (u - v1) when v1 <= u <= v1 + v2. The bounded targets are a subset
+    # of the unbounded ones and the covered sums are the same, so an algebra
+    # with RDP is homogeneous and needs one scan, not two.
     if bounded and _riesz_counterexample(E, False) is None:
         return None
-    below, above, ominus = E._below, E._above, E._ominus
+    below, above, ominus, rows = E._below, E._above, E._ominus, E.table.entries
+    rbelow, greatest = E._rbelow, E._greatest
     for u in E.elements():
         targets_u = above[u] & below[E._sup[u]] if bounded else above[u]
         comparable = below[u] | above[u]
@@ -319,14 +325,15 @@ def _riesz_counterexample(E: FiniteEffectAlgebra, bounded: bool) -> tuple[int, i
             targets = targets_u & above[v1]
             if not targets or (comparable >> v1) & 1:
                 continue
-            need = 0
-            for s in _mask_elements(targets):
-                need |= 1 << ominus[v1][s]
-            ok = 0
-            for u1 in _mask_elements(below[v1] & below[u]):
-                ok |= above[ominus[u1][u]]
-            if missing := need & ~ok:
-                return (u, v1, (missing & -missing).bit_length() - 1)
+            meet = greatest(rbelow[u] & rbelow[v1])
+            row = rows[v1]
+            covered = 0
+            for u1 in (meet,) if meet is not None else _mask_elements(below[u] & below[v1]):
+                t = row[ominus[u1][u]]
+                if t != UNDEFINED:
+                    covered |= above[t]
+            if missing := targets & ~covered:
+                return (u, v1, min(ominus[v1][s] for s in _mask_elements(missing)))
     return None
 
 
@@ -406,16 +413,18 @@ def decompose(E: FiniteEffectAlgebra, x: int) -> tuple[int, int]:
 
 
 def is_sub_effect_algebra(E: FiniteEffectAlgebra, subset: Iterable[int]) -> bool:
-    """Unit membership plus two-out-of-three closure under defined sums."""
-    q = frozenset(subset)
-    if E.one not in q:
+    """Unit membership plus two-out-of-three closure under defined sums.
+
+    A defined sum x + y = z breaks the closure exactly when two of x, y, z
+    are members and the third is not.
+    """
+    q = sum(1 << x for x in frozenset(subset))
+    if not (q >> E.one) & 1:
         return False
-    for x in E.elements():
-        for y in E.elements():
-            z = E.sum(x, y)
-            if z is None:
-                continue
-            if sum((x in q, y in q, z in q)) >= 2 and not {x, y, z} <= q:
+    for x, row in enumerate(E.table.entries):
+        qx = (q >> x) & 1
+        for y, z in enumerate(row):
+            if z != UNDEFINED and qx + ((q >> y) & 1) + ((q >> z) & 1) == 2:
                 return False
     return True
 

@@ -219,25 +219,54 @@ def r_map(T: TripleRep, x: int) -> int:
 
 
 @memoized
-def _s_candidates(T: TripleRep, x: int, y: int) -> tuple[int, ...]:
+def _split_table(T: TripleRep) -> tuple[
+    tuple[tuple[int | None, ...], ...], tuple[tuple[int | None, ...], ...], tuple[tuple[int, int], ...]
+]:
+    """Per meager pair (x, y): the top split piece s and the sum
+    (x - pi_s x) + (y - pi_s y), as two tables indexed [x][y]; then the pairs
+    whose split pieces have maximal elements but no maximum.
+
+    z is a split piece of x and y when pi_z x and pi_z y are defined, z is the
+    cover of pi_z x and r(pi_z x) = pi_z y. The first two conditions read x
+    alone, so each x filters the sharp elements once and each y then costs
+    one lookup per remaining piece. Both table entries are None without a top
+    piece, and the sum is None where it is undefined; pi_s x lies below x, so
+    both differences exist.
+    """
+    sharp, mea = T.sharp, T.meager
     pi = _pi_table(T)
-    widehat = _widehat_vector(T)
-    r_vec = _r_vector(T)
-    out = []
-    for z in T.sharp.elements():
-        px = pi[z][x]
-        py = pi[z][y]
-        if px is None or py is None:
-            continue
-        if widehat[px] == z and r_vec[px] == py:
-            out.append(z)
-    return tuple(out)
+    widehat, r_vec = _widehat_vector(T), _r_vector(T)
+    rank, greatest = sharp._rank, sharp._greatest
+    rows, ominus = mea.table.entries, mea._ominus
+    tops, sums, missing = [], [], []
+    for x in mea.elements():
+        pieces = []
+        for z in sharp.elements():
+            px = pi[z][x]
+            if px is not None and widehat[px] == z:
+                pieces.append((1 << rank[z], pi[z], r_vec[px]))
+        top_row, sum_row = [], []
+        for y in mea.elements():
+            found = 0
+            for bit, pz, want in pieces:
+                if pz[y] == want:
+                    found |= bit
+            s = greatest(found)
+            if s is not None:
+                ps = pi[s]
+                v = rows[ominus[ps[x]][x]][ominus[ps[y]][y]]
+            elif found:
+                missing.append((x, y))
+            top_row.append(s)
+            sum_row.append(None if s is None or v == UNDEFINED else v)
+        tops.append(tuple(top_row))
+        sums.append(tuple(sum_row))
+    return tuple(tops), tuple(sums), tuple(missing)
 
 
 def s_map(T: TripleRep, x: int, y: int) -> int | None:
     """Top element of the sharp pieces splitting across x and y, if one exists."""
-    rank = T.sharp._rank
-    return T.sharp._greatest(sum(1 << rank[c] for c in _s_candidates(T, x, y)))
+    return _split_table(T)[0][x][y]
 
 
 def s_map_top_missing(T: TripleRep) -> tuple[tuple[int, int], ...]:
@@ -246,27 +275,17 @@ def s_map_top_missing(T: TripleRep) -> tuple[tuple[int, int], ...]:
     Recorded as empirical data; the reconstruction never needs these pairs
     when the source sum is defined.
     """
-    out = []
-    for x in T.meager.elements():
-        for y in T.meager.elements():
-            if _s_candidates(T, x, y) and s_map(T, x, y) is None:
-                out.append((x, y))
-    return tuple(out)
+    return _split_table(T)[2]
 
 
 def _split(T: TripleRep, x: int, y: int) -> tuple[int | None, int | None]:
     """(s, (x - pi_s x) + (y - pi_s y)) for the top split piece s of x and y.
 
     Both are None without a top split piece, and the sum is None where it is
-    undefined. s is a split candidate, so pi_s is defined at x and y, and
-    pi_s x lies below x, so both differences exist.
+    undefined.
     """
-    s = s_map(T, x, y)
-    if s is None:
-        return None, None
-    mea = T.meager
-    pi = _pi_table(T)[s]
-    return s, mea.sum(mea.ominus(x, pi[x]), mea.ominus(y, pi[y]))
+    tops, sums, _ = _split_table(T)
+    return tops[x][y], sums[x][y]
 
 
 @memoized
@@ -292,24 +311,22 @@ def reconstruct_tea(T: TripleRep) -> TeaAlgebra:
     one = index[(sharp.one, mea.zero)]
 
     hm = _h_masks(T)
-    # The split depends on the meager parts only, and one meager pair recurs
-    # across many carrier pairs.
-    splits: dict[tuple[int, int], tuple[int | None, int | None]] = {}
-    pairs: dict[tuple[int, int], int] = {}
+    tops, sums, _ = _split_table(T)
+    srows, ssup = sharp.table.entries, sharp._sup
+    n = len(carrier)
+    rows = [[UNDEFINED] * n for _ in range(n)]
     for k1, (xs, xm) in enumerate(carrier):
-        for k2 in range(k1, len(carrier)):
+        srow, top, zms, row = srows[xs], tops[xm], sums[xm], rows[k1]
+        for k2 in range(k1, n):
             ys, ym = carrier[k2]
-            split = splits.get((xm, ym))
-            if split is None:
-                split = splits[(xm, ym)] = _split(T, xm, ym)
-            s, zm = split
-            if zm is None:
+            t, zm = srow[ys], zms[ym]
+            if t == UNDEFINED or zm is None:
                 continue
-            zs = sharp.orthogonal_sum((xs, ys, s))
-            if zs is not None and hm[sharp.orthosupplement(zs)] >> zm & 1:
-                pairs[(k1, k2)] = index[(zs, zm)]
+            zs = srows[t][top[ym]]
+            if zs != UNDEFINED and hm[ssup[zs]] >> zm & 1:
+                row[k2] = rows[k2][k1] = index[(zs, zm)]
 
-    table = PartialOpTable.from_pairs(len(carrier), pairs)
+    table = PartialOpTable.from_rows(rows)
     try:
         algebra = FiniteEffectAlgebra(table, zero, one)
     except AxiomViolationError as exc:

@@ -383,19 +383,61 @@ def naive_pi(entries, hs, x):
     return join if join in hs else None
 
 
-def naive_r_map(entries, zero, one, x):
-    """(least sharp element above x) minus x, where s is sharp when zero is the
-    only lower bound of s and its supplement."""
+def _naive_sharp(entries, zero, one) -> list[int]:
+    """s is sharp when zero is the only lower bound of s and its supplement."""
     n = len(entries)
     leq = _naive_leq(entries)
     sup = _naive_supplement(entries, one)
-    sharp = [
+    return [
         s for s in range(n)
         if all(z == zero for z in range(n) if (z, s) in leq and (z, sup[s]) in leq)
     ]
-    covers = [s for s in sharp if (x, s) in leq]
+
+
+def _naive_minus(entries, x, y):
+    """x minus y: the z with y + z = x, or None when y is not below x."""
+    return next((z for z in range(len(entries)) if entries[y][z] == x), None)
+
+
+def naive_r_map(entries, zero, one, x):
+    """(least sharp element above x) minus x."""
+    leq = _naive_leq(entries)
+    covers = [s for s in _naive_sharp(entries, zero, one) if (x, s) in leq]
     cover = next(c for c in covers if all((c, d) in leq for d in covers))
-    return next(z for z in range(n) if entries[x][z] == cover)
+    return _naive_minus(entries, cover, x)
+
+
+def naive_split_pieces(entries, zero, one, x, y) -> list[int]:
+    """Sharp z such that the meets z ^ x and z ^ y exist and (z ^ x) + (z ^ y) = z."""
+    out = []
+    for z in _naive_sharp(entries, zero, one):
+        zx, zy = naive_meet(entries, z, x), naive_meet(entries, z, y)
+        if zx is not None and zy is not None and entries[zx][zy] == z:
+            out.append(z)
+    return out
+
+
+def naive_s_map(entries, zero, one, x, y):
+    """The top sharp z with (z ^ x) + (z ^ y) = z, or None when no such z lies
+    above all the others."""
+    leq = _naive_leq(entries)
+    pieces = naive_split_pieces(entries, zero, one, x, y)
+    return next((z for z in pieces if all((c, z) in leq for c in pieces)), None)
+
+
+def naive_split(entries, zero, one, x, y):
+    """(s, (x - (s ^ x)) + (y - (s ^ y))) for s = naive_s_map(...): the sum is
+    taken among the meager elements (no nonzero sharp element below), so it is
+    None when undefined or not meager; (None, None) without a top piece."""
+    s = naive_s_map(entries, zero, one, x, y)
+    if s is None:
+        return None, None
+    v = entries[_naive_minus(entries, x, naive_meet(entries, s, x))][
+        _naive_minus(entries, y, naive_meet(entries, s, y))
+    ]
+    leq = _naive_leq(entries)
+    meager = v != UNDEF and not any(z != zero and (z, v) in leq for z in _naive_sharp(entries, zero, one))
+    return s, v if meager else None
 
 
 def naive_infasoc(entries, zero):

@@ -1,6 +1,7 @@
 """Command behaviors and the exit-code contract."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efalg.catalog import HARD_BOUND, enumerate_all, make_chain, named_catalog
+from efalg.catalog import HARD_BOUND, direct_product, enumerate_all, make_boolean, make_chain, named_catalog
 from efalg.cli import main
 from efalg.core import UNDEFINED, AxiomViolationError
 from efalg.fileformat import parse, parse_generalized, serialize
@@ -93,7 +94,41 @@ def test_oversized_order_refused_on_its_line(capsys, tmp_path):
     start = time.perf_counter()
     code, _, err = run(capsys, "verify", str(p))
     assert time.perf_counter() - start < 0.1
-    assert code == 3 and "line 2" in err and "10000000000 cells, about 940 GB" in err
+    assert code == 3 and "line 2" in err and "10000000000 cells, about 940 GB and at least 1,000 s" in err
+
+
+# sha256 of the stdout of `analyze FILE --json` and of `roundtrip FILE` on the
+# largest inputs the order kernels serve, recorded before the Riesz scan and
+# the triple rebuild were rewritten: their bytes must not move.
+LARGE_OUTPUTS = {
+    "chain-400": (
+        lambda: make_chain(400),
+        "7aba05dc2be5a98e47523386c27c52c2414fcf3dc94e303c2b4514cd2439aac3",
+        "11b2c40330f997e7d569d03b83bbca7ea55edd1076f9a49c484f0805f8239952",
+    ),
+    "chain-8x8x4": (
+        lambda: direct_product(direct_product(make_chain(8), make_chain(8)), make_chain(4)),
+        "ea64add5ce9e5dd47ddf445ba6d52c67705d9651ff9c07cfd69f1f1c44f4442c",
+        "826c029ab15dc2bbb80721298ee05939cd13aa8e6f44c2d4e919227198f10f00",
+    ),
+    "boolean-64xchain-4": (
+        lambda: direct_product(make_boolean(6), make_chain(4)),
+        "f4640697ebc2941afbe3e89f9a4f6ea7b06be7b0a6a84c9ec7322c33294beb91",
+        "68e4eb68a83f9f477a24067123f7ab1900b6630f7d5b732915fbf9254d96d36c",
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", LARGE_OUTPUTS)
+def test_large_outputs_do_not_move(capsys, tmp_path, monkeypatch, name):
+    build, analyze_digest, roundtrip_digest = LARGE_OUTPUTS[name]
+    monkeypatch.chdir(tmp_path)  # roundtrip prints the path as given
+    path = f"{name}.efa"
+    (tmp_path / path).write_text(serialize(build()))
+    for argv, digest in (["analyze", path, "--json"], analyze_digest), (["roundtrip", path], roundtrip_digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_analyze_json_schema(capsys, chain3_file):

@@ -109,9 +109,10 @@ def test_order_ceiling():
     with pytest.raises(ParseError, match=f"{(MAX_ORDER + 1) ** 2} cells") as info:
         parse_raw(f"efa 1\norder {MAX_ORDER + 1}\n" + body.format(MAX_ORDER))
     assert info.value.line_no == 2
-    assert str(info.value).endswith("MB to parse and verify")
-    # 94 bytes per cell, measured on `efalg verify` of the 401-element chain
-    with pytest.raises(ParseError, match="25000000 cells, about 2,350 MB to parse and verify"):
+    assert str(info.value).endswith("MB and at least 0.026 s to parse and verify")
+    # 94 bytes per cell, measured on `efalg verify` of the 401-element chain,
+    # and at least 0.1 us per cell, on the sparsest valid tables
+    with pytest.raises(ParseError, match="25000000 cells, about 2,350 MB and at least 2.5 s to parse and verify"):
         parse_raw("efa 1\norder 5000\n")
     with pytest.raises(ParseError, match="ceiling"):
         parse_generalized(f"gefa 1\norder {MAX_ORDER + 1}\nzero 0\n")

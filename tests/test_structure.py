@@ -1,12 +1,13 @@
 """Structural classifiers: element sets, bounds, blocks, closures, Heyting."""
 
+import hashlib
 import itertools
 import math
 import random
 
 import pytest
 
-from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain
+from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_boolean, make_chain
 from efalg.structure import (
     HypothesisError,
     are_compatible,
@@ -335,7 +336,7 @@ class TestRdpHomogeneity:
         )
 
 
-def test_mask_classifiers_match_naive_oracles(universe_6):
+def test_mask_classifiers_match_naive_oracles(universe_6, catalog, enumerated_8):
     """Exact answers, witnesses included, against the definitions, on the
     constructors' labellings and on seeded relabellings."""
     rng = random.Random(5)
@@ -344,11 +345,44 @@ def test_mask_classifiers_match_naive_oracles(universe_6):
     algs += [permuted_copy(LARGE[name](), rng) for name in ("chain-3x3x3", "hsum-5x5", "boolean-4xchain-6")]
     # a product with a chain puts several failing v2 behind the least (u, v1)
     algs += [direct_product(alg, make_chain(1)) for _, alg in universe_6 if alg.order <= 6]
-    for alg in algs:
+    # the Riesz scan takes one translate per (u, v1) when u and v1 have a meet
+    # and every common lower bound otherwise; some order-7 classes, and their
+    # horizontal sums with a chain, lack meets below a common upper bound
+    order_7 = [alg for alg in enumerated_8 if alg.order == 7]
+    more = [horizontal_sum([a.algebra, b.algebra]) for a, b in itertools.combinations_with_replacement(catalog, 2)]
+    more += order_7 + [horizontal_sum([alg, make_chain(2)]) for alg in order_7]
+    more += [permuted_copy(alg, rng) for alg in more]
+    assert sum(_meet_missing_below_a_bound(alg) for alg in more) >= 8
+    for alg in algs + more:
         assert rdp_counterexample(alg) == naive_riesz_counterexample(*plain(alg), False)
         assert homogeneity_counterexample(alg) == naive_riesz_counterexample(*plain(alg), True)
         assert principal_elements(alg) == naive_principal(*plain(alg))
         assert central_elements(alg) == naive_central(*plain(alg))
+
+
+def _meet_missing_below_a_bound(alg) -> bool:
+    """Some two elements with a common upper bound have no meet."""
+    return any(
+        alg.above_mask(u) & alg.above_mask(v) and alg.meet(u, v) is None
+        for u in alg.elements()
+        for v in alg.elements()
+    )
+
+
+def test_riesz_witnesses_do_not_move():
+    """The RDP and homogeneity witnesses of every class to order 9, a seeded
+    relabelling of each and each one's product with the 2-chain, pinned by
+    digest to the output of the scan that decoded every target."""
+    classes = tuple(enumerate_all(9, bound=9))
+    rng = random.Random(13)
+    algs = list(classes)
+    algs += [permuted_copy(alg, rng) for alg in classes]
+    algs += [direct_product(alg, make_chain(1)) for alg in classes]
+    witnesses = repr([(rdp_counterexample(alg), homogeneity_counterexample(alg)) for alg in algs])
+    assert len(algs) == 399
+    assert hashlib.sha256(witnesses.encode()).hexdigest() == (
+        "a4569ed6b8b986fa1283991f3a44516c4cf857734e32db981e4e1670bcd005fd"
+    )
 
 
 class TestSharpBounds:

@@ -17,13 +17,15 @@ from efalg.triple import (
     extract_triple,
     pi_s,
     r_map,
+    _split,
     reconstruct_tea,
     s_map,
+    s_map_top_missing,
     verify_roundtrip,
     widehat_triple,
 )
 
-from naive_oracles import naive_pi, naive_r_map
+from naive_oracles import naive_pi, naive_r_map, naive_split, naive_split_pieces
 from test_iso import permuted_copy
 
 
@@ -137,6 +139,36 @@ class TestMappings:
                 got = T.meager_to_source[r_map(T, x)]
                 want = naive_r_map(src, alg.zero, alg.one, T.meager_to_source[x])
                 assert got == want, (name, x)
+            checked += 1
+        assert checked > 90
+
+    def test_split_table_agrees_with_naive_oracle(self, universe_6):
+        # s_map, _split and s_map_top_missing read one table, built from the
+        # triple; the oracle takes the top split piece from the source order
+        rng = random.Random(2718)
+        inputs = []
+        for name, alg in universe_6:
+            inputs += [
+                (name, alg),
+                (f"{name} relabelled", permuted_copy(alg, rng)),
+                (f"{name} x 2-chain", direct_product(alg, make_chain(1))),
+            ]
+        checked = 0
+        for name, alg in qualifying(inputs):
+            T = extract_triple(alg)
+            src = [list(row) for row in alg.table.entries]
+            to_sharp, to_mea = T.sharp_to_source, T.meager_to_source
+            missing = []
+            for x in T.meager.elements():
+                for y in T.meager.elements():
+                    args = (src, alg.zero, alg.one, to_mea[x], to_mea[y])
+                    s, zm = _split(T, x, y)
+                    assert s == s_map(T, x, y)
+                    got = (None if s is None else to_sharp[s], None if zm is None else to_mea[zm])
+                    assert got == naive_split(*args), (name, x, y)
+                    if s is None and naive_split_pieces(*args):
+                        missing.append((x, y))
+            assert s_map_top_missing(T) == tuple(missing), name
             checked += 1
         assert checked > 90
 
