@@ -10,10 +10,27 @@ Two leaves with equal tables differ by an automorphism; those found prune
 the children that lie in one orbit of the automorphisms fixing the current
 path, and together they generate the whole automorphism group. Every map
 handed out is re-verified.
+
+`isomorphisms(a, b)` does two things less than searching both algebras in
+full, and neither moves a witness or a canonical byte:
+- an invariant filter. Each element's invariant (non-zero, the unit, sharp,
+  its order) is preserved by every isomorphism, so when the two sorted
+  invariant lists differ the algebras are not isomorphic and no search runs.
+  Equal lists run the searches as before.
+- an early stop for b. When a and b are isomorphic, b's least key is a's,
+  and b's least leaf is its first leaf with that key: the least leaf is only
+  replaced by a strictly smaller key, and the search up to that leaf is the
+  full one, pruning included. So b's search stops there with the labelling
+  the full search returns, and the hunt for b's automorphisms after it is
+  skipped; only a's generators are read. The stopped search is memoized
+  under its target, apart from b's full search, so a later canonical form
+  or automorphism group of b still comes from b's full search.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator
 
 from .core import (
@@ -36,9 +53,12 @@ def _split(xs, key) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _refine(rows, cells: list[list[int]]) -> list[list[int]]:
-    """Split cells by the multiset of (cell of y, cell of x+y) over defined sums, until stable."""
-    n = len(rows)
+def _refine(sums, cells: list[list[int]]) -> list[list[int]]:
+    """Split cells by the multiset of (cell of y, cell of x+y) over defined sums, until stable.
+
+    sums[x] lists the pairs (y, x + y) of the defined sums in row x.
+    """
+    n = len(sums)
     while True:
         cell_of = [0] * n
         for k, cell in enumerate(cells):
@@ -47,7 +67,7 @@ def _refine(rows, cells: list[list[int]]) -> list[list[int]]:
         m = len(cells)
 
         def signature(x):
-            return tuple(sorted(cell_of[y] * m + cell_of[v] for y, v in enumerate(rows[x]) if v != UNDEFINED))
+            return tuple(sorted([cell_of[y] * m + cell_of[v] for y, v in sums[x]]))
 
         refined = []
         for cell in cells:
@@ -76,19 +96,34 @@ def _orbit_min(gens, n: int) -> list[int]:
 
 
 @memoized
-def _search(alg: _SumAlgebra) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _invariants(alg: _SumAlgebra) -> tuple[tuple[bool, bool, bool, int], ...]:
+    """Per element: non-zero, the unit, sharp, and its order; every isomorphism preserves each."""
+    if isinstance(alg, FiniteEffectAlgebra):
+        sharp, one = set(sharp_elements(alg)), alg.one
+    else:
+        sharp, one = set(), None
+    return tuple((x != alg.zero, x == one, x in sharp, element_order(alg, x)) for x in alg.elements())
+
+
+@memoized
+def _search(
+    alg: _SumAlgebra, target: tuple[int, ...] | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The least leaf's key and labelling, and generators of the automorphism group.
 
     The key is the relabelled table, row-major, with UNDEFINED encoded as the
     order; the labelling maps each element to its new label. Zero gets label 0
     and, in an effect algebra, one gets label order-1.
+
+    Given a target key, the search stops at the first leaf whose key equals
+    it. When the target is the least key, that leaf is the least leaf, so
+    the key and labelling are the full search's, but the generators are
+    only those found so far. The memo keeps each target apart, so the full
+    search, _search(alg), never reads a stopped one.
     """
     n = alg.order
     rows = alg.table.entries
-    if isinstance(alg, FiniteEffectAlgebra):
-        sharp, one = set(sharp_elements(alg)), alg.one
-    else:
-        sharp, one = set(), None
+    sums = [[(y, v) for y, v in enumerate(row) if v != UNDEFINED] for row in rows]
     gens: list[tuple[int, ...]] = []
     first = best = None  # (key, labelling, path) of the first and of the least leaf
 
@@ -98,7 +133,11 @@ def _search(alg: _SumAlgebra) -> tuple[tuple[int, ...], tuple[int, ...], tuple[t
         label = [0] * n + [n]  # label[UNDEFINED] is label[-1], which is n
         for i, x in enumerate(order):
             label[x] = i
-        key = tuple(label[rows[x][y]] for x in order for y in order)
+        if n == 1:  # itemgetter of one index returns the item, not a tuple
+            key = (label[rows[0][0]],)
+        else:  # row x of the key is label[rows[x][y]] for y in order
+            pick = itemgetter(*order)
+            key = itemgetter(*chain.from_iterable(map(pick, pick(rows))))(label)
         for ref in (first, best):
             if ref is not None and key == ref[0]:
                 gens.append(tuple(order[ref[1][x]] for x in range(n)))
@@ -107,13 +146,15 @@ def _search(alg: _SumAlgebra) -> tuple[tuple[int, ...], tuple[int, ...], tuple[t
                 return next((d for d, (u, v) in enumerate(zip(path, ref[2])) if u != v), len(path))
         if best is None or key < best[0]:
             best = (key, label, path)
+            if key == target:
+                return -1  # unwinds the whole search
         if first is None:
             first = best
         return len(path)
 
     def visit(cells, path) -> int:
         """Explore a node; return the depth at which the search resumes."""
-        cells = _refine(rows, cells)
+        cells = _refine(sums, cells)
         k = next((k for k, cell in enumerate(cells) if len(cell) > 1), None)
         if k is None:
             return leaf(cells, path)
@@ -131,10 +172,7 @@ def _search(alg: _SumAlgebra) -> tuple[tuple[int, ...], tuple[int, ...], tuple[t
                 return back
         return depth
 
-    def invariant(x):
-        return (x != alg.zero, x == one, x in sharp, element_order(alg, x))
-
-    visit(_split(alg.elements(), invariant), ())
+    visit(_split(alg.elements(), _invariants(alg).__getitem__), ())
     key, label, _ = best
     return key, tuple(label[:n]), tuple(gens)
 
@@ -157,8 +195,10 @@ def isomorphisms(a: _SumAlgebra, b: _SumAlgebra) -> Iterator[tuple[int, ...]]:
     """Yield every bijection preserving the constants and the partial sum, each once."""
     if type(a) is not type(b) or a.order != b.order:
         return
+    if sorted(_invariants(a)) != sorted(_invariants(b)):
+        return
     key_a, label_a, gens = _search(a)
-    key_b, label_b, _ = _search(b)
+    key_b, label_b, _ = _search(b, key_a)  # b's generators are not read: stop at its first leaf keyed key_a
     if key_a != key_b:
         return
     by_label_b = sorted(range(b.order), key=label_b.__getitem__)

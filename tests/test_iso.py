@@ -1,16 +1,20 @@
 """Isomorphism witnesses and canonical forms."""
 
+import dataclasses
+import hashlib
 import random
+from itertools import combinations, islice
 
-from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain, named_catalog
-from efalg.core import FiniteEffectAlgebra, PartialOpTable, UNDEFINED
-from efalg.iso import canonical_form, find_isomorphism, isomorphisms
+from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_boolean, make_chain, named_catalog
+from efalg.core import FiniteEffectAlgebra, FiniteGeneralizedEffectAlgebra, PartialOpTable, UNDEFINED
+from efalg.iso import _invariants, _search, canonical_form, find_isomorphism, isomorphisms
 from efalg.structure import meager_algebra
 
 from naive_oracles import naive_automorphism_count, naive_isomorphic
 
 
-def permuted_copy(alg: FiniteEffectAlgebra, rng: random.Random) -> FiniteEffectAlgebra:
+def permuted_copy(alg, rng: random.Random):
+    """A relabelled copy of an effect algebra or a generalized effect algebra."""
     n = alg.order
     perm = list(range(n))
     rng.shuffle(perm)
@@ -20,9 +24,9 @@ def permuted_copy(alg: FiniteEffectAlgebra, rng: random.Random) -> FiniteEffectA
         for j in range(n):
             if t[i][j] != UNDEFINED:
                 rows[perm[i]][perm[j]] = perm[t[i][j]]
-    return FiniteEffectAlgebra(
-        PartialOpTable.from_rows(rows), perm[alg.zero], perm[alg.one]
-    )
+    if isinstance(alg, FiniteEffectAlgebra):
+        return FiniteEffectAlgebra(PartialOpTable.from_rows(rows), perm[alg.zero], perm[alg.one])
+    return FiniteGeneralizedEffectAlgebra(PartialOpTable.from_rows(rows), perm[alg.zero])
 
 
 def plain(alg):
@@ -122,6 +126,42 @@ def test_each_automorphism_once(universe_6):
             assert len(autos) == len(set(autos)) == naive_automorphism_count(plain(x)), name
 
 
+def test_pairs_passing_the_invariant_filter_are_told_apart(enumerated_8):
+    """Classes with equal invariant multisets pass isomorphisms' filter, so
+    the labelling searches tell them apart: b's targeted search never meets
+    a's key and runs to its end."""
+    groups: dict = {}
+    for alg in enumerated_8:
+        groups.setdefault(tuple(sorted(_invariants(alg))), []).append(alg)
+    shared = [group for group in groups.values() if len(group) > 1]
+    assert sum(map(len, shared)) == 18 and {alg.order for group in shared for alg in group} == {8}
+    rng = random.Random(8)
+    for group in shared:
+        for x, y in combinations(group, 2):
+            a, b = permuted_copy(x, rng), permuted_copy(y, rng)
+            assert find_isomorphism(a, b) is None and find_isomorphism(b, a) is None
+            assert canonical_form(a) != canonical_form(b)
+        for x in group:
+            copy = permuted_copy(x, rng)
+            w = find_isomorphism(x, copy)
+            assert w is not None and is_witness(x, copy, w)
+
+
+def test_early_stop_leaves_full_search_intact(universe_6):
+    """find_isomorphism stops b's search early; b's later searches, and a
+    repeated find_isomorphism, must be those of a fresh copy of b."""
+    rng = random.Random(6)
+    for name, alg in universe_6:
+        for x in (alg, meager_algebra(alg)[0]):
+            a, b = permuted_copy(x, rng), permuted_copy(x, rng)
+            fresh = dataclasses.replace(b)
+            w = find_isomorphism(a, b)
+            assert w is not None and find_isomorphism(a, b) == w, name
+            assert list(isomorphisms(b, b)) == list(isomorphisms(fresh, fresh)), name
+            if isinstance(b, FiniteEffectAlgebra):
+                assert canonical_form(b) == canonical_form(fresh), name
+
+
 LARGE = {
     "boolean-32": lambda: make_boolean(5),
     "boolean-64": lambda: make_boolean(6),
@@ -150,3 +190,38 @@ def test_boolean_64_relabelled_pair():
     a, b = permuted_copy(b64, rng), permuted_copy(b64, rng)
     w = find_isomorphism(a, b)
     assert w is not None and is_witness(a, b, w)
+
+
+def test_witnesses_and_canonical_bytes_do_not_move():
+    """Two seeded relabellings of every class to order 9, of each LARGE
+    algebra and of each one's meager GEA: the find_isomorphism witness
+    between them, the first 50 maps of isomorphisms, the canonical forms and
+    the search results, pinned by digests recorded before the invariant
+    filter, the lists of defined sums and the early stop were added."""
+    rng = random.Random(14)
+    bases = list(enumerate_all(9, bound=9)) + [build() for build in LARGE.values()]
+    bases += [meager_algebra(alg)[0] for alg in bases]
+    pairs = [(permuted_copy(alg, rng), permuted_copy(alg, rng)) for alg in bases]
+    assert len(pairs) == 278 and min(alg.order for alg in bases) == 1
+
+    def digest(values):
+        return hashlib.sha256(repr(values).encode()).hexdigest()
+
+    # fresh pairs first, so the witnesses come from the searches isomorphisms runs itself
+    witnesses = [find_isomorphism(a, b) for a, b in pairs]
+    maps = [list(islice(isomorphisms(a, b), 50)) for a, b in pairs]
+    forms = [canonical_form(x) for pair in pairs for x in pair if isinstance(x, FiniteEffectAlgebra)]
+    searches = [_search(x) for pair in pairs for x in pair]
+    assert all(w is not None for w in witnesses)
+    assert digest(witnesses) == (
+        "5fffa4cd4949de05c74204ad1e517e041d506f3ee32ce915ed5f7ed9d8c1e729"
+    )
+    assert digest(maps) == (
+        "d0ffa91387c3148d2c76d130855fe26289929c1a8ff9005700add3d32bf61813"
+    )
+    assert digest(forms) == (
+        "408ad4fdb3ecc873b2a0b126e0649e62421f5aa51273a3f3e060da908ac66716"
+    )
+    assert digest(searches) == (
+        "e446446dedb9e3ddb3ed9420046df45c611356a81d132434e1b503716eb5a42d"
+    )
