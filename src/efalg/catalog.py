@@ -65,7 +65,6 @@ __all__ = [
     "direct_product",
     "named_catalog",
     "enumerate_all",
-    "all_up_to",
     "random_algebra",
 ]
 
@@ -562,12 +561,6 @@ def enumerate_all(max_order: int, *, bound: int = DEFAULT_BOUND) -> Iterator[Fin
             firsts.setdefault(_search(alg)[0], alg)
         for alg in sorted(firsts.values(), key=canonical_form):
             yield canonical_algebra(alg)
-
-
-@lru_cache(maxsize=None)
-def all_up_to(max_order: int) -> tuple[FiniteEffectAlgebra, ...]:
-    """Cached tuple form of enumerate_all for repeated sweeps."""
-    return tuple(enumerate_all(max_order, bound=max(max_order, DEFAULT_BOUND)))
 
 
 def random_algebra(seed: int, order: int, *, bound: int = DEFAULT_BOUND) -> FiniteEffectAlgebra:

@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract for CI: 0 all checks passed, 1 a property
 or axiom check failed, 2 an operation's hypotheses were not met, 3 the
-input was malformed. ``suite`` honors the EFALG_JOBS environment variable
-for its worker count; output bytes do not depend on it.
+input was malformed, a usage error or an output that cannot be written.
+``suite`` honors the EFALG_JOBS environment variable for its worker count;
+output bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,22 @@ def _load(path: str):
     return parse(_read(path))
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _out_dir(path: str) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
+    return out
+
+
 def cmd_verify(args) -> int:
     table, zero, one, _ = parse_raw(_read(args.file))
     verdict = verify_effect_algebra(table, zero, one)
@@ -77,17 +94,16 @@ def cmd_analyze(args) -> int:
 def cmd_triple(args) -> int:
     alg = _load(args.file)
     rep = extract_triple(alg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sharp.efa").write_text(serialize(rep.sharp))
-    (out / "meager.gefa").write_text(serialize_generalized(rep.meager))
+    out = _out_dir(args.out)
+    _write(out / "sharp.efa", serialize(rep.sharp))
+    _write(out / "meager.gefa", serialize_generalized(rep.meager))
     h = {str(s): sorted(rep.h[s]) for s in rep.sharp.elements()}
-    (out / "h.json").write_text(json.dumps(h, indent=2, sort_keys=True) + "\n")
+    _write(out / "h.json", json.dumps(h, indent=2, sort_keys=True) + "\n")
     backmaps = {
         "sharp_to_source": list(rep.sharp_to_source or ()),
         "meager_to_source": list(rep.meager_to_source or ()),
     }
-    (out / "backmaps.json").write_text(json.dumps(backmaps, indent=2, sort_keys=True) + "\n")
+    _write(out / "backmaps.json", json.dumps(backmaps, indent=2, sort_keys=True) + "\n")
     print(f"wrote triple of {args.file} to {out}")
     return EXIT_OK
 
@@ -130,20 +146,19 @@ def cmd_gen(args) -> int:
         alg = direct_product(_load(args.files[0]), _load(args.files[1]))
     text = serialize(alg)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(Path(args.out), text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     counts: dict[int, int] = {}
     for alg in enumerate_all(args.max_order, bound=HARD_BOUND):
         k = counts.get(alg.order, 0)
         counts[alg.order] = k + 1
-        (out / f"order{alg.order}_{k:03d}.efa").write_text(serialize(alg))
+        _write(out / f"order{alg.order}_{k:03d}.efa", serialize(alg))
     for order in sorted(counts):
         print(f"order {order}: {counts[order]} algebras")
     return EXIT_OK
@@ -171,8 +186,16 @@ def cmd_suite(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_PROPERTY
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: exit 3, where argparse exits 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="efalg", description="finite effect algebra toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)

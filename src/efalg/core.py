@@ -102,12 +102,6 @@ class PartialOpTable:
     def order(self) -> int:
         return len(self.entries)
 
-    def get(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    def defined(self, i: int, j: int) -> bool:
-        return self.entries[i][j] != UNDEFINED
-
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "PartialOpTable":
         return PartialOpTable(tuple(tuple(r) for r in rows))
@@ -365,9 +359,6 @@ class _SumAlgebra(_Memoizing):
 
     def leq(self, x: int, y: int) -> bool:
         return (self._below[y] >> x) & 1 == 1
-
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and self.leq(x, y)
 
     def ominus(self, x: int, y: int) -> int | None:
         """x minus y: the unique z with y + z = x, or None when y is not below x."""

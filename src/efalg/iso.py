@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import (
     UNDEFINED,
@@ -42,7 +42,7 @@ from .core import (
 )
 from .structure import element_order, sharp_elements
 
-__all__ = ["find_isomorphism", "isomorphisms", "canonical_algebra", "canonical_form"]
+__all__ = ["find_isomorphism", "isomorphisms", "morphism_failure", "canonical_algebra", "canonical_form"]
 
 
 def _split(xs, key) -> list[list[int]]:
@@ -205,31 +205,34 @@ def isomorphisms(a: _SumAlgebra, b: _SumAlgebra) -> Iterator[tuple[int, ...]]:
     witness = [by_label_b[i] for i in label_a]
     for auto in _group(gens, a.order):
         mapping = tuple(witness[x] for x in auto)
-        if _is_morphism(a, b, mapping):
+        if morphism_failure(a, b, mapping) is None:
             yield mapping
 
 
-def _is_morphism(a: _SumAlgebra, b: _SumAlgebra, mapping: tuple[int, ...]) -> bool:
-    """Full re-verification: definedness and values agree in both directions."""
+def morphism_failure(a: _SumAlgebra, b: _SumAlgebra, mapping: Sequence[int]) -> tuple | None:
+    """Why mapping is not an isomorphism from a onto b, as (reason, witness), or None.
+
+    The first failure in this order: "not bijective", None, also for unequal
+    orders; "zero not preserved", (a.zero,); for effect algebras "one not
+    preserved", (a.one,); then over a's pairs (x, y), row-major,
+    "definedness mismatch" or "sum value mismatch", (x, y).
+    """
     n = a.order
-    if sorted(mapping) != list(range(n)):
-        return False
+    if b.order != n or sorted(mapping) != list(range(n)):
+        return "not bijective", None
     if mapping[a.zero] != b.zero:
-        return False
+        return "zero not preserved", (a.zero,)
     if isinstance(a, FiniteEffectAlgebra) and mapping[a.one] != b.one:
-        return False
-    ta = a.table.entries
-    tb = b.table.entries
-    for x in range(n):
-        for y in range(n):
-            va = ta[x][y]
-            vb = tb[mapping[x]][mapping[y]]
-            if va == UNDEFINED:
-                if vb != UNDEFINED:
-                    return False
-            elif vb == UNDEFINED or mapping[va] != vb:
-                return False
-    return True
+        return "one not preserved", (a.one,)
+    for x, row in enumerate(a.table.entries):
+        image = b.table.entries[mapping[x]]
+        for y, v in enumerate(row):
+            w = image[mapping[y]]
+            if (v == UNDEFINED) != (w == UNDEFINED):
+                return "definedness mismatch", (x, y)
+            if v != UNDEFINED and mapping[v] != w:
+                return "sum value mismatch", (x, y)
+    return None
 
 
 def find_isomorphism(a: _SumAlgebra, b: _SumAlgebra) -> tuple[int, ...] | None:

@@ -431,12 +431,12 @@ def is_sub_effect_algebra(E: FiniteEffectAlgebra, subset: Iterable[int]) -> bool
 
 def restrict(E: FiniteEffectAlgebra, subset: Iterable[int]) -> tuple[FiniteEffectAlgebra, tuple[int, ...]]:
     """Sub-effect algebra on a closed subset, with the element back-map."""
-    table, index, elems = _induced_table(E, subset)
+    table, pos, elems = _induced_table(E, subset)
     for a in elems:
         for b in elems:
-            if (v := E.sum(a, b)) is not None and v not in index:
+            if (v := E.sum(a, b)) is not None and pos[v] == UNDEFINED:
                 raise ValueError(f"subset not closed under defined sums at ({a},{b})")
-    return FiniteEffectAlgebra(table, index[E.zero], index[E.one]), elems
+    return FiniteEffectAlgebra(table, pos[E.zero], pos[E.one]), elems
 
 
 @memoized
@@ -447,25 +447,26 @@ def _block_algebra(E: FiniteEffectAlgebra, block: tuple[int, ...]) -> tuple[Fini
 
 def _induced_table(
     E: FiniteEffectAlgebra, subset: Iterable[int]
-) -> tuple[PartialOpTable, dict[int, int], tuple[int, ...]]:
-    """Sums that stay inside the subset, re-indexed in ascending element order."""
+) -> tuple[PartialOpTable, list[int], tuple[int, ...]]:
+    """Sums that stay inside the subset, re-indexed in ascending element order.
+
+    pos[e] is e's new index; it is UNDEFINED outside the subset and in its
+    last slot, pos[UNDEFINED], so it re-indexes every cell of E's table.
+    """
     elems = tuple(sorted(frozenset(subset)))
-    index = {e: i for i, e in enumerate(elems)}
-    pairs = {}
-    for a in elems:
-        for b in elems:
-            v = E.sum(a, b)
-            if v is not None and v in index:
-                pairs[(index[a], index[b])] = index[v]
-    return PartialOpTable.from_pairs(len(elems), pairs), index, elems
+    pos = [UNDEFINED] * (E.order + 1)
+    for i, e in enumerate(elems):
+        pos[e] = i
+    rows = E.table.entries
+    return PartialOpTable(tuple(tuple(pos[rows[a][b]] for b in elems) for a in elems)), pos, elems
 
 
 def restrict_downset(
     E: FiniteEffectAlgebra, downset: Iterable[int]
 ) -> tuple[FiniteGeneralizedEffectAlgebra, tuple[int, ...]]:
     """Generalized effect algebra on a down-set: sums defined when they stay inside."""
-    table, index, elems = _induced_table(E, downset)
-    return FiniteGeneralizedEffectAlgebra(table, index[E.zero]), elems
+    table, pos, elems = _induced_table(E, downset)
+    return FiniteGeneralizedEffectAlgebra(table, pos[E.zero]), elems
 
 
 @memoized
@@ -473,8 +474,8 @@ def interval_algebra(E: FiniteEffectAlgebra, top: int) -> tuple[FiniteEffectAlge
     """The interval from zero to top as an effect algebra with unit top."""
     if top == E.zero:
         raise ValueError("interval with top = zero is not an effect algebra")
-    table, index, elems = _induced_table(E, E.down_set(top))
-    return FiniteEffectAlgebra(table, index[E.zero], index[top]), elems
+    table, pos, elems = _induced_table(E, E.down_set(top))
+    return FiniteEffectAlgebra(table, pos[E.zero], pos[top]), elems
 
 
 @memoized

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from efalg.catalog import all_up_to, enumerate_all, named_catalog
+from efalg.catalog import enumerate_all, named_catalog
 
 
 @pytest.fixture(scope="session")
@@ -14,17 +14,17 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
-def universe_6(catalog):
-    """Named catalog plus every isomorphism class up to order 6."""
-    out = [(e.name, e.algebra) for e in catalog]
-    for i, alg in enumerate(all_up_to(6)):
-        out.append((f"enum-{alg.order}-{i:03d}", alg))
-    return out
+def enumerated_6():
+    return tuple(enumerate_all(6))
 
 
 @pytest.fixture(scope="session")
-def enumerated_6():
-    return all_up_to(6)
+def universe_6(catalog, enumerated_6):
+    """Named catalog plus every isomorphism class up to order 6."""
+    out = [(e.name, e.algebra) for e in catalog]
+    for i, alg in enumerate(enumerated_6):
+        out.append((f"enum-{alg.order}-{i:03d}", alg))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ from efalg.catalog import (
     SEARCH_COST,
     EnumerationBoundError,
     _complete_tables,
-    all_up_to,
     direct_product,
     enumerate_all,
     horizontal_sum,
@@ -262,7 +261,7 @@ class TestRandom:
             random_algebra(seed, 4)  # constructor re-validates
 
     def test_covers_all_classes_at_order_4(self):
-        targets = {canonical_form(a) for a in all_up_to(4) if a.order == 4}
+        targets = {canonical_form(a) for a in enumerate_all(4) if a.order == 4}
         seen = set()
         for seed in range(3000):
             seen.add(canonical_form(random_algebra(seed, 4)))

@@ -244,6 +244,33 @@ def test_enumerate_bound_refusal(capsys, tmp_path):
     assert code == 3 and "bound" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--max-order", "3", "--out", "{file}"],
+        ["triple", "{chain}", "--out", "{file}"],
+        ["gen", "--kind", "chain", "--n", "2", "--out", "{missing}/x.efa"],
+    ],
+)
+def test_unwritable_output_is_input_error(capsys, tmp_path, chain3_file, argv):
+    existing = tmp_path / "existing"
+    existing.write_text("")
+    paths = {"file": existing, "chain": chain3_file, "missing": tmp_path / "missing"}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 3 and err.startswith("error: cannot write ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected", [(["suite", "--max-order", "x"], 3), (["bogus"], 3), (["--help"], 0)]
+)
+def test_usage_errors_are_input_errors(capsys, argv, expected):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == expected
+    assert (captured.err if expected else captured.out).startswith("usage: efalg")
+
+
 def test_suite_small(capsys):
     code, out, _ = run(capsys, "suite", "--max-order", "3")
     assert code == 0

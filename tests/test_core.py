@@ -21,7 +21,7 @@ from efalg.core import (
     verify_effect_algebra,
     verify_generalized,
 )
-from efalg.catalog import all_up_to, make_chain, random_algebra
+from efalg.catalog import enumerate_all, make_chain, random_algebra
 from efalg.fileformat import parse, serialize
 from efalg.structure import meager_algebra, structure_report
 from efalg.triple import verify_roundtrip
@@ -263,7 +263,7 @@ def _oracle_inputs(kind, universe_6):
             for a in (alg, permuted_copy(alg, rng)):
                 yield [list(r) for r in a.table.entries], a.zero, a.one
     elif kind == "mutations":
-        for alg in all_up_to(5):
+        for alg in enumerate_all(5):
             yield from _single_cell_mutations(alg)
     else:
         rng = random.Random(20240817)

@@ -5,9 +5,11 @@ import hashlib
 import random
 from itertools import combinations, islice
 
+import pytest
+
 from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_boolean, make_chain, named_catalog
 from efalg.core import FiniteEffectAlgebra, FiniteGeneralizedEffectAlgebra, PartialOpTable, UNDEFINED
-from efalg.iso import _invariants, _search, canonical_form, find_isomorphism, isomorphisms
+from efalg.iso import _invariants, _search, canonical_form, find_isomorphism, isomorphisms, morphism_failure
 from efalg.structure import meager_algebra
 
 from naive_oracles import naive_automorphism_count, naive_isomorphic
@@ -80,6 +82,35 @@ def test_every_witness_verifies():
         count += 1
     assert count >= 1  # automorphisms of the 4-element Boolean algebra
     assert count == 2  # identity and the atom swap
+
+
+@pytest.mark.parametrize(
+    "a, b, mapping, expected",
+    [
+        (make_chain(3), make_chain(3), (0, 0, 2, 3), ("not bijective", None)),
+        (make_chain(2), make_chain(3), (0, 1, 2), ("not bijective", None)),
+        (make_chain(3), make_chain(3), (1, 0, 2, 3), ("zero not preserved", (0,))),
+        (make_chain(3), make_chain(3), (0, 1, 3, 2), ("one not preserved", (3,))),
+        # a + a is undefined in the Boolean algebra, p + p = 2p in the chain
+        (make_boolean(2), make_chain(3), (0, 1, 2, 3), ("definedness mismatch", (1, 1))),
+        # swapping the joins {a, b} and {a, c} keeps every definedness
+        (make_boolean(3), make_boolean(3), (0, 1, 2, 5, 4, 3, 6, 7), ("sum value mismatch", (1, 2))),
+        (make_boolean(3), make_boolean(3), tuple(range(8)), None),
+    ],
+)
+def test_morphism_failure_names_the_first_failure(a, b, mapping, expected):
+    assert morphism_failure(a, b, mapping) == expected
+
+
+def test_morphism_failure_passes_witnesses_of_relabelled_copies():
+    rng = random.Random(15)
+    for entry in named_catalog():
+        for x in (entry.algebra, meager_algebra(entry.algebra)[0]):
+            y = permuted_copy(x, rng)
+            w = find_isomorphism(x, y)
+            assert w is not None and morphism_failure(x, y, w) is None, entry.name
+            if isinstance(x, FiniteEffectAlgebra):
+                assert is_witness(x, y, w), entry.name
 
 
 def test_canonical_form_constant_for_two_chain():

@@ -1,11 +1,13 @@
 """Triple extraction, the four derived mappings, reconstruction, roundtrip."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
 from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain
+from efalg.core import AxiomViolationError
 from efalg.structure import (
     HypothesisError,
     is_homogeneous,
@@ -26,6 +28,7 @@ from efalg.triple import (
 )
 
 from naive_oracles import naive_pi, naive_r_map, naive_split, naive_split_pieces
+from test_acceptance import _mutations
 from test_iso import permuted_copy
 
 
@@ -268,3 +271,29 @@ class TestPurityAndMutation:
         for name, alg in qualifying(universe_6):
             outcome = check_triple_idem(alg)
             assert (outcome.checked, outcome.failures) == (1, []), name
+
+    def test_roundtrip_failure_reports_do_not_move(self, catalog):
+        """verify_roundtrip's (ok, failure, witness) on sampled single-cell
+        corruptions of every catalog triple, pinned by a digest recorded
+        before its isomorphism check was shared with isomorphisms. A
+        corruption the constructor refuses reads "invalid", a rebuild that
+        raises reads as the exception's type name."""
+        rng = random.Random(15)
+        reports = []
+        for entry in catalog:
+            E = entry.algebra
+            for label, mutated in _mutations(extract_triple(E), rng, per_kind=24):
+                if mutated is None:
+                    reports.append((label, "invalid"))
+                    continue
+                try:
+                    result = verify_roundtrip(E, mutated)
+                except (ReconstructionError, AxiomViolationError) as exc:
+                    reports.append((label, type(exc).__name__))
+                else:
+                    reports.append((label, result.ok, result.failure, result.witness))
+        reached = {r[2] for r in reports if len(r) == 4}
+        assert {"not bijective", "definedness mismatch", "sum value mismatch"} <= reached
+        assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
+            "d17155f90d866256b5ab62594d8a79a2c081cf95818cc2a590a7bf215dcaf66e"
+        )
