@@ -156,11 +156,9 @@ def horizontal_sum(algebras: Sequence[FiniteEffectAlgebra]) -> FiniteEffectAlgeb
     pairs: dict[tuple[int, int], int] = {(0, 0): 0, (0, one): one}
     for alg, mapping in interiors:
         mapping[alg.one] = one
-        for x in alg.elements():
-            for y in alg.elements():
-                v = alg.sum(x, y)
-                if v is not None:
-                    pairs[(mapping[x], mapping[y])] = mapping[v]
+        for x, row in enumerate(alg.table.row_sums):
+            for y, v in row:
+                pairs[(mapping[x], mapping[y])] = mapping[v]
     return FiniteEffectAlgebra(PartialOpTable.from_pairs(order, pairs), 0, one)
 
 
@@ -173,14 +171,11 @@ def direct_product(a: FiniteEffectAlgebra, b: FiniteEffectAlgebra) -> FiniteEffe
         return x * nb + y
 
     pairs = {}
-    for x1 in a.elements():
-        for y1 in b.elements():
-            for x2 in a.elements():
-                for y2 in b.elements():
-                    u = a.sum(x1, x2)
-                    v = b.sum(y1, y2)
-                    if u is not None and v is not None:
-                        pairs[(idx(x1, y1), idx(x2, y2))] = idx(u, v)
+    for x1, row_a in enumerate(a.table.row_sums):
+        for y1, row_b in enumerate(b.table.row_sums):
+            for x2, u in row_a:
+                for y2, v in row_b:
+                    pairs[(idx(x1, y1), idx(x2, y2))] = idx(u, v)
     return FiniteEffectAlgebra(
         PartialOpTable.from_pairs(order, pairs), idx(a.zero, b.zero), idx(a.one, b.one)
     )

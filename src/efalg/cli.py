@@ -24,7 +24,7 @@ from .catalog import (
     named_catalog,
 )
 from .core import AxiomViolationError, MalformedTableError, verify_effect_algebra
-from .fileformat import ParseError, parse, parse_raw, serialize, serialize_generalized
+from .fileformat import parse, parse_raw, serialize, serialize_generalized
 from .iso import find_isomorphism
 from .properties import run_suite
 from .structure import HypothesisError, structure_report
@@ -40,7 +40,7 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise ParseError(0, f"cannot read {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _load(path: str):

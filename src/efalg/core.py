@@ -1,11 +1,13 @@
 """Finite effect algebras and generalized effect algebras over explicit sum tables.
 
 An algebra lives on elements 0..order-1. The partial operation is a square
-lookup table whose cells hold either an element id or UNDEFINED. Validation
-is eager: constructing an algebra runs the full axiom check once and refuses
-bad tables, so downstream code never re-checks axioms. The same constructor
-builds the order data (below/above masks, the ominus matrix, supplements)
-once; heavier derived structure is memoized per instance on first use.
+lookup table whose cells hold either an element id or UNDEFINED. The table
+also lists the defined sums of each row, PartialOpTable.row_sums, built with
+its range check; every walk over the defined sums x + y, here and in the
+other modules, reads that list. Validation is eager: constructing an algebra
+runs the full axiom check once and refuses bad tables, so downstream code
+never re-checks axioms. The same constructor builds the order data
+(below/above masks, the ominus matrix, supplements) once; heavier derived structure is memoized per instance on first use.
 
 Associativity is decided on a symmetric table by walking only the triples
 whose left side (x + y) + z is defined, checking that x + (y + z) is defined
@@ -83,6 +85,12 @@ class PartialOpTable:
     The table is fully materialized (no sparse rows) and immutable. Squareness
     and cell range are enforced here; everything semantic (symmetry included)
     is the verifier's job, so that broken tables can still be diagnosed.
+
+    row_sums[x] holds the pairs (y, x + y) of the defined cells of row x, in
+    column order. It is built in the range check's pass over every cell and
+    is the one list of defined sums that every walk over x + y reads. It is
+    an instance attribute, not a field, so it takes no part in ==, hash or
+    repr.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -91,12 +99,15 @@ class PartialOpTable:
         n = len(self.entries)
         if n < 1:
             raise MalformedTableError("empty table")
+        sums = []
         for i, row in enumerate(self.entries):
             if len(row) != n:
                 raise MalformedTableError(f"row {i} has length {len(row)}, expected {n}")
-            for j, v in enumerate(row):
-                if v != UNDEFINED and not (0 <= v < n):
+            sums.append(tuple((j, v) for j, v in enumerate(row) if v != UNDEFINED))
+            for j, v in sums[-1]:
+                if not (0 <= v < n):
                     raise MalformedTableError(f"cell ({i},{j}) holds {v}, out of range")
+        object.__setattr__(self, "row_sums", tuple(sums))
 
     @property
     def order(self) -> int:
@@ -151,11 +162,11 @@ def verify_effect_algebra(table: PartialOpTable, zero: int, one: int) -> Verdict
     violations.extend(asymmetric)
 
     # (Eii) associativity: if one side is defined, both are and they agree.
-    violations.extend(_associativity_violation(t, n, "Eii", symmetric=not asymmetric))
+    violations.extend(_associativity_violation(table, "Eii", symmetric=not asymmetric))
 
     # (Eiii) every x has exactly one y with x + y = one.
-    for x in range(n):
-        sups = [y for y in range(n) if t[x][y] == one]
+    for x, row in enumerate(table.row_sums):
+        sups = [y for y, v in row if v == one]
         if not sups:
             violations.append(Violation("Eiii", (x,), "no orthosupplement"))
             break
@@ -164,8 +175,8 @@ def verify_effect_algebra(table: PartialOpTable, zero: int, one: int) -> Verdict
             break
 
     # (Eiv) one + x defined forces x = zero.
-    for x in range(n):
-        if x != zero and t[one][x] != UNDEFINED:
+    for x, _ in table.row_sums[one]:
+        if x != zero:
             violations.append(Violation("Eiv", (x,), "sum with one defined"))
             break
 
@@ -181,34 +192,25 @@ def verify_generalized(table: PartialOpTable, zero: int) -> Verdict:
 
     asymmetric = _commutativity_violation(t, n, "GE1")
     violations.extend(asymmetric)
-    violations.extend(_associativity_violation(t, n, "GE2", symmetric=not asymmetric))
+    violations.extend(_associativity_violation(table, "GE2", symmetric=not asymmetric))
 
-    # (GE3) cancellation: a row may not repeat a defined value.
-    done = False
-    for x in range(n):
-        seen: dict[int, int] = {}
-        for y in range(n):
-            v = t[x][y]
-            if v == UNDEFINED:
-                continue
-            if v in seen:
-                violations.append(Violation("GE3", (x, seen[v], y), "cancellation fails"))
-                done = True
-                break
-            seen[v] = y
-        if done:
+    # (GE3) cancellation: a row may not repeat a defined value. first maps
+    # each value to the first column holding it; the witness is the first
+    # column that repeats one.
+    for x, row in enumerate(table.row_sums):
+        first = {v: y for y, v in reversed(row)}
+        if len(first) < len(row):
+            y, v = next((y, v) for y, v in row if first[v] != y)
+            violations.append(Violation("GE3", (x, first[v], y), "cancellation fails"))
             break
 
     # (GE4) x + y = 0 only for x = y = 0.
-    done = False
-    for x in range(n):
-        for y in range(n):
-            if t[x][y] == zero and (x != zero or y != zero):
-                violations.append(Violation("GE4", (x, y), "nonzero elements sum to zero"))
-                done = True
-                break
-        if done:
-            break
+    hit = next(
+        ((x, y) for x, row in enumerate(table.row_sums) for y, v in row if v == zero and (x, y) != (zero, zero)),
+        None,
+    )
+    if hit is not None:
+        violations.append(Violation("GE4", hit, "nonzero elements sum to zero"))
 
     # (GE5) zero is neutral.
     for x in range(n):
@@ -220,6 +222,7 @@ def verify_generalized(table: PartialOpTable, zero: int) -> Verdict:
 
 
 def _commutativity_violation(t, n: int, axiom: str) -> list[Violation]:
+    # Reads every cell: an asymmetric pair may hold UNDEFINED on either side.
     for x in range(n):
         hit = next((y for y in range(x + 1, n) if t[x][y] != t[y][x]), None)
         if hit is not None:
@@ -227,9 +230,12 @@ def _commutativity_violation(t, n: int, axiom: str) -> list[Violation]:
     return []
 
 
-def _associativity_violation(t, n: int, axiom: str, symmetric: bool) -> list[Violation]:
-    if symmetric and _left_defined_triples_agree(t):
+def _associativity_violation(table: PartialOpTable, axiom: str, symmetric: bool) -> list[Violation]:
+    if symmetric and _left_defined_triples_agree(table):
         return []
+    # The lexicographic scan names the least witness, which may be a triple
+    # whose left side is undefined, so it reads every cell.
+    t, n = table.entries, table.order
     for x in range(n):
         for y in range(n):
             xy = t[x][y]
@@ -242,14 +248,14 @@ def _associativity_violation(t, n: int, axiom: str, symmetric: bool) -> list[Vio
     return []
 
 
-def _left_defined_triples_agree(t) -> bool:
+def _left_defined_triples_agree(table: PartialOpTable) -> bool:
     """Whether x + (y + z) is defined and equals (x + y) + z wherever the
     latter is defined; on a symmetric table this is the whole axiom."""
-    domains = [[(z, v) for z, v in enumerate(row) if v != UNDEFINED] for row in t]
-    for tx, dx in zip(t, domains):
+    t, sums = table.entries, table.row_sums
+    for tx, dx in zip(t, sums):
         for y, xy in dx:
             ty = t[y]
-            for z, v in domains[xy]:
+            for z, v in sums[xy]:
                 yz = ty[z]
                 if yz == UNDEFINED or tx[yz] != v:
                     return False
@@ -297,7 +303,9 @@ class _SumAlgebra(_Memoizing):
 
     Construction verifies the table once and then builds the order data that
     every method reads: the below and above masks, the ominus matrix and, for
-    effect algebras, the orthosupplement vector. They are plain instance
+    effect algebras, the orthosupplement vector. The defined sums themselves
+    live on the table, as table.row_sums; sum and defined are point lookups
+    in table.entries. The order data are plain instance
     attributes, not dataclass fields, so they take no part in ==, hash, repr
     or dataclasses.replace. The rank numbering that greatest/least lookups
     read, and heavier derived structure, are built on first use per instance
@@ -329,14 +337,13 @@ class _SumAlgebra(_Memoizing):
         below = [0] * n
         above = []
         ominus = []
-        for y, row in enumerate(self.table.entries):
+        for y, row in enumerate(self.table.row_sums):
             up = 0
             diffs: list[int | None] = [None] * n
-            for z, v in enumerate(row):
-                if v != UNDEFINED:
-                    below[v] |= 1 << y
-                    up |= 1 << v
-                    diffs[v] = z
+            for z, v in row:
+                below[v] |= 1 << y
+                up |= 1 << v
+                diffs[v] = z
             above.append(up)
             ominus.append(tuple(diffs))
         self.__dict__.update(_below=tuple(below), _above=tuple(above), _ominus=tuple(ominus))

@@ -28,7 +28,6 @@ from .core import (
     FiniteEffectAlgebra,
     FiniteGeneralizedEffectAlgebra,
     PartialOpTable,
-    UNDEFINED,
 )
 
 __all__ = ["MAX_ORDER", "ParseError", "parse", "parse_raw", "serialize", "parse_generalized", "serialize_generalized"]
@@ -200,11 +199,8 @@ def _serialize_common(magic: str, table: PartialOpTable, zero: int, one: int | N
     if names:
         for i, label in enumerate(names):
             lines.append(f"name {i} {label}")
-    for i in range(table.order):
-        for j in range(i, table.order):
-            v = table.entries[i][j]
-            if v != UNDEFINED:
-                lines.append(f"sum {i} {j} {v}")
+    for i, row in enumerate(table.row_sums):
+        lines.extend(f"sum {i} {j} {v}" for j, v in row if j >= i)
     return "\n".join(lines) + "\n"
 
 

@@ -56,7 +56,8 @@ def _split(xs, key) -> list[list[int]]:
 def _refine(sums, cells: list[list[int]]) -> list[list[int]]:
     """Split cells by the multiset of (cell of y, cell of x+y) over defined sums, until stable.
 
-    sums[x] lists the pairs (y, x + y) of the defined sums in row x.
+    sums is a table's row_sums: sums[x] lists the pairs (y, x + y) of the
+    defined sums in row x.
     """
     n = len(sums)
     while True:
@@ -122,8 +123,7 @@ def _search(
     search, _search(alg), never reads a stopped one.
     """
     n = alg.order
-    rows = alg.table.entries
-    sums = [[(y, v) for y, v in enumerate(row) if v != UNDEFINED] for row in rows]
+    rows, sums = alg.table.entries, alg.table.row_sums
     gens: list[tuple[int, ...]] = []
     first = best = None  # (key, labelling, path) of the first and of the least leaf
 
@@ -224,6 +224,8 @@ def morphism_failure(a: _SumAlgebra, b: _SumAlgebra, mapping: Sequence[int]) -> 
         return "zero not preserved", (a.zero,)
     if isinstance(a, FiniteEffectAlgebra) and mapping[a.one] != b.one:
         return "one not preserved", (a.one,)
+    # Every cell, not a's row_sums: a cell defined in b but not in a is a
+    # failure, and the witness is the first failing cell in row-major order.
     for x, row in enumerate(a.table.entries):
         image = b.table.entries[mapping[x]]
         for y, v in enumerate(row):

@@ -16,13 +16,14 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .core import FiniteEffectAlgebra, memoized
+from .core import FiniteEffectAlgebra
 from .iso import find_isomorphism, isomorphisms
 from .structure import (
     _block_algebra,
     _family_refines,
     _orthogonal_pool,
     _reachable_totals,
+    _sub_center,
     are_compatible,
     blocks,
     central_elements,
@@ -90,12 +91,6 @@ def _qualifies(E) -> bool:
     return is_homogeneous(E) and is_sharply_dominating(E)
 
 
-@memoized
-def _sub_center(E, block: tuple[int, ...]) -> frozenset[int]:
-    sub, elems = _block_algebra(E, block)
-    return frozenset(elems[c] for c in central_elements(sub))
-
-
 # ---------------------------------------------------------------------------
 # structure checks
 
@@ -105,13 +100,10 @@ def check_xshom(E: FiniteEffectAlgebra) -> CheckOutcome:
     if not is_homogeneous(E):
         return out
     sharp = set(sharp_elements(E))
-    for v1 in E.elements():
+    for v1, row in enumerate(E.table.row_sums):
         if v1 not in sharp:
             continue
-        for v2 in E.elements():
-            s = E.sum(v1, v2)
-            if s is None:
-                continue
+        for v2, s in row:
             for u in E.down_set(s):
                 if not E.leq(s, E.orthosupplement(u)):
                     continue
@@ -313,11 +305,8 @@ def check_gejzapulm(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     centre = central_elements(E)
     for c in centre:
-        for x in E.elements():
-            for y in E.elements():
-                s = E.sum(x, y)
-                if s is None:
-                    continue
+        for x, row in enumerate(E.table.row_sums):
+            for y, s in row:
                 cx, cy, cs = E.meet(c, x), E.meet(c, y), E.meet(c, s)
                 ok = (
                     cx is not None

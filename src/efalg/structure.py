@@ -421,10 +421,10 @@ def is_sub_effect_algebra(E: FiniteEffectAlgebra, subset: Iterable[int]) -> bool
     q = sum(1 << x for x in frozenset(subset))
     if not (q >> E.one) & 1:
         return False
-    for x, row in enumerate(E.table.entries):
+    for x, row in enumerate(E.table.row_sums):
         qx = (q >> x) & 1
-        for y, z in enumerate(row):
-            if z != UNDEFINED and qx + ((q >> y) & 1) + ((q >> z) & 1) == 2:
+        for y, z in row:
+            if qx + ((q >> y) & 1) + ((q >> z) & 1) == 2:
                 return False
     return True
 
@@ -432,9 +432,10 @@ def is_sub_effect_algebra(E: FiniteEffectAlgebra, subset: Iterable[int]) -> bool
 def restrict(E: FiniteEffectAlgebra, subset: Iterable[int]) -> tuple[FiniteEffectAlgebra, tuple[int, ...]]:
     """Sub-effect algebra on a closed subset, with the element back-map."""
     table, pos, elems = _induced_table(E, subset)
+    sums = E.table.row_sums
     for a in elems:
-        for b in elems:
-            if (v := E.sum(a, b)) is not None and pos[v] == UNDEFINED:
+        for b, v in sums[a]:
+            if pos[b] != UNDEFINED and pos[v] == UNDEFINED:
                 raise ValueError(f"subset not closed under defined sums at ({a},{b})")
     return FiniteEffectAlgebra(table, pos[E.zero], pos[E.one]), elems
 
@@ -443,6 +444,13 @@ def restrict(E: FiniteEffectAlgebra, subset: Iterable[int]) -> tuple[FiniteEffec
 def _block_algebra(E: FiniteEffectAlgebra, block: tuple[int, ...]) -> tuple[FiniteEffectAlgebra, tuple[int, ...]]:
     """The restriction to a block (a sorted tuple), shared by every caller."""
     return restrict(E, block)
+
+
+@memoized
+def _sub_center(E: FiniteEffectAlgebra, block: tuple[int, ...]) -> frozenset[int]:
+    """The centre of a block's restriction (a sorted tuple), as elements of E."""
+    sub, elems = _block_algebra(E, block)
+    return frozenset(elems[c] for c in central_elements(sub))
 
 
 def _induced_table(
@@ -619,7 +627,7 @@ def heyting_block_check(E: FiniteEffectAlgebra, block: Iterable[int]) -> Heyting
                 return HeytingVerdict(False, "pseudocomplement", (x, y))
 
     heyting_center = frozenset(star[x] for x in b)
-    center = frozenset(elems[c] for c in central_elements(sub))
+    center = _sub_center(E, b)
     if heyting_center != center:
         return HeytingVerdict(False, "heyting_center", (tuple(sorted(heyting_center)), tuple(sorted(center))))
     return HeytingVerdict(True)
@@ -699,12 +707,8 @@ def structure_report(E: FiniteEffectAlgebra) -> StructureReport:
     orth = orthoalgebra_counterexample(E)
     b = sharp_bounds(E)
     sd_witness = _missing_sharp_bound(b)
-    arch_witness = next(
-        (x for x in E.elements() if x != E.zero and element_order(E, x) == math.inf), None
-    )
-    ords: list[int | None] = [
-        None if x == E.zero else int(element_order(E, x)) for x in E.elements()
-    ]
+    orders = [element_order(E, x) for x in E.elements()]
+    arch_witness = next((x for x, k in enumerate(orders) if x != E.zero and k == math.inf), None)
     return StructureReport(
         order=E.order,
         zero=E.zero,
@@ -715,7 +719,7 @@ def structure_report(E: FiniteEffectAlgebra) -> StructureReport:
         center=central_elements(E),
         principal=principal_elements(E),
         blocks=blocks(E),
-        ord=tuple(ords),
+        ord=tuple(None if x == E.zero else int(k) for x, k in enumerate(orders)),
         bounds_below=b.below,
         bounds_above=b.above,
         homogeneous=Flag(hom is None, hom),

@@ -132,7 +132,8 @@ def test_criterion_4_triple_purity(universe_6):
 
 
 def _mutations(T, rng, per_kind=8):
-    """Sample single-cell corruptions of h, the sharp table, the meager table."""
+    """Sample single-cell corruptions of h, the sharp table, the meager table,
+    then swap sharp back-map entries."""
     n_s = T.sharp.order
     n_m = T.meager.order
     for _ in range(per_kind):
@@ -164,6 +165,18 @@ def _mutations(T, rng, per_kind=8):
                 yield (kind, i, j, "invalid"), None
                 continue
             yield (kind, i, j, v), rebuild(mutated)
+    # Back-map swaps draw nothing from rng, so the samples above do not move.
+    # Swapping zero's or one's entry with that of the least other sharp b
+    # (never zero) whose supplement has the same h keeps the rebuild and its
+    # carrier, and x -> (sharp floor, rest) stays a bijection onto it; so the
+    # roundtrip fails at "zero not preserved" or "one not preserved".
+    zero, sup, h = T.sharp.zero, T.sharp.orthosupplement, T.h
+    for a in (zero, T.sharp.one):
+        b = next((s for s in range(n_s) if s not in (zero, a) and h[sup(s)] == h[sup(a)]), None)
+        if b is not None:
+            back = list(T.sharp_to_source)
+            back[a], back[b] = back[b], back[a]
+            yield ("back", a, b), dataclasses.replace(T, sharp_to_source=tuple(back))
 
 
 def test_criterion_5_mutation_sensitivity():

@@ -78,7 +78,7 @@ def test_verify_planted_violations_pinned(capsys, tmp_path, name):
 
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/foo.efa")
-    assert code == 3 and "error" in err
+    assert code == 3 and err == "error: cannot read /nonexistent/foo.efa: No such file or directory\n"
 
 
 def test_parse_error_is_input_error(capsys, tmp_path):

@@ -198,6 +198,9 @@ PLANTED_VERDICTS = {
 def test_planted_verdicts_are_pinned(name):
     rows, zero, one = PLANTED[name]
     effect, generalized = PLANTED_VERDICTS[name]
+    assert table_of(rows).row_sums == tuple(
+        tuple((y, v) for y, v in enumerate(row) if v != UNDEFINED) for row in rows
+    )
     verdict = verify_effect_algebra(table_of(rows), zero, one)
     assert [v.describe() for v in verdict.violations] == effect and verdict.ok == (not effect)
     gen = verify_generalized(table_of(rows), zero)
@@ -396,6 +399,13 @@ def test_memo_is_invisible_and_freed_with_its_algebra():
     assert alg == fresh and hash(alg) == hash(fresh) and repr(alg) == repr(fresh)
     assert pickle.loads(pickle.dumps(alg)) == fresh
 
+    # the table's row_sums, read by the walks above, stay out of ==, hash and repr too
+    built, bare = alg.table, PartialOpTable(alg.table.entries)
+    assert built.row_sums and "row_sums" not in repr(built)
+    assert built == bare and hash(built) == hash(bare) and repr(built) == repr(bare)
+    back = pickle.loads(pickle.dumps(built))
+    assert back == bare and back.row_sums == bare.row_sums
+
     ref = weakref.ref(alg)
     del alg
     gc.collect()
@@ -405,6 +415,7 @@ def test_memo_is_invisible_and_freed_with_its_algebra():
 def _assert_order_data_matches_table(alg):
     n = alg.order
     for x in range(n):
+        assert alg.table.row_sums[x] == tuple((y, alg.sum(x, y)) for y in range(n) if alg.defined(x, y))
         for y in range(n):
             diffs = [z for z in range(n) if alg.sum(x, z) == y]
             assert alg.leq(x, y) == bool(diffs)

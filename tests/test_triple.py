@@ -277,7 +277,8 @@ class TestPurityAndMutation:
         corruptions of every catalog triple, pinned by a digest recorded
         before its isomorphism check was shared with isomorphisms. A
         corruption the constructor refuses reads "invalid", a rebuild that
-        raises reads as the exception's type name."""
+        raises reads as the exception's type name. The back-map swaps reach
+        the two constant checks."""
         rng = random.Random(15)
         reports = []
         for entry in catalog:
@@ -294,6 +295,10 @@ class TestPurityAndMutation:
                     reports.append((label, result.ok, result.failure, result.witness))
         reached = {r[2] for r in reports if len(r) == 4}
         assert {"not bijective", "definedness mismatch", "sum value mismatch"} <= reached
+        swaps = [r for r in reports if r[0][0] == "back"]
+        assert {r[2] for r in swaps} == {"zero not preserved", "one not preserved"}
+        # the digest was recorded before _mutations swapped back-maps
+        reports = [r for r in reports if r[0][0] != "back"]
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
             "d17155f90d866256b5ab62594d8a79a2c081cf95818cc2a590a7bf215dcaf66e"
         )
