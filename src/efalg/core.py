@@ -348,7 +348,8 @@ class _SumAlgebra(_Memoizing):
             ominus.append(tuple(diffs))
         self.__dict__.update(_below=tuple(below), _above=tuple(above), _ominus=tuple(ominus))
         if one is not None:
-            self.__dict__["_sup"] = tuple(row.index(one) for row in self.table.entries)
+            # the supplement of y is one minus y
+            self.__dict__["_sup"] = tuple(diffs[one] for diffs in ominus)
 
     @property
     def order(self) -> int:
@@ -495,9 +496,6 @@ class FiniteEffectAlgebra(_SumAlgebra):
     def orthosupplement(self, x: int) -> int:
         """The unique y with x + y = one; involutive."""
         return self._sup[x]
-
-    def label(self, x: int) -> str:
-        return self.names[x] if self.names else str(x)
 
 
 @dataclass(frozen=True)

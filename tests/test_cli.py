@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from efalg import properties
 from efalg.catalog import HARD_BOUND, direct_product, enumerate_all, make_boolean, make_chain, named_catalog
 from efalg.cli import main
 from efalg.core import UNDEFINED, AxiomViolationError
@@ -21,6 +22,7 @@ from efalg.triple import extract_triple
 
 from test_core import PLANTED, PLANTED_VERDICTS
 from test_iso import permuted_copy
+from test_properties import FAILING_ANCHORS
 
 
 @pytest.fixture()
@@ -283,6 +285,41 @@ def test_suite_reaches_past_the_default_bound(capsys):
     code, out, _ = run(capsys, "suite", "--max-order", "7")
     assert code == 0
     assert "failing: 0" in out
+
+
+# SHA-256 of the `efalg suite --max-order 6` table, recorded before the anchor
+# hypotheses moved from the check bodies into properties.ANCHORS.
+SUITE_6_SHA256 = "b048a36303e54248cf6f2e0f2b4d7958c327da61525fd86f3a220dbfacf42791"
+
+
+@pytest.mark.parametrize("jobs", [None, "2"])
+def test_suite_table_does_not_move(capsys, monkeypatch, jobs):
+    if jobs is None:
+        monkeypatch.delenv("EFALG_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("EFALG_JOBS", jobs)
+    code, out, _ = run(capsys, "suite", "--max-order", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_6_SHA256
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_suite_prints_failures_and_notes(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(properties, "ANCHORS", FAILING_ANCHORS)
+    monkeypatch.setenv("EFALG_JOBS", jobs)
+    code, out, _ = run(capsys, "suite", "--max-order", "3")
+    # the first three failures in universe order, then every note
+    assert (code, out) == (1, (
+        "odd    algebras   17  checks      17  FAIL\n"
+        "       failure in chain-3: ('order', 3)\n"
+        "       failure in chain-5: ('order', 5)\n"
+        "       failure in chain-7: ('order', 7)\n"
+        "noted  algebras   14  checks      14  PASS\n"
+        "       note: chain-4: order 4\n"
+        "       note: boolean-4: order 4\n"
+        "       note: hsum-3-3: order 4\n"
+        "anchors: 2, failing: 1\n"
+    ))
 
 
 def test_module_entry_point_subprocess(tmp_path):

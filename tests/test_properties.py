@@ -5,7 +5,16 @@ import random
 import pytest
 
 from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_chain, named_catalog
-from efalg.properties import ANCHORS, check_infasoc, run_checks, run_suite, worker_count
+from efalg import properties
+from efalg.properties import (
+    ANCHORS,
+    AnchorReport,
+    CheckOutcome,
+    check_infasoc,
+    run_checks,
+    run_suite,
+    worker_count,
+)
 from efalg.structure import homogeneity_counterexample, rdp_counterexample
 
 from naive_oracles import naive_infasoc
@@ -28,6 +37,36 @@ def test_run_suite_aggregates(universe_6):
     reports = run_suite(sample, jobs=1)
     assert [r.anchor for r in reports] == [a for a, _ in ANCHORS]
     assert all(not r.failures for r in reports)
+
+
+def _fails_on_odd_order(E):
+    out = CheckOutcome()
+    out.tick(("order", E.order), E.order % 2 == 0)
+    return out
+
+
+def _notes_order_4(E):
+    out = CheckOutcome()
+    if E.order == 4:
+        out.notes.append("order 4")  # a note alone does not count the algebra
+    else:
+        out.tick()
+    return out
+
+
+# Stand-in anchors that reach the suite's failure and note paths, which the
+# paper's laws never take on a correct program.
+FAILING_ANCHORS = (("odd", _fails_on_odd_order), ("noted", _notes_order_4))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_suite_gathers_failures_and_notes_in_universe_order(monkeypatch, jobs):
+    monkeypatch.setattr(properties, "ANCHORS", FAILING_ANCHORS)
+    universe = [(f"c{k}", make_chain(k)) for k in range(1, 6)]
+    assert run_suite(universe, jobs=jobs) == [
+        AnchorReport("odd", 5, 5, [("c2", ("order", 3)), ("c4", ("order", 5))], []),
+        AnchorReport("noted", 4, 4, [], ["c3: order 4"]),
+    ]
 
 
 @pytest.mark.slow

@@ -499,6 +499,16 @@ class TestIntervalAndReport:
                 sub, _ = interval_algebra(alg, x)
                 assert is_lattice(sub) and has_rdp(sub)
 
+    def test_restrict_refuses_a_subset_not_closed_under_sums(self):
+        # in the 4-chain 1 + 1 = 2, which the subset leaves out
+        with pytest.raises(ValueError, match=r"^subset not closed under defined sums at \(1,1\)$"):
+            restrict(make_chain(3), {0, 1, 3})
+
+    def test_interval_refuses_top_zero(self):
+        E = make_chain(3)
+        with pytest.raises(ValueError, match="top = zero"):
+            interval_algebra(E, E.zero)
+
     def test_report_set_invariants(self, universe_6):
         for _, alg in universe_6:
             r = structure_report(alg)
