@@ -139,6 +139,14 @@ def horizontal_sum(algebras: Sequence[FiniteEffectAlgebra]) -> FiniteEffectAlgeb
     Sums inside a summand are inherited; sums across summands are undefined
     except through zero. Two-element summands contribute no interior and are
     absorbed, so a sum of 2-chains is the 2-chain.
+
+    The result skips the axiom check, since the verified summands prove the
+    axioms. Zero is neutral and one sums only with zero, as in every
+    summand. A defined sum of two other elements puts both in one summand
+    A, where it is computed, so commutativity and associativity reduce to
+    A's (zero and one belong to every summand). An interior x of A has its
+    supplement in A and sums to one with nothing outside A; and zero != one,
+    as the order is at least two.
     """
     if not algebras:
         raise ValueError("horizontal sum needs at least one summand")
@@ -159,11 +167,18 @@ def horizontal_sum(algebras: Sequence[FiniteEffectAlgebra]) -> FiniteEffectAlgeb
         for x, row in enumerate(alg.table.row_sums):
             for y, v in row:
                 pairs[(mapping[x], mapping[y])] = mapping[v]
-    return FiniteEffectAlgebra(PartialOpTable.from_pairs(order, pairs), 0, one)
+    return FiniteEffectAlgebra._trusted(PartialOpTable.from_pairs(order, pairs), 0, one)
 
 
 def direct_product(a: FiniteEffectAlgebra, b: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
-    """Componentwise algebra on pairs, indexed row major."""
+    """Componentwise algebra on pairs, indexed row major.
+
+    The result skips the axiom check, since the verified factors prove the
+    axioms: sums are defined and computed coordinate by coordinate, so
+    commutativity and associativity hold in each coordinate, the only
+    supplement of (x, y) is (x', y'), (one, one) + (x, y) is defined only
+    for x and y zero, and (zero, zero) != (one, one).
+    """
     nb = b.order
     order = a.order * nb
 
@@ -176,7 +191,7 @@ def direct_product(a: FiniteEffectAlgebra, b: FiniteEffectAlgebra) -> FiniteEffe
             for x2, u in row_a:
                 for y2, v in row_b:
                     pairs[(idx(x1, y1), idx(x2, y2))] = idx(u, v)
-    return FiniteEffectAlgebra(
+    return FiniteEffectAlgebra._trusted(
         PartialOpTable.from_pairs(order, pairs), idx(a.zero, b.zero), idx(a.one, b.one)
     )
 

@@ -23,8 +23,8 @@ from .catalog import (
     make_chain,
     named_catalog,
 )
-from .core import AxiomViolationError, MalformedTableError, verify_effect_algebra
-from .fileformat import parse, parse_raw, serialize, serialize_generalized
+from .core import AxiomViolationError, MalformedTableError, verify_effect_algebra, verify_generalized
+from .fileformat import magic_line, parse, parse_raw, parse_raw_generalized, serialize, serialize_generalized
 from .iso import find_isomorphism
 from .properties import run_suite
 from .structure import HypothesisError, structure_report
@@ -64,8 +64,13 @@ def _out_dir(path: str) -> Path:
 
 
 def cmd_verify(args) -> int:
-    table, zero, one, _ = parse_raw(_read(args.file))
-    verdict = verify_effect_algebra(table, zero, one)
+    text = _read(args.file)
+    if magic_line(text) == "gefa 1":
+        table, zero, _ = parse_raw_generalized(text)
+        verdict = verify_generalized(table, zero)
+    else:
+        table, zero, one, _ = parse_raw(text)
+        verdict = verify_effect_algebra(table, zero, one)
     if verdict.ok:
         print(f"{args.file}: ok (order {table.order})")
         return EXIT_OK
@@ -200,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="check the axioms of an algebra file")
+    p = sub.add_parser("verify", help="check the axioms of an algebra file (efa or gefa)")
     p.add_argument("file")
     p.set_defaults(fn=cmd_verify)
 
@@ -225,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a named construction")
     p.add_argument("--kind", required=True, choices=["chain", "boolean", "hsum", "product"])
-    p.add_argument("--n", type=int, default=0, help="size parameter for chain/boolean")
+    p.add_argument("--n", type=int, help="size parameter for chain/boolean, required by them")
     p.add_argument("--files", nargs="*", default=[], help="operand files for hsum/product")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_gen)
@@ -244,7 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.fn is cmd_gen and args.kind in ("chain", "boolean") and args.n is None:
+        parser.error(f"--kind {args.kind} needs --n")
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -4,10 +4,26 @@ An algebra lives on elements 0..order-1. The partial operation is a square
 lookup table whose cells hold either an element id or UNDEFINED. The table
 also lists the defined sums of each row, PartialOpTable.row_sums, built with
 its range check; every walk over the defined sums x + y, here and in the
-other modules, reads that list. Validation is eager: constructing an algebra
-runs the full axiom check once and refuses bad tables, so downstream code
-never re-checks axioms. The same constructor builds the order data
-(below/above masks, the ominus matrix, supplements) once; heavier derived structure is memoized per instance on first use.
+other modules, reads that list.
+
+Validation is eager: the public constructors run the full axiom check and
+refuse bad tables, so every algebra a caller builds, parses or enumerates
+is checked once. An algebra derived from one already verified is not
+checked again when its axioms follow from the construction. Those
+constructions build through the private _SumAlgebra._trusted, and each
+proves the axioms in its docstring:
+- structure.restrict, once its closure check passed and the subset holds
+  zero, one and every member's supplement (a sub-effect algebra: Sh(E),
+  blocks, the centre);
+- structure.restrict_downset on a down-set holding zero (Mea(E)) and
+  structure.interval_algebra;
+- iso.canonical_algebra, a relabelling of a verified table;
+- catalog.direct_product and catalog.horizontal_sum of verified factors;
+- the rebuild of triple.verify_roundtrip, once its map to the source is an
+  isomorphism; on any failure the rebuild gets the full check first.
+Every constructor builds the order data (below/above masks, the ominus
+matrix, supplements) once; heavier derived structure is memoized per
+instance on first use.
 
 Associativity is decided on a symmetric table by walking only the triples
 whose left side (x + y) + z is defined, checking that x + (y + z) is defined
@@ -22,6 +38,7 @@ invalid tables pay for it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -221,6 +238,15 @@ def verify_generalized(table: PartialOpTable, zero: int) -> Verdict:
     return Verdict(not violations, tuple(violations))
 
 
+def axiom_verdict(alg: "_SumAlgebra") -> Verdict:
+    """The full axiom check of an algebra's table: the effect-algebra axioms
+    when it has a unit, the generalized ones otherwise."""
+    one = getattr(alg, "one", None)
+    if one is None:
+        return verify_generalized(alg.table, alg.zero)
+    return verify_effect_algebra(alg.table, alg.zero, one)
+
+
 def _commutativity_violation(t, n: int, axiom: str) -> list[Violation]:
     # Reads every cell: an asymmetric pair may hold UNDEFINED on either side.
     for x in range(n):
@@ -301,15 +327,19 @@ def memoized(fn):
 class _SumAlgebra(_Memoizing):
     """Order-theoretic machinery shared by effect and generalized effect algebras.
 
-    Construction verifies the table once and then builds the order data that
-    every method reads: the below and above masks, the ominus matrix and, for
-    effect algebras, the orthosupplement vector. The defined sums themselves
-    live on the table, as table.row_sums; sum and defined are point lookups
-    in table.entries. The order data are plain instance
-    attributes, not dataclass fields, so they take no part in ==, hash, repr
-    or dataclasses.replace. The rank numbering that greatest/least lookups
-    read, and heavier derived structure, are built on first use per instance
-    (instances are immutable) and freed with the algebra.
+    The public constructor verifies the table and then builds the order data
+    that every method reads: the below and above masks, the ominus matrix
+    and, for effect algebras, the orthosupplement vector. _trusted builds the
+    same instance without the check, for a table derived from a verified
+    algebra by a construction that proves the axioms (see the module
+    docstring); so every instance, checked or trusted, satisfies them. The
+    defined sums themselves live on the table, as table.row_sums; sum and
+    defined are point lookups in table.entries. The order data are plain
+    instance attributes, not dataclass fields, so they take no part in ==,
+    hash, repr or dataclasses.replace. The rank numbering that
+    greatest/least lookups read, and heavier derived structure, are built on
+    first use per instance (instances are immutable) and freed with the
+    algebra.
     """
 
     table: PartialOpTable
@@ -325,14 +355,30 @@ class _SumAlgebra(_Memoizing):
             object.__setattr__(self, "names", tuple(self.names))
             if len(self.names) != n:
                 raise MalformedTableError("names must cover every element")
-        one = getattr(self, "one", None)
-        if one is None:
-            verdict = verify_generalized(self.table, self.zero)
-        else:
-            verdict = verify_effect_algebra(self.table, self.zero, one)
+        verdict = axiom_verdict(self)
         if not verdict.ok:
             raise AxiomViolationError(verdict)
+        self._bind_order_data()
 
+    @classmethod
+    def _trusted(cls, *values):
+        """The instance the constructor would build from these field values,
+        built without the axiom check.
+
+        Only for a table whose axioms the caller has proven: the fields, and
+        so ==, hash, repr and pickling, and the order data are the
+        constructor's. Names are not passed; they default to None.
+        """
+        self = object.__new__(cls)
+        # in field order, as the generated __init__ sets them: instances
+        # that share one attribute layout keep attribute lookups fast
+        for i, f in enumerate(dataclasses.fields(cls)):
+            object.__setattr__(self, f.name, values[i] if i < len(values) else f.default)
+        self._bind_order_data()
+        return self
+
+    def _bind_order_data(self):
+        n = self.table.order
         # y + z = v puts y below v with v minus y = z; cancellation makes z unique.
         below = [0] * n
         above = []
@@ -347,6 +393,7 @@ class _SumAlgebra(_Memoizing):
             above.append(up)
             ominus.append(tuple(diffs))
         self.__dict__.update(_below=tuple(below), _above=tuple(above), _ominus=tuple(ominus))
+        one = getattr(self, "one", None)
         if one is not None:
             # the supplement of y is one minus y
             self.__dict__["_sup"] = tuple(diffs[one] for diffs in ominus)

@@ -30,7 +30,17 @@ from .core import (
     PartialOpTable,
 )
 
-__all__ = ["MAX_ORDER", "ParseError", "parse", "parse_raw", "serialize", "parse_generalized", "serialize_generalized"]
+__all__ = [
+    "MAX_ORDER",
+    "ParseError",
+    "magic_line",
+    "parse",
+    "parse_raw",
+    "serialize",
+    "parse_generalized",
+    "parse_raw_generalized",
+    "serialize_generalized",
+]
 
 # The largest order a file may declare, checked on the 'order' line before any
 # order x order table is built. The table, the axiom check and the order data
@@ -66,6 +76,11 @@ def _meaningful_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield no, line
+
+
+def magic_line(text: str) -> str | None:
+    """The first meaningful line, such as 'efa 1' or 'gefa 1'; None for an empty file."""
+    return next((line for _, line in _meaningful_lines(text)), None)
 
 
 def _parse_common(text: str, magic: str, with_one: bool):
@@ -187,9 +202,14 @@ def parse(text: str) -> FiniteEffectAlgebra:
     return FiniteEffectAlgebra(table, zero, one, names)
 
 
-def parse_generalized(text: str) -> FiniteGeneralizedEffectAlgebra:
+def parse_raw_generalized(text: str) -> tuple[PartialOpTable, int, tuple[str, ...] | None]:
+    """Read a generalized effect algebra file without running the axiom check."""
     table, zero, _, names = _parse_common(text, "gefa", with_one=False)
-    return FiniteGeneralizedEffectAlgebra(table, zero, names)
+    return table, zero, names
+
+
+def parse_generalized(text: str) -> FiniteGeneralizedEffectAlgebra:
+    return FiniteGeneralizedEffectAlgebra(*parse_raw_generalized(text))
 
 
 def _serialize_common(magic: str, table: PartialOpTable, zero: int, one: int | None, names) -> str:

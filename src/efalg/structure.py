@@ -430,14 +430,30 @@ def is_sub_effect_algebra(E: FiniteEffectAlgebra, subset: Iterable[int]) -> bool
 
 
 def restrict(E: FiniteEffectAlgebra, subset: Iterable[int]) -> tuple[FiniteEffectAlgebra, tuple[int, ...]]:
-    """Sub-effect algebra on a closed subset, with the element back-map."""
+    """Sub-effect algebra on a closed subset, with the element back-map.
+
+    The result skips the axiom check when the subset Q is closed under
+    defined sums and holds zero, one and each member's supplement, for then
+    it is a sub-effect algebra of the verified E. The induced table is E's
+    table on Q, since every sum of members defined in E lies in Q.
+    Commutativity and associativity are inherited: if (x + y) + z is defined
+    for members, E defines y + z, a member, and x + (y + z) equals it (and
+    symmetrically). Each
+    member x has its supplement x' in Q, and it is the only y with
+    x + y = one, as in E; one + x is defined only for x = zero, and
+    zero != one, as in E. Any other subset gets the full constructor, which
+    refuses it as before.
+    """
     table, pos, elems = _induced_table(E, subset)
     sums = E.table.row_sums
     for a in elems:
         for b, v in sums[a]:
             if pos[b] != UNDEFINED and pos[v] == UNDEFINED:
                 raise ValueError(f"subset not closed under defined sums at ({a},{b})")
-    return FiniteEffectAlgebra(table, pos[E.zero], pos[E.one]), elems
+    zero, one = pos[E.zero], pos[E.one]
+    if one != UNDEFINED and all(pos[E._sup[a]] != UNDEFINED for a in elems):  # zero is one's supplement
+        return FiniteEffectAlgebra._trusted(table, zero, one), elems
+    return FiniteEffectAlgebra(table, zero, one), elems
 
 
 @memoized
@@ -472,18 +488,37 @@ def _induced_table(
 def restrict_downset(
     E: FiniteEffectAlgebra, downset: Iterable[int]
 ) -> tuple[FiniteGeneralizedEffectAlgebra, tuple[int, ...]]:
-    """Generalized effect algebra on a down-set: sums defined when they stay inside."""
+    """Generalized effect algebra on a down-set: sums defined when they stay inside.
+
+    On a down-set D (non-empty, so holding zero) the result skips the axiom
+    check, since the axioms follow from those of the verified E.
+    Commutativity is inherited. Associativity: if (x + y) + z is defined in
+    D, E defines y + z and x + (y + z) with the same value, and y + z lies
+    below it, so in D; the other direction is symmetric. Cancellation and "x + y = zero only for x = y = zero"
+    hold in E, and x + zero = x is in D. Any other subset gets the full
+    constructor.
+    """
     table, pos, elems = _induced_table(E, downset)
+    inside = sum(1 << x for x in elems)
+    if all(E._below[x] & ~inside == 0 for x in elems):  # a non-empty down-set holds zero
+        return FiniteGeneralizedEffectAlgebra._trusted(table, pos[E.zero]), elems
     return FiniteGeneralizedEffectAlgebra(table, pos[E.zero]), elems
 
 
 @memoized
 def interval_algebra(E: FiniteEffectAlgebra, top: int) -> tuple[FiniteEffectAlgebra, tuple[int, ...]]:
-    """The interval from zero to top as an effect algebra with unit top."""
+    """The interval from zero to top as an effect algebra with unit top.
+
+    It skips the axiom check. The interval is a down-set holding zero, so
+    the generalized axioms hold as in restrict_downset. Each x <= top has
+    top - x, the only y with x + y = top by cancellation. If top + x is
+    defined and at most top, then (top + x) + w = top for some w, so
+    x + w = zero by cancellation and x = zero. And top != zero is checked.
+    """
     if top == E.zero:
         raise ValueError("interval with top = zero is not an effect algebra")
     table, pos, elems = _induced_table(E, E.down_set(top))
-    return FiniteEffectAlgebra(table, pos[E.zero], pos[top]), elems
+    return FiniteEffectAlgebra._trusted(table, pos[E.zero], pos[top]), elems
 
 
 @memoized

@@ -19,12 +19,12 @@ from dataclasses import dataclass, replace
 
 from .core import (
     UNDEFINED,
-    AxiomViolationError,
     FiniteEffectAlgebra,
     FiniteGeneralizedEffectAlgebra,
     PartialOpTable,
     _Memoizing,
     _mask_elements,
+    axiom_verdict,
     memoized,
 )
 from .iso import morphism_failure
@@ -296,8 +296,19 @@ def reconstruct_tea(T: TripleRep) -> TeaAlgebra:
     Uses only the triple's own data. A pair sums to (x_S + y_S + s, z_M) for
     the split (s, z_M) of its meager parts, when that sum is defined and z_M
     lies in h of its supplement; any axiom failure of the result is reported
-    as a theorem violation, never repaired.
+    as a theorem violation, never repaired. The rebuild is the one
+    verify_roundtrip reads; this runs the full axiom check on it.
     """
+    tea = _rebuild(T)
+    verdict = axiom_verdict(tea.algebra)
+    if not verdict.ok:
+        raise ReconstructionError(f"rebuilt table fails the axioms: {verdict.violations}")
+    return tea
+
+
+@memoized
+def _rebuild(T: TripleRep) -> TeaAlgebra:
+    """reconstruct_tea's rebuild, without its axiom check."""
     sharp = T.sharp
     mea = T.meager
     carrier = tuple(
@@ -327,14 +338,7 @@ def reconstruct_tea(T: TripleRep) -> TeaAlgebra:
             if zs != UNDEFINED and hm[ssup[zs]] >> zm & 1:
                 row[k2] = rows[k2][k1] = index[(zs, zm)]
 
-    table = PartialOpTable.from_rows(rows)
-    try:
-        algebra = FiniteEffectAlgebra(table, zero, one)
-    except AxiomViolationError as exc:
-        raise ReconstructionError(
-            f"rebuilt table fails the axioms: {exc.verdict.violations}"
-        ) from exc
-    return TeaAlgebra(algebra, carrier)
+    return TeaAlgebra(FiniteEffectAlgebra._trusted(PartialOpTable.from_rows(rows), zero, one), carrier)
 
 
 @dataclass(frozen=True)
@@ -353,11 +357,32 @@ def verify_roundtrip(E: FiniteEffectAlgebra, triple: TripleRep | None = None) ->
     element; otherwise iso.morphism_failure, the check every isomorphisms
     witness passes, names the first failure. Under the hypotheses a failure
     means a bug, not a property of the input.
+
+    The rebuild is read before its axiom check. When the map is an
+    isomorphism, the rebuild is a relabelled copy of the verified E and
+    satisfies the axioms, so the check is skipped. On any failure,
+    reconstruct_tea checks the rebuild first, so a rebuild that fails the
+    axioms raises ReconstructionError as if it had been checked at once.
     """
     T = extract_triple(E) if triple is None else triple
     if T.sharp_to_source is None or T.meager_to_source is None:
         raise ValueError("triple lacks its back-maps sharp_to_source and meager_to_source")
-    tea = reconstruct_tea(T)
+    tea = _rebuild(T)
+    try:
+        phi, failure = _roundtrip_failure(E, T, tea)
+    except Exception:
+        reconstruct_tea(T)  # a rebuild that fails the axioms is reported first
+        raise
+    if failure is not None:
+        return RoundtripResult(False, reconstruct_tea(T), *failure)
+    return RoundtripResult(True, replace(tea, phi=phi))
+
+
+def _roundtrip_failure(
+    E: FiniteEffectAlgebra, T: TripleRep, tea: TeaAlgebra
+) -> tuple[tuple[int, ...], tuple | None]:
+    """The map x -> (sharp floor, rest) into the rebuild, and why it is not
+    an isomorphism as (reason, witness), or None."""
     sharp_inv = {src: i for i, src in enumerate(T.sharp_to_source)}
     meager_inv = {src: i for i, src in enumerate(T.meager_to_source)}
     index = {pair: k for k, pair in enumerate(tea.carrier)}
@@ -371,10 +396,6 @@ def verify_roundtrip(E: FiniteEffectAlgebra, triple: TripleRep | None = None) ->
         assert rest is not None
         pair = (sharp_inv[floor], meager_inv[rest])
         if pair not in index:
-            return RoundtripResult(False, tea, "image outside carrier", (x,))
+            return tuple(phi), ("image outside carrier", (x,))
         phi.append(index[pair])
-
-    failure = morphism_failure(E, tea.algebra, phi)
-    if failure is not None:
-        return RoundtripResult(False, tea, *failure)
-    return RoundtripResult(True, replace(tea, phi=tuple(phi)))
+    return tuple(phi), morphism_failure(E, tea.algebra, phi)

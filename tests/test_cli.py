@@ -15,7 +15,7 @@ from efalg import properties
 from efalg.catalog import HARD_BOUND, direct_product, enumerate_all, make_boolean, make_chain, named_catalog
 from efalg.cli import main
 from efalg.core import UNDEFINED, AxiomViolationError
-from efalg.fileformat import parse, parse_generalized, serialize
+from efalg.fileformat import magic_line, parse, parse_generalized, serialize
 from efalg.iso import canonical_form
 from efalg.structure import HypothesisError
 from efalg.triple import extract_triple
@@ -76,6 +76,39 @@ def test_verify_planted_violations_pinned(capsys, tmp_path, name):
     effect, _ = PLANTED_VERDICTS[name]
     assert effect, "every symmetric planted table fails some axiom"
     assert (code, out) == (1, "".join(f"{path}: violation {d}\n" for d in effect))
+
+
+def test_verify_reads_the_generalized_files_triple_writes(capsys, tmp_path):
+    alg = direct_product(make_chain(3), make_chain(2))
+    source = tmp_path / "c4xc3.efa"
+    source.write_text(serialize(alg))
+    out_dir = tmp_path / "trip"
+    assert run(capsys, "triple", str(source), "--out", str(out_dir))[0] == 0
+    meager = out_dir / "meager.gefa"
+    order = len(extract_triple(alg).meager.elements())
+    assert run(capsys, "verify", str(meager)) == (0, f"{meager}: ok (order {order})\n", "")
+    sharp = out_dir / "sharp.efa"
+    assert run(capsys, "verify", str(sharp)) == (0, f"{sharp}: ok (order 4)\n", "")
+
+
+def test_verify_reports_generalized_violations(capsys, tmp_path):
+    # 1 + 1 = 1 + 2 = 2: cancellation fails, and (1 + 1) + 2 is undefined
+    # while 1 + (1 + 2) = 1 + 2 is defined
+    path = tmp_path / "broken.gefa"
+    path.write_text("gefa 1\norder 3\nzero 0\nsum 0 0 0\nsum 0 1 1\nsum 0 2 2\nsum 1 1 2\nsum 1 2 2\n")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert (code, out) == (
+        1,
+        f"{path}: violation GE2 at (1, 1, 2) (associativity fails)\n"
+        f"{path}: violation GE3 at (1, 1, 2) (cancellation fails)\n",
+    )
+
+
+def test_verify_of_an_unknown_header_names_the_effect_header(capsys, tmp_path):
+    path = tmp_path / "x.efa"
+    path.write_text("xfa 1\norder 2\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (3, "", "error: line 1: expected header 'efa 1'\n")
 
 
 def test_missing_file_is_input_error(capsys):
@@ -226,7 +259,16 @@ def test_gen_hsum(capsys, tmp_path):
 
 def test_gen_bad_params_input_error(capsys):
     code, _, err = run(capsys, "gen", "--kind", "chain", "--n", "0")
-    assert code == 3
+    assert code == 3 and err == "error: chain needs n >= 1; n = 0 collapses zero and one\n"
+
+
+@pytest.mark.parametrize("kind", ["chain", "boolean"])
+def test_gen_without_n_is_a_usage_error(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--kind", kind])
+    captured = capsys.readouterr()
+    assert exc.value.code == 3 and captured.out == ""
+    assert captured.err.startswith("usage: efalg") and f"--kind {kind} needs --n" in captured.err
 
 
 def test_enumerate_writes_files(capsys, tmp_path):
@@ -420,7 +462,7 @@ def _verify_exit_matches_parse(path, text):
     path.write_text(text)
     code, _ = _quiet(["verify", str(path)])
     try:
-        parse(text)
+        parse_generalized(text) if magic_line(text) == "gefa 1" else parse(text)
         expected = 0
     except AxiomViolationError:
         expected = 1

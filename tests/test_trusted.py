@@ -1,0 +1,189 @@
+"""Algebras derived from verified ones, built without the axiom check.
+
+The oracle rebuilds every such algebra through the public constructor, which
+runs the full verifier, and requires the same value and the same order data.
+"""
+
+import dataclasses
+import itertools
+import pickle
+import random
+
+import pytest
+
+import efalg.core
+from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain
+from efalg.core import AxiomViolationError, FiniteEffectAlgebra, FiniteGeneralizedEffectAlgebra, axiom_verdict
+from efalg.fileformat import parse, serialize
+from efalg.iso import canonical_algebra
+from efalg.structure import (
+    blocks,
+    central_elements,
+    hypermeager_algebra,
+    interval_algebra,
+    is_homogeneous,
+    is_sharply_dominating,
+    is_sub_effect_algebra,
+    meager_algebra,
+    restrict,
+    restrict_downset,
+    sharp_elements,
+    structure_report,
+)
+from efalg.triple import ReconstructionError, extract_triple, verify_roundtrip
+
+from test_iso import LARGE, permuted_copy
+
+
+def checked(alg):
+    """alg rebuilt by the public constructor, which runs the full verifier."""
+    if isinstance(alg, FiniteEffectAlgebra):
+        return FiniteEffectAlgebra(alg.table, alg.zero, alg.one)
+    return FiniteGeneralizedEffectAlgebra(alg.table, alg.zero)
+
+
+def assert_verified(alg, label):
+    assert axiom_verdict(alg).ok, label
+    fresh = checked(alg)
+    assert fresh == alg and hash(fresh) == hash(alg) and repr(fresh) == repr(alg), label
+    for name in ("_below", "_above", "_ominus", "_sup"):
+        assert getattr(fresh, name, None) == getattr(alg, name, None), (label, name)
+
+
+def derived(E):
+    """Every trusted construction the library makes from E, with a label."""
+    yield "canonical", canonical_algebra(E)
+    yield "meager", meager_algebra(E)[0]
+    yield "hypermeager", hypermeager_algebra(E)[0]
+    yield "centre", restrict(E, central_elements(E))[0]
+    for top in E.elements():
+        if top != E.zero:
+            yield f"interval {top}", interval_algebra(E, top)[0]
+    for b in blocks(E):
+        try:
+            yield f"block {b}", restrict(E, b)[0]
+        except ValueError:  # refused by the closure check or the full constructor
+            pass
+    sharp = sharp_elements(E)
+    if is_sub_effect_algebra(E, sharp):
+        yield "sharp", restrict(E, sharp)[0]
+    if is_homogeneous(E) and is_sharply_dominating(E):
+        result = verify_roundtrip(E)
+        assert result.ok
+        yield "rebuild", result.tea.algebra
+
+
+def every_subset_restriction(E):
+    """restrict and restrict_downset on every subset that they accept."""
+    for k in range(1, E.order + 1):
+        for subset in itertools.combinations(E.elements(), k):
+            for fn in (restrict, restrict_downset):
+                try:
+                    yield f"{fn.__name__} {subset}", fn(E, subset)[0]
+                except ValueError:
+                    pass
+
+
+def with_relabelling(algebras, seed):
+    rng = random.Random(seed)
+    for name, alg in algebras:
+        yield name, alg
+        yield f"{name} relabelled", permuted_copy(alg, rng)
+
+
+def test_derived_algebras_of_the_universe_pass_the_full_check(universe_6):
+    for name, E in with_relabelling(universe_6, 18):
+        for label, alg in derived(E):
+            assert_verified(alg, (name, label))
+        for label, alg in every_subset_restriction(E):
+            assert_verified(alg, (name, label))
+
+
+def test_derived_algebras_of_the_large_algebras_pass_the_full_check():
+    built = [(name, build()) for name, build in LARGE.items()]
+    for name, E in with_relabelling(built, 18):
+        assert_verified(E, name)  # products and horizontal sums are trusted too
+        for label, alg in derived(E):
+            assert_verified(alg, (name, label))
+
+
+def test_products_and_horizontal_sums_pass_the_full_check(catalog):
+    algebras = [e.algebra for e in catalog if e.algebra.order <= 8]
+    rng = random.Random(18)
+    for a, b in itertools.product(algebras, repeat=2):
+        for alg in (direct_product(a, b), horizontal_sum([a, permuted_copy(b, rng)])):
+            assert_verified(alg, (a, b))
+    assert_verified(horizontal_sum([make_chain(1)]), "2-chain")
+    assert_verified(horizontal_sum([make_chain(3), make_chain(1), make_boolean(2)]), "mixed")
+
+
+def test_a_restriction_missing_a_supplement_is_still_refused():
+    # {0, 1, 3} passes the closure check of restrict, but 2 = 1' is missing
+    with pytest.raises(AxiomViolationError, match="Eiii"):
+        restrict(make_boolean(2), [0, 1, 3])
+
+
+def test_only_down_sets_skip_the_check(monkeypatch):
+    calls = []
+    original = efalg.core.verify_generalized
+    monkeypatch.setattr(efalg.core, "verify_generalized", lambda *a: calls.append(a) or original(*a))
+    chain = make_chain(3)
+    restrict_downset(chain, [0, 1, 2])
+    assert calls == []
+    restrict_downset(chain, [0, 2])  # not a down-set: 1 <= 2 is missing
+    assert len(calls) == 1
+
+
+def test_trusted_instances_compare_hash_print_and_pickle_like_checked_ones():
+    E = permuted_copy(direct_product(make_chain(2), make_boolean(2)), random.Random(3))
+    for alg in (canonical_algebra(E), meager_algebra(E)[0], interval_algebra(E, E.one)[0]):
+        fresh = checked(alg)
+        assert alg == fresh and hash(alg) == hash(fresh) and repr(alg) == repr(fresh)
+        back = pickle.loads(pickle.dumps(alg))
+        assert back == fresh and back.__dict__.keys() >= {"_below", "_above", "_ominus"}
+        assert (back._below, back._above, back._ominus) == (fresh._below, fresh._above, fresh._ominus)
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_analyze_and_roundtrip_verify_only_the_parsed_input(monkeypatch, name):
+    text = serialize(permuted_copy(LARGE[name](), random.Random(18)))
+    calls = {"verify_effect_algebra": 0, "verify_generalized": 0}
+    for fn in calls:
+        original = getattr(efalg.core, fn)
+
+        def counting(*args, fn=fn, original=original):
+            calls[fn] += 1
+            return original(*args)
+
+        monkeypatch.setattr(efalg.core, fn, counting)
+    alg = parse(text)
+    structure_report(alg)
+    assert verify_roundtrip(alg).ok
+    assert calls == {"verify_effect_algebra": 1, "verify_generalized": 0}
+
+
+def test_a_failing_roundtrip_checks_the_rebuild_once(monkeypatch, catalog):
+    # swapping the back-maps' images of two sharp elements breaks the map,
+    # not the rebuild: the failure comes from the rebuild's one full check
+    E = next(e.algebra for e in catalog if len(sharp_elements(e.algebra)) > 2)
+    T = extract_triple(E)
+    src = list(T.sharp_to_source)
+    src[0], src[-1] = src[-1], src[0]
+    calls = []
+    original = efalg.core.verify_effect_algebra
+    monkeypatch.setattr(efalg.core, "verify_effect_algebra", lambda *a: calls.append(a) or original(*a))
+    result = verify_roundtrip(E, dataclasses.replace(T, sharp_to_source=tuple(src)))
+    assert not result.ok and len(calls) == 1
+
+
+def test_an_invalid_rebuild_is_reported_before_a_broken_back_map():
+    E = make_chain(2)
+    T = extract_triple(E)
+    h = list(T.h)
+    h[T.sharp.zero] = h[T.sharp.zero] | {1}  # the rebuild fails associativity
+    corrupted = dataclasses.replace(T, h=tuple(h), sharp_to_source=T.sharp_to_source[:1])
+    with pytest.raises(ReconstructionError, match="fails the axioms"):
+        verify_roundtrip(E, corrupted)
+    with pytest.raises(KeyError):  # a valid rebuild lets the broken back-map through
+        verify_roundtrip(E, dataclasses.replace(T, sharp_to_source=T.sharp_to_source[:1]))
+
