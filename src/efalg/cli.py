@@ -24,7 +24,16 @@ from .catalog import (
     named_catalog,
 )
 from .core import AxiomViolationError, MalformedTableError, verify_effect_algebra, verify_generalized
-from .fileformat import magic_line, parse, parse_raw, parse_raw_generalized, serialize, serialize_generalized
+from .fileformat import (
+    MAX_ORDER,
+    ceiling_message,
+    magic_line,
+    parse,
+    parse_raw,
+    parse_raw_generalized,
+    serialize,
+    serialize_generalized,
+)
 from .iso import find_isomorphism
 from .properties import run_suite
 from .structure import HypothesisError, structure_report
@@ -138,17 +147,29 @@ def cmd_iso(args) -> int:
     return EXIT_OK
 
 
+def _within_ceiling(order: int) -> None:
+    """Refuse, before it is built, an algebra that no command could read back."""
+    if order > MAX_ORDER:
+        raise ValueError(ceiling_message(order))
+
+
 def cmd_gen(args) -> int:
     if args.kind == "chain":
+        _within_ceiling(args.n + 1)
         alg = make_chain(args.n)
     elif args.kind == "boolean":
-        alg = make_boolean(args.n)
+        alg = make_boolean(args.n)  # refuses more than 6 atoms (64 elements) itself
     elif args.kind == "hsum":
-        alg = horizontal_sum([_load(f) for f in args.files])
+        summands = [_load(f) for f in args.files]
+        # the summands share zero and one; their other elements stay apart
+        _within_ceiling(sum(a.order - 2 for a in summands) + 2)
+        alg = horizontal_sum(summands)
     else:
         if len(args.files) != 2:
             raise MalformedTableError("product needs exactly two operand files")
-        alg = direct_product(_load(args.files[0]), _load(args.files[1]))
+        a, b = (_load(f) for f in args.files)
+        _within_ceiling(a.order * b.order)
+        alg = direct_product(a, b)
     text = serialize(alg)
     if args.out:
         _write(Path(args.out), text)

@@ -33,6 +33,7 @@ from .core import (
 __all__ = [
     "MAX_ORDER",
     "ParseError",
+    "ceiling_message",
     "magic_line",
     "parse",
     "parse_raw",
@@ -112,13 +113,7 @@ def _parse_common(text: str, magic: str, with_one: bool):
             if order < 1:
                 raise ParseError(no, "order must be positive")
             if order > MAX_ORDER:
-                cells = order * order
-                raise ParseError(
-                    no,
-                    f"order {order} exceeds the ceiling {MAX_ORDER}; its table would hold {cells} cells,"
-                    f" about {_bytes(cells * BYTES_PER_CELL)} and at least"
-                    f" {_seconds(cells * SECONDS_PER_CELL)} to parse and verify",
-                )
+                raise ParseError(no, ceiling_message(order))
         elif kind == "zero":
             if zero is not None:
                 raise ParseError(no, "duplicate 'zero'")
@@ -163,6 +158,16 @@ def _parse_common(text: str, magic: str, with_one: bool):
     if names:
         name_tuple = tuple(names.get(i, str(i)) for i in range(order))
     return table, zero, one, name_tuple
+
+
+def ceiling_message(order: int) -> str:
+    """Why an order above MAX_ORDER is refused: its cells, memory and time."""
+    cells = order * order
+    return (
+        f"order {order} exceeds the ceiling {MAX_ORDER}; its table would hold {cells} cells,"
+        f" about {_bytes(cells * BYTES_PER_CELL)} and at least"
+        f" {_seconds(cells * SECONDS_PER_CELL)} to parse and verify"
+    )
 
 
 def _bytes(n: int) -> str:

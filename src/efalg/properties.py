@@ -19,11 +19,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .core import FiniteEffectAlgebra
+from .core import UNDEFINED, FiniteEffectAlgebra
 from .iso import find_isomorphism, isomorphisms
 from .structure import (
     _block_algebra,
-    _family_refines,
+    _compat_matrix,
+    _families,
     _orthogonal_pool,
     _reachable_totals,
     _sub_center,
@@ -336,25 +337,31 @@ def check_gejzasum(E: FiniteEffectAlgebra) -> CheckOutcome:
         covered |= set(b)
     out.tick(("v", "union"), covered == set(E.elements()))
     if E.order <= 8:
-        # compatibility with the witnessing family drawn from the whole algebra
-        nonzero = tuple(x for x in E.elements() if x != E.zero)
+        # compatibility with the witnessing family drawn from the whole
+        # algebra, decided as _family_refines does (pairwise compatibility
+        # prunes, then some family's sub-sums cover the subset), with one
+        # walk over the families shared by every subset
+        covers = {sums for _, sums in _families(E, tuple(x for x in E.elements() if x != E.zero))}
+        compat = [sum(1 << y for y, ok in enumerate(row) if ok) for row in _compat_matrix(E)]
+        block_masks = [sum(1 << x for x in b) for b in blks]
         universe = [x for x in E.elements() if x not in (E.zero, E.one)]
         for r in range(len(universe) + 1):
             for combo in itertools.combinations(universe, r):
-                subset = frozenset(combo) | {E.zero, E.one}
-                if _family_refines(E, subset, nonzero):
-                    out.tick(
-                        ("v", combo), any(subset <= set(b) for b in blks)
-                    )
+                need = sum(1 << x for x in combo) | 1 << E.one
+                if all(need & ~compat[x] == 0 for x in combo + (E.one,)) and any(
+                    sums & need == need for sums in covers
+                ):
+                    subset = need | 1 << E.zero
+                    out.tick(("v", combo), any(subset & ~b == 0 for b in block_masks))
     out.tick(("vi",), is_sub_effect_algebra(E, sharp_elements(E)))
     sharp = frozenset(sharp_elements(E))
+    below = E._below
     for b in blks:
         out.tick(("vii", b), _sub_center(E, b) == sharp & frozenset(b))
-        bset = set(b)
+        outside = ~sum(1 << x for x in b)
         for x in b:
-            xc = E.orthosupplement(x)
-            inner = {y for y in E.elements() if E.leq(y, x) and E.leq(y, xc)}
-            out.tick(("viii", b, x), inner <= bset)
+            # the common lower bounds of x and x' lie in the block
+            out.tick(("viii", b, x), below[x] & below[E.orthosupplement(x)] & outside == 0)
     return out
 
 
@@ -571,26 +578,50 @@ def check_center_boolean(E: FiniteEffectAlgebra) -> CheckOutcome:
 
 
 def check_infasoc(E: FiniteEffectAlgebra) -> CheckOutcome:
+    """For each nondecreasing family of 2 to 4 nonzero elements and each split
+    of it into two parts whose sums are defined and summable, that sum is the
+    sum of the whole family; a split is keyed (family, bits), bits marking the
+    first part.
+
+    The families are walked depth first, each one extending its parent's
+    list of sub-sums by its last member, so a family of size k computes
+    2^(k-1) sums instead of 2^k - 1. The pre-order walk meets the families
+    of one size in combinations_with_replacement order; failures are held
+    per size and reported size by size, as a loop over sizes would.
+    """
     out = CheckOutcome()
+    # ext[a][b] = a + b, UNDEFINED where undefined or where a or b is
+    # UNDEFINED (the extra last row and column, which index -1 reads)
+    ext = [row + (UNDEFINED,) for row in E.table.entries]
+    ext.append((UNDEFINED,) * (E.order + 1))
     nonzero = [x for x in E.elements() if x != E.zero]
-    for size in range(2, 5):
-        full = (1 << size) - 1
-        for family in itertools.combinations_with_replacement(nonzero, size):
-            # sums[bits]: the left fold of the members picked by bits, in
-            # index order, as E.orthogonal_sum computes it; None once undefined
-            sums = [E.zero]
-            for x in family:
-                sums += [None if s is None else E.sum(s, x) for s in sums]
-            whole = sums[full]
-            for bits in range(1 << size):
-                s1 = sums[bits]
-                s2 = sums[full ^ bits]
-                if s1 is None or s2 is None:
-                    continue
-                both = E.sum(s1, s2)
-                if both is None:
-                    continue
-                out.tick((family, bits), whole == both)
+    columns = [[row[x] for row in ext] for x in nonzero]
+    failures: dict[int, list] = {2: [], 3: [], 4: []}
+
+    def visit(start: int, family: tuple[int, ...], sums: list[int]) -> None:
+        # sums[bits]: the left fold of the members picked by bits, in index
+        # order, as E.orthogonal_sum computes it; UNDEFINED once undefined
+        for k in range(start, len(nonzero)):
+            column = columns[k]
+            grown = sums + [column[s] for s in sums]
+            member = family + (nonzero[k],)
+            if len(member) >= 2:
+                whole = grown[-1]
+                # full ^ bits = full - bits: the complement's sum, read backwards
+                both = [ext[a][b] for a, b in zip(grown, reversed(grown))]
+                undefined = both.count(UNDEFINED)
+                out.checked += len(both) - undefined
+                agree = 0 if whole == UNDEFINED else both.count(whole)
+                if agree + undefined != len(both):
+                    failures[len(member)].extend(
+                        (member, bits) for bits, v in enumerate(both) if v not in (UNDEFINED, whole)
+                    )
+            if len(member) < 4:
+                visit(k, member, grown)
+
+    visit(0, (), [E.zero])
+    for size in (2, 3, 4):
+        out.failures.extend(failures[size])
     return out
 
 
@@ -683,6 +714,9 @@ def check_triple_maps(E: FiniteEffectAlgebra) -> CheckOutcome:
     assert T.sharp_to_source and T.meager_to_source
     bounds = sharp_bounds(E)
     sharp = sharp_elements(E)
+    rows, below = E.table.entries, E._below
+    # meets[z][x]: the meet in E of the sharp z and the meager x's source
+    meets = {z: [E.meet(z, x_src) for x_src in T.meager_to_source] for z in sharp}
     for x in T.meager.elements():
         x_src = T.meager_to_source[x]
         out.tick((x_src, "hat"), T.sharp_to_source[widehat_triple(T, x)] == bounds.above[x_src])
@@ -691,7 +725,7 @@ def check_triple_maps(E: FiniteEffectAlgebra) -> CheckOutcome:
         for x in T.meager.elements():
             x_src = T.meager_to_source[x]
             p = pi_s(T, s, x)
-            meet = E.meet(x_src, s_src)
+            meet = meets[s_src][x]
             ok = (p is None) == (meet is None) and (
                 p is None or T.meager_to_source[p] == meet
             )
@@ -700,16 +734,14 @@ def check_triple_maps(E: FiniteEffectAlgebra) -> CheckOutcome:
         for y in T.meager.elements():
             x_src = T.meager_to_source[x]
             y_src = T.meager_to_source[y]
+            # the sharp z with (z ^ x) + (z ^ y) = z, and the one above them all
             direct = [
                 z
                 for z in sharp
-                if E.meet(z, x_src) is not None
-                and E.meet(z, y_src) is not None
-                and E.sum(E.meet(z, x_src), E.meet(z, y_src)) == z
+                if (zx := meets[z][x]) is not None and (zy := meets[z][y]) is not None and rows[zx][zy] == z
             ]
-            top = next(
-                (m for m in direct if all(E.leq(c, m) for c in direct)), None
-            )
+            direct_mask = sum(1 << z for z in direct)
+            top = next((m for m in direct if direct_mask & ~below[m] == 0), None)
             got = s_map(T, x, y)
             ok = (got is None) == (top is None) and (
                 got is None or T.sharp_to_source[got] == top

@@ -460,3 +460,38 @@ def naive_infasoc(entries, zero):
                 if entries[s1][s2] != whole:
                     failures.append((family, bits))
     return checked, failures
+
+
+def naive_is_boolean(entries, zero, one) -> bool:
+    """Every pair has a meet and a join, each x has x ^ x' = zero and
+    x v x' = one, and meets distribute over joins for every triple."""
+    n = len(entries)
+    meet = [[naive_meet(entries, x, y) for y in range(n)] for x in range(n)]
+    join = [[naive_join(entries, x, y) for y in range(n)] for x in range(n)]
+    if any(v is None for row in meet + join for v in row):
+        return False
+    sup = _naive_supplement(entries, one)
+    if any(meet[x][sup[x]] != zero or join[x][sup[x]] != one for x in range(n)):
+        return False
+    return all(
+        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+        for x, y, z in itertools.product(range(n), repeat=3)
+    )
+
+
+
+def naive_refined_cores(entries, zero, one, internal: bool) -> list[tuple[int, ...]]:
+    """Each subset C of the elements other than zero and one, in
+    itertools.combinations order, such that C with zero and one lies in the
+    sub-sums of one multiset of nonzero elements with a defined fold. With
+    internal, the multiset is drawn from C with one, as in
+    naive_internally_compatible; without, from the whole algebra."""
+    families = _naive_families(entries, zero)
+    rest = [x for x in range(len(entries)) if x not in (zero, one)]
+    out = []
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            subset = frozenset(combo) | {zero, one}
+            if any(subset <= subs and (not internal or members <= subset) for members, subs in families):
+                out.append(combo)
+    return out

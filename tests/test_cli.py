@@ -15,7 +15,7 @@ from efalg import properties
 from efalg.catalog import HARD_BOUND, direct_product, enumerate_all, make_boolean, make_chain, named_catalog
 from efalg.cli import main
 from efalg.core import UNDEFINED, AxiomViolationError
-from efalg.fileformat import magic_line, parse, parse_generalized, serialize
+from efalg.fileformat import MAX_ORDER, ceiling_message, magic_line, parse, parse_generalized, serialize
 from efalg.iso import canonical_form
 from efalg.structure import HypothesisError
 from efalg.triple import extract_triple
@@ -260,6 +260,31 @@ def test_gen_hsum(capsys, tmp_path):
 def test_gen_bad_params_input_error(capsys):
     code, _, err = run(capsys, "gen", "--kind", "chain", "--n", "0")
     assert code == 3 and err == "error: chain needs n >= 1; n = 0 collapses zero and one\n"
+
+
+def test_gen_refuses_orders_past_the_ceiling(capsys, tmp_path):
+    """gen refuses, before building it, an algebra the parser would refuse to
+    read back, with the parser's message; nothing is written. The sizes are
+    just past the ceiling, so an unguarded build would still finish."""
+    out = tmp_path / "x.efa"
+    code, stdout, err = run(capsys, "gen", "--kind", "chain", "--n", str(MAX_ORDER), "--out", str(out))
+    assert (code, stdout) == (3, "") and not out.exists()
+    assert err.startswith(f"error: order {MAX_ORDER + 1} exceeds the ceiling {MAX_ORDER};")
+    assert err == f"error: {ceiling_message(MAX_ORDER + 1)}\n"
+
+    c32 = tmp_path / "c32.efa"
+    c32.write_text(serialize(make_chain(31)))
+    code, stdout, err = run(capsys, "gen", "--kind", "product", "--files", str(c32), str(c32))
+    assert (code, stdout, err) == (3, "", f"error: {ceiling_message(32 * 32)}\n")
+
+    # each 8-element chain adds its 6 interior elements to the shared zero and one
+    c8 = tmp_path / "c8.efa"
+    c8.write_text(serialize(make_chain(7)))
+    k = (MAX_ORDER - 2) // 6 + 1
+    code, stdout, err = run(capsys, "gen", "--kind", "hsum", "--files", *[str(c8)] * k)
+    assert (code, stdout, err) == (3, "", f"error: {ceiling_message(6 * k + 2)}\n")
+    code, stdout, _ = run(capsys, "gen", "--kind", "hsum", "--files", *[str(c8)] * (k - 1))
+    assert code == 0 and f"order {6 * (k - 1) + 2}\n" in stdout
 
 
 @pytest.mark.parametrize("kind", ["chain", "boolean"])

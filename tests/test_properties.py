@@ -6,18 +6,21 @@ import pytest
 
 from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_chain, named_catalog
 from efalg import properties
+from efalg.core import FiniteEffectAlgebra, PartialOpTable
 from efalg.properties import (
     ANCHORS,
     AnchorReport,
     CheckOutcome,
+    check_gejzasum,
     check_infasoc,
     run_checks,
     run_suite,
     worker_count,
 )
-from efalg.structure import homogeneity_counterexample, rdp_counterexample
+from efalg.structure import homogeneity_counterexample, is_homogeneous, rdp_counterexample
 
-from naive_oracles import naive_infasoc
+from naive_oracles import naive_infasoc, naive_refined_cores
+from test_core import PLANTED
 from test_iso import permuted_copy, plain
 
 
@@ -127,3 +130,45 @@ def test_infasoc_matches_naive_oracle(universe_6):
         outcome = check_infasoc(alg)
         entries, zero, _ = plain(alg)
         assert (outcome.checked, outcome.failures) == naive_infasoc(entries, zero)
+
+
+@pytest.mark.parametrize(
+    "name, sizes", [("eii-right-only", {3}), ("eii-values-differ", {3, 4}), ("eiv", {4})]
+)
+def test_infasoc_failures_match_naive_oracle_in_order(name, sizes):
+    """On a commutative table that fails associativity, built without the
+    axiom check, infasoc reports the oracle's failures in the oracle's order:
+    size by size, and within a size in combinations_with_replacement order.
+    Failures of sizes 3 and 4 meet interleaved in a depth-first walk."""
+    rows, zero, one = PLANTED[name]
+    outcome = check_infasoc(FiniteEffectAlgebra._trusted(PartialOpTable.from_rows(rows), zero, one))
+    assert {len(family) for family, _ in outcome.failures} == sizes
+    assert (outcome.checked, outcome.failures) == naive_infasoc(rows, zero)
+
+
+def test_gejzasum_clause_v_ticks_the_refined_subsets(universe_6, monkeypatch):
+    """Clause (v) examines exactly the subsets, holding zero and one, that the
+    sub-sums of one orthogonal family of nonzero elements cover. The family is
+    drawn from the whole algebra, so every internally compatible subset is
+    among them, and on most algebras more."""
+    ticked = []
+    tick = CheckOutcome.tick
+
+    def record(self, witness=None, ok=True):
+        ticked.append(witness)
+        tick(self, witness, ok)
+
+    monkeypatch.setattr(CheckOutcome, "tick", record)
+    wider = 0
+    for name, alg in universe_6:
+        ticked.clear()
+        check_gejzasum(alg)
+        got = [w[1] for w in ticked if w[0] == "v" and w[1] != "union"]
+        if not is_homogeneous(alg):
+            assert got == [], name
+            continue
+        assert got == naive_refined_cores(*plain(alg), internal=False), name
+        internal = naive_refined_cores(*plain(alg), internal=True)
+        assert set(internal) <= set(got), name
+        wider += len(internal) < len(got)
+    assert wider > 0

@@ -10,6 +10,7 @@ import pytest
 from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_boolean, make_chain
 from efalg.structure import (
     HypothesisError,
+    _block_algebra,
     are_compatible,
     blocks,
     central_elements,
@@ -44,6 +45,7 @@ from naive_oracles import (
     naive_blocks,
     naive_central,
     naive_internally_compatible,
+    naive_is_boolean,
     naive_join,
     naive_join_set,
     naive_meet,
@@ -199,6 +201,26 @@ class TestPrincipalCentral:
             centre = central_elements(alg)
             sub, _ = restrict(alg, centre)
             assert is_boolean_algebra(sub)
+
+    def test_boolean_check_refuses_non_boolean_algebras(self, enumerated_6):
+        # MO2 is a complemented lattice that is not distributive, so only the
+        # distributivity scan refuses it; a chain fails the complement check
+        mo2 = horizontal_sum([make_boolean(2)] * 2)
+        assert is_lattice(mo2) and not is_boolean_algebra(mo2)
+        assert not is_boolean_algebra(make_chain(2))
+        non_lattice = next(a for a in enumerated_6 if not is_lattice(a))
+        assert not is_boolean_algebra(non_lattice)
+        assert is_boolean_algebra(make_boolean(3))
+
+    def test_boolean_check_matches_naive_oracle(self, universe_6):
+        subs = [horizontal_sum([make_boolean(2)] * 2)]
+        for _, alg in universe_6:
+            subs += [alg, restrict(alg, central_elements(alg))[0]]
+            subs += [_block_algebra(alg, b)[0] for b in blocks(alg) if is_sub_effect_algebra(alg, b)]
+        verdicts = {is_boolean_algebra(sub) for sub in subs}
+        assert verdicts == {True, False}
+        for sub in subs:
+            assert is_boolean_algebra(sub) == naive_is_boolean(*plain(sub)), sub
 
     def test_central_subset_principal_subset_sharp(self, universe_6):
         for _, alg in universe_6:
