@@ -188,24 +188,24 @@ def are_compatible(alg: _SumAlgebra, x: int, y: int) -> bool:
     Works in effect algebras and generalized effect algebras alike. The
     search runs over common lower bounds q; p and r are then forced.
     """
-    return _compat_matrix(alg)[x][y]
+    return (_compat_masks(alg)[x] >> y) & 1 == 1
 
 
 @memoized
-def _compat_matrix(alg: _SumAlgebra) -> tuple[tuple[bool, ...], ...]:
+def _compat_masks(alg: _SumAlgebra) -> tuple[int, ...]:
+    """Per element, the mask of the elements compatible with it."""
     n = alg.order
-    rows = [[False] * n for _ in range(n)]
+    masks = [0] * n
     for x in range(n):
         for y in range(x, n):
-            ok = False
             common = alg.below_mask(x) & alg.below_mask(y)
             for q in _mask_elements(common):
                 r = alg.ominus(y, q)
                 if r is not None and alg.sum(x, r) is not None:
-                    ok = True
+                    masks[x] |= 1 << y
+                    masks[y] |= 1 << x
                     break
-            rows[x][y] = rows[y][x] = ok
-    return tuple(tuple(r) for r in rows)
+    return tuple(masks)
 
 
 def is_internally_compatible(alg: _SumAlgebra, subset: frozenset[int] | Iterable[int]) -> bool:
@@ -215,9 +215,12 @@ def is_internally_compatible(alg: _SumAlgebra, subset: frozenset[int] | Iterable
     to the whole subset, so a single witnessing family suffices. The search
     runs over nondecreasing multisets of nonzero members with a defined sum;
     family size is bounded by the order because partial sums strictly grow.
+    The walk is lazy and stops at the first witness: walked to the end on
+    make_chain(100) it would visit every partition of 100.
     """
     members = frozenset(subset)
-    return _family_refines(alg, members, tuple(sorted(m for m in members if m != alg.zero)))
+    pool = tuple(sorted(m for m in members if m != alg.zero))
+    return _family_refines(alg, members, (sums for _, sums in _families(alg, pool)))
 
 
 def _families(alg: _SumAlgebra, pool: tuple[int, ...]) -> Iterator[tuple[int, int]]:
@@ -245,17 +248,16 @@ def _families(alg: _SumAlgebra, pool: tuple[int, ...]) -> Iterator[tuple[int, in
             stack.append((k, nxt, sums | extra))
 
 
-def _family_refines(alg: _SumAlgebra, members: Iterable[int], pool: tuple[int, ...]) -> bool:
-    """Whether one orthogonal multiset drawn from the pool refines every member.
+def _family_refines(alg: _SumAlgebra, members: Iterable[int], covers: Iterable[int]) -> bool:
+    """Whether one of the sub-sum masks in covers holds every member.
 
     Pairwise compatibility of the members is necessary, so it prunes first.
     """
-    targets = {m for m in members if m != alg.zero}
-    compat = _compat_matrix(alg)
-    if any(not compat[a][b] for a in targets for b in targets):
+    need = sum(1 << m for m in frozenset(members) if m != alg.zero)
+    compat = _compat_masks(alg)
+    if any(need & ~compat[m] for m in _mask_elements(need)):
         return False
-    need = sum(1 << m for m in targets)
-    return any(sums & need == need for _, sums in _families(alg, pool))
+    return any(sums & need == need for sums in covers)
 
 
 @memoized
@@ -421,10 +423,11 @@ def is_sub_effect_algebra(E: FiniteEffectAlgebra, subset: Iterable[int]) -> bool
     q = sum(1 << x for x in frozenset(subset))
     if not (q >> E.one) & 1:
         return False
-    for x, row in enumerate(E.table.row_sums):
-        qx = (q >> x) & 1
-        for y, z in row:
-            if qx + ((q >> y) & 1) + ((q >> z) & 1) == 2:
+    # a sum with two members has a member summand, and the table is
+    # symmetric, so the sum appears in that member's row
+    for x in _mask_elements(q):
+        for y, z in E.table.row_sums[x]:
+            if ((q >> y) & 1) + ((q >> z) & 1) == 1:
                 return False
     return True
 
@@ -432,27 +435,25 @@ def is_sub_effect_algebra(E: FiniteEffectAlgebra, subset: Iterable[int]) -> bool
 def restrict(E: FiniteEffectAlgebra, subset: Iterable[int]) -> tuple[FiniteEffectAlgebra, tuple[int, ...]]:
     """Sub-effect algebra on a closed subset, with the element back-map.
 
-    The result skips the axiom check when the subset Q is closed under
-    defined sums and holds zero, one and each member's supplement, for then
-    it is a sub-effect algebra of the verified E. The induced table is E's
-    table on Q, since every sum of members defined in E lies in Q.
-    Commutativity and associativity are inherited: if (x + y) + z is defined
-    for members, E defines y + z, a member, and x + (y + z) equals it (and
-    symmetrically). Each
-    member x has its supplement x' in Q, and it is the only y with
-    x + y = one, as in E; one + x is defined only for x = zero, and
-    zero != one, as in E. Any other subset gets the full constructor, which
-    refuses it as before.
+    The result skips the axiom check exactly when the subset Q is a
+    sub-effect algebra of the verified E, that is, closed under defined
+    sums and holding one and each member's supplement (then for members
+    x <= z, z - x = (x + z')' is a member). The induced table is E's table
+    on Q. Commutativity and associativity are inherited: if (x + y) + z is
+    defined for members, E defines y + z, a member, and x + (y + z) equals
+    it (and symmetrically). Each member x has its supplement in Q, the
+    only y with x + y = one, as in E; one + x is defined only for x = zero,
+    and zero != one, as in E. A subset not closed under sums is refused
+    with ValueError; any other gets the full constructor, which refuses it.
     """
     table, pos, elems = _induced_table(E, subset)
-    sums = E.table.row_sums
+    zero, one = pos[E.zero], pos[E.one]
+    if is_sub_effect_algebra(E, elems):
+        return FiniteEffectAlgebra._trusted(table, zero, one), elems
     for a in elems:
-        for b, v in sums[a]:
+        for b, v in E.table.row_sums[a]:
             if pos[b] != UNDEFINED and pos[v] == UNDEFINED:
                 raise ValueError(f"subset not closed under defined sums at ({a},{b})")
-    zero, one = pos[E.zero], pos[E.one]
-    if one != UNDEFINED and all(pos[E._sup[a]] != UNDEFINED for a in elems):  # zero is one's supplement
-        return FiniteEffectAlgebra._trusted(table, zero, one), elems
     return FiniteEffectAlgebra(table, zero, one), elems
 
 

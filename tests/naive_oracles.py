@@ -358,6 +358,21 @@ def naive_internally_compatible(entries, zero, subset) -> bool:
     return _naive_refined(_naive_families(entries, zero), frozenset(subset))
 
 
+def naive_sub_effect_algebra(entries, one, subset) -> bool:
+    """One is a member, and no defined x + y = z has exactly two of x, y, z
+    in the subset: the two-out-of-three definition, read over every cell."""
+    members = set(subset)
+    if one not in members:
+        return False
+    n = len(entries)
+    for x in range(n):
+        for y in range(n):
+            z = entries[x][y]
+            if z != UNDEF and [x in members, y in members, z in members].count(True) == 2:
+                return False
+    return True
+
+
 def naive_blocks(entries, zero, one) -> list[tuple[int, ...]]:
     """The maximal internally compatible subsets containing one, by filtering
     every subset of the carrier."""

@@ -123,6 +123,22 @@ def test_parse_error_is_input_error(capsys, tmp_path):
     assert code == 3 and "line 5" in err
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("gefa 1\norder 2\nzero 0\none 1\n", "line 4: 'one' not allowed here"),
+        ("efa 1\norder 2\nzero 0\none 1\nname 0 a\nname 0 b\n", "line 6: duplicate name for element 0"),
+        ("efa 1\n# zero 0\n", "line 1: missing 'order'"),
+        ("efa 1\norder\n", "line 2: missing value for order"),
+        ("efa 1\norder two\n", "line 2: order is not an integer: 'two'"),
+    ],
+)
+def test_verify_refuses_malformed_files_on_one_line(capsys, tmp_path, text, reason):
+    path = tmp_path / "bad.efa"
+    path.write_text(text)
+    assert run(capsys, "verify", str(path)) == (3, "", f"error: {reason}\n")
+
+
 def test_oversized_order_refused_on_its_line(capsys, tmp_path):
     p = tmp_path / "huge.efa"
     p.write_text("efa 1\norder 100000\nzero 0\none 99999\n")
@@ -260,6 +276,11 @@ def test_gen_hsum(capsys, tmp_path):
 def test_gen_bad_params_input_error(capsys):
     code, _, err = run(capsys, "gen", "--kind", "chain", "--n", "0")
     assert code == 3 and err == "error: chain needs n >= 1; n = 0 collapses zero and one\n"
+
+
+def test_gen_product_needs_two_files(capsys, chain3_file):
+    code, out, err = run(capsys, "gen", "--kind", "product", "--files", chain3_file)
+    assert (code, out, err) == (3, "", "error: product needs exactly two operand files\n")
 
 
 def test_gen_refuses_orders_past_the_ceiling(capsys, tmp_path):

@@ -79,6 +79,14 @@ class TestVerifyEffectAlgebra:
             PartialOpTable.from_rows([[0, 5], [1, UNDEFINED]])
         with pytest.raises(MalformedTableError):
             verify_effect_algebra(table_of(CHAIN3_ROWS), 0, 7)
+        with pytest.raises(MalformedTableError, match="empty table"):
+            PartialOpTable.from_rows([])
+        with pytest.raises(MalformedTableError, match=r"pair \(0,2\) out of range for order 2"):
+            PartialOpTable.from_pairs(2, {(0, 2): 0})
+        with pytest.raises(MalformedTableError, match=r"conflicting values for cell \(1,0\)"):
+            PartialOpTable.from_pairs(2, {(0, 1): 1, (1, 0): 0})
+        with pytest.raises(MalformedTableError, match="names must cover every element"):
+            FiniteEffectAlgebra(table_of(CHAIN3_ROWS), 0, 2, ("a", "b"))
 
     def test_constructor_refuses_bad_tables(self):
         rows = [r[:] for r in CHAIN3_ROWS]

@@ -5,14 +5,16 @@ import random
 import pytest
 
 from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_chain, named_catalog
+import efalg.core
 from efalg import properties
-from efalg.core import FiniteEffectAlgebra, PartialOpTable
+from efalg.core import FiniteEffectAlgebra, PartialOpTable, Verdict, Violation
 from efalg.properties import (
     ANCHORS,
     AnchorReport,
     CheckOutcome,
     check_gejzasum,
     check_infasoc,
+    check_structure_sets,
     run_checks,
     run_suite,
     worker_count,
@@ -144,6 +146,16 @@ def test_infasoc_failures_match_naive_oracle_in_order(name, sizes):
     outcome = check_infasoc(FiniteEffectAlgebra._trusted(PartialOpTable.from_rows(rows), zero, one))
     assert {len(family) for family, _ in outcome.failures} == sizes
     assert (outcome.checked, outcome.failures) == naive_infasoc(rows, zero)
+
+
+def test_generalized_valid_runs_the_axiom_check(catalog, monkeypatch):
+    """Mea(E) and the hypermeager algebra are built without the axiom check,
+    so the structure_sets tick runs it: a failing verdict fails the tick."""
+    failing = Verdict(False, (Violation("GE1", (0, 1), "planted"),))
+    monkeypatch.setattr(efalg.core, "verify_generalized", lambda *a: failing)
+    for entry in catalog:
+        outcome = check_structure_sets(entry.algebra)
+        assert ("generalized-valid",) in outcome.failures, entry.name
 
 
 def test_gejzasum_clause_v_ticks_the_refined_subsets(universe_6, monkeypatch):

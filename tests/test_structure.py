@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from efalg import structure
 from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_boolean, make_chain
 from efalg.structure import (
     HypothesisError,
@@ -277,6 +278,20 @@ class TestCompatibility:
                     expected = naive_internally_compatible(entries, zero, subset)
                     assert is_internally_compatible(alg, subset) == expected
 
+    def test_internal_compatibility_stops_at_the_first_witness(self, monkeypatch):
+        """Walked to the end, the families of make_chain(100) are the
+        partitions of 100, about 1.9e8; the family of 100 atoms is met early."""
+        families = structure._families
+
+        def counting(alg, pool):
+            for drawn, item in enumerate(families(alg, pool)):
+                assert drawn < 2000, "the walk went on past the first witness"
+                yield item
+
+        monkeypatch.setattr(structure, "_families", counting)
+        chain = make_chain(100)
+        assert is_internally_compatible(chain, chain.elements())
+
     def test_diamond_interiors_incompatible(self, diamond):
         assert not are_compatible(diamond, 1, 2)
 
@@ -501,6 +516,17 @@ class TestHeyting:
     def test_rejects_non_blocks(self, chain4):
         verdict = heyting_block_check(chain4, (0, 3))
         assert not verdict.ok and verdict.failed_clause == "hypothesis"
+
+    def test_non_homogeneous_classes_fail_the_hypothesis(self, enumerated_8):
+        found = 0
+        for alg in enumerated_8:
+            if alg.order > 7 or is_homogeneous(alg):
+                continue
+            found += 1
+            for b in blocks(alg):
+                verdict = heyting_block_check(alg, b)
+                assert (verdict.ok, verdict.failed_clause, verdict.witness) == (False, "hypothesis", ("homogeneous",))
+        assert found > 0
 
     def test_all_qualifying_blocks_pass(self, universe_6):
         for _, alg in universe_6:

@@ -32,7 +32,8 @@ from efalg.structure import (
 )
 from efalg.triple import ReconstructionError, extract_triple, verify_roundtrip
 
-from test_iso import LARGE, permuted_copy
+from naive_oracles import naive_sub_effect_algebra
+from test_iso import LARGE, permuted_copy, plain
 
 
 def checked(alg):
@@ -121,6 +122,32 @@ def test_a_restriction_missing_a_supplement_is_still_refused():
     # {0, 1, 3} passes the closure check of restrict, but 2 = 1' is missing
     with pytest.raises(AxiomViolationError, match="Eiii"):
         restrict(make_boolean(2), [0, 1, 3])
+
+
+def test_restrict_trusts_exactly_the_sub_effect_algebras(universe_6, monkeypatch):
+    """On every subset holding one, is_sub_effect_algebra agrees with the
+    two-out-of-three oracle, and restrict skips the verifier exactly there."""
+    calls = []
+    original = efalg.core.verify_effect_algebra
+    monkeypatch.setattr(efalg.core, "verify_effect_algebra", lambda *a: calls.append(a) or original(*a))
+    seen = {True: 0, False: 0}
+    for name, E in with_relabelling(universe_6, 20):
+        entries, _, one = plain(E)
+        rest = [x for x in E.elements() if x != one]
+        for r in range(len(rest) + 1):
+            for combo in itertools.combinations(rest, r):
+                subset = combo + (one,)
+                expected = naive_sub_effect_algebra(entries, one, subset)
+                assert is_sub_effect_algebra(E, subset) == expected, (name, subset)
+                calls.clear()
+                try:
+                    restrict(E, subset)
+                    trusted = calls == []
+                except ValueError:  # not closed under sums, or refused by the verifier
+                    trusted = False
+                assert trusted == expected, (name, subset)
+                seen[expected] += 1
+    assert min(seen.values()) > 0
 
 
 def test_only_down_sets_skip_the_check(monkeypatch):
