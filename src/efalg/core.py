@@ -487,12 +487,6 @@ class _SumAlgebra(_Memoizing):
     def join(self, x: int, y: int) -> int | None:
         return self._least(self._rabove[x] & self._rabove[y])
 
-    def meet_set(self, xs: Iterable[int]) -> int | None:
-        mask = (1 << self.order) - 1
-        for x in xs:
-            mask &= self._rbelow[x]
-        return self._greatest(mask)
-
     def join_set(self, xs: Iterable[int]) -> int | None:
         mask = (1 << self.order) - 1
         for x in xs:

@@ -33,7 +33,6 @@ from .structure import (
     _missing_sharp_bound,
     homogeneity_counterexample,
     is_sharply_dominating,
-    is_sub_effect_algebra,
     meager_algebra,
     meager_elements,
     restrict,
@@ -104,10 +103,10 @@ def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
     if not is_sharply_dominating(E):
         raise HypothesisError("sharply_dominating", _missing_sharp_bound(sharp_bounds(E))[0])
 
-    sharp_ids = sharp_elements(E)
-    if not is_sub_effect_algebra(E, sharp_ids):
-        raise ReconstructionError("sharp elements fail the sub-effect-algebra closure")
-    sharp, sharp_src = restrict(E, sharp_ids)
+    try:
+        sharp, sharp_src = restrict(E, sharp_elements(E))
+    except ValueError:  # restrict refuses exactly the subsets that are not sub-effect algebras
+        raise ReconstructionError("sharp elements fail the sub-effect-algebra closure") from None
     meager, meager_src = meager_algebra(E)
 
     hm = [

@@ -12,6 +12,7 @@ from efalg.properties import (
     ANCHORS,
     AnchorReport,
     CheckOutcome,
+    check_center_boolean,
     check_gejzasum,
     check_infasoc,
     check_structure_sets,
@@ -35,6 +36,30 @@ def test_every_check_passes_on_diamond():
     hs = horizontal_sum([make_chain(2), make_chain(2)])
     for anchor, outcome in run_checks(hs):
         assert not outcome.failures, (anchor, outcome.failures[:1])
+
+
+def test_minimax_shares_the_dusminimax_run(catalog, monkeypatch):
+    """Both rows hold one outcome object, from one run of the shared check
+    per algebra; a check listed under one tag runs once too."""
+    runs = []
+
+    def counted(anchor, fn):
+        def run(E):
+            runs.append(anchor)
+            return fn(E)
+
+        return run
+
+    wrapped = {}
+    for anchor, fn in ANCHORS:
+        wrapped.setdefault(fn, counted(anchor, fn))
+    monkeypatch.setattr(properties, "ANCHORS", tuple((a, wrapped[fn]) for a, fn in ANCHORS))
+    for entry in catalog:
+        runs.clear()
+        out = dict(run_checks(entry.algebra))
+        assert out["dusminimax"] is out["minimax"], entry.name
+        assert sorted(runs) == sorted(set(out) - {"minimax"}), entry.name
+    assert out["dusminimax"].checked > 0
 
 
 def test_run_suite_aggregates(universe_6):
@@ -184,3 +209,13 @@ def test_gejzasum_clause_v_ticks_the_refined_subsets(universe_6, monkeypatch):
         assert set(internal) <= set(got), name
         wider += len(internal) < len(got)
     assert wider > 0
+
+
+@pytest.mark.parametrize("centre", [(0, 1, 3), (0, 2, 3)])
+def test_center_boolean_ticks_a_centre_that_is_no_sub_effect_algebra(monkeypatch, centre):
+    """A centre that restrict refuses fails the closure tick instead of
+    raising: {0, 1, 3} is not closed (1 + 1 = 2), and {0, 2, 3} is closed but
+    lacks the supplement of 2, so the constructor refuses it."""
+    monkeypatch.setattr(properties, "central_elements", lambda E: centre)
+    outcome = check_center_boolean(make_chain(3))
+    assert ("closure",) in outcome.failures

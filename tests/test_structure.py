@@ -50,7 +50,6 @@ from naive_oracles import (
     naive_join,
     naive_join_set,
     naive_meet,
-    naive_meet_set,
     naive_principal,
     naive_riesz_counterexample,
 )
@@ -113,7 +112,7 @@ class TestMeetJoin:
         assert diamond.join(1, 2) == 3
 
     def test_meet_matches_naive_oracle(self, universe_6, catalog):
-        # meet, join and their set versions against the order's definition, on
+        # meet, join and join_set against the order's definition, on
         # the universe, relabelled copies, products with the 2-chain and a GEA
         rng = random.Random(12)
         algebras = [alg for _, alg in universe_6]
@@ -131,7 +130,6 @@ class TestMeetJoin:
                     assert alg.meet(x, y) == naive_meet(entries, x, y)
                     assert alg.join(x, y) == naive_join(entries, x, y)
             for xs in ([], *([x] for x in elems), elems, elems[::2], elems[1::2], elems[1:3]):
-                assert alg.meet_set(xs) == naive_meet_set(entries, xs)
                 assert alg.join_set(xs) == naive_join_set(entries, xs)
 
     def test_lattice_flag_matches_totality(self, universe_6):

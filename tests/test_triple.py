@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain
+from efalg import properties, triple
+from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_boolean, make_chain
 from efalg.core import AxiomViolationError
 from efalg.structure import (
     HypothesisError,
@@ -76,6 +77,14 @@ class TestExtract:
                 for t in T.sharp.elements():
                     if T.sharp.leq(s, t):
                         assert T.h[s] <= T.h[t]
+
+    @pytest.mark.parametrize("sharp", [(0, 1, 3), (0, 2, 3)])
+    def test_sharp_set_refused_by_restrict_is_a_reconstruction_error(self, monkeypatch, sharp):
+        # {0, 1, 3} is not closed (1 + 1 = 2); {0, 2, 3} is closed but lacks
+        # the supplement of 2, so the constructor refuses it
+        monkeypatch.setattr(triple, "sharp_elements", lambda E: sharp)
+        with pytest.raises(ReconstructionError, match="^sharp elements fail the sub-effect-algebra closure$"):
+            extract_triple(make_chain(3))
 
     def test_hypothesis_failure_reported(self, enumerated_6):
         non_hom = [a for a in enumerated_6 if not is_homogeneous(a)]
@@ -265,12 +274,46 @@ class TestPurityAndMutation:
         with pytest.raises(ReconstructionError, match="meager zero"):
             reconstruct_tea(corrupted)
 
-    def test_extract_of_rebuild_isomorphic(self, universe_6):
-        from efalg.properties import check_triple_idem
+    @pytest.mark.slow
+    def test_extract_of_rebuild_isomorphic(self, catalog):
+        """The idempotence check is an identity: on the catalog, every
+        qualifying class to order 9 and a relabelling of each whose zero is
+        not 0, the triple of the rebuild is the triple itself."""
+        rng = random.Random(21)
+        algebras = [e.algebra for e in catalog] + list(enumerate_all(9, bound=9))
+        algebras = [alg for alg in algebras if is_homogeneous(alg) and is_sharply_dominating(alg)]
+        for alg in list(algebras):
+            copy = permuted_copy(alg, rng)
+            while copy.zero == 0:
+                copy = permuted_copy(alg, rng)
+            algebras.append(copy)
+        assert len(algebras) == 2 * 104
+        for alg in algebras:
+            outcome = properties.check_triple_idem(alg)
+            assert (outcome.checked, outcome.failures) == (1, [])
 
-        for name, alg in qualifying(universe_6):
-            outcome = check_triple_idem(alg)
-            assert (outcome.checked, outcome.failures) == (1, []), name
+    def test_idempotence_fails_when_one_h_set_moves(self, catalog, monkeypatch):
+        """The identity is not vacuous: a rebuild whose extracted triple
+        differs from T in one h-set, h(one), fails the check."""
+        real = properties.extract_triple
+        tested = 0
+        for name, E in qualifying((e.name, e.algebra) for e in catalog):
+            if real(E).meager.order == 1:
+                continue  # h(one) holds only the meager zero
+
+            def skewed(alg, E=E):
+                T2 = real(alg)
+                if alg is E:
+                    return T2
+                h = list(T2.h)
+                h[T2.sharp.one] = h[T2.sharp.one] - {max(h[T2.sharp.one] - {T2.meager.zero})}
+                return dataclasses.replace(T2, h=tuple(h))
+
+            monkeypatch.setattr(properties, "extract_triple", skewed)
+            outcome = properties.check_triple_idem(E)
+            assert (outcome.checked, outcome.failures) == (1, [None]), name
+            tested += 1
+        assert tested > 0
 
     def test_roundtrip_failure_reports_do_not_move(self, catalog):
         """verify_roundtrip's (ok, failure, witness) on sampled single-cell
