@@ -556,21 +556,25 @@ def enumerate_all(max_order: int, *, bound: int = DEFAULT_BOUND) -> Iterator[Fin
 
     Streams canonical relabelings, order by order, each order's classes
     sorted by canonical bytes, so the stream does not depend on the search.
-    Refuses orders past the configured bound with the measured search cost.
-    The hard ceiling is the largest order whose class count a search with
-    other symmetry breaking has confirmed; the search is exponential in the
-    cell count.
+    Refuses orders past the configured bound with the measured search cost,
+    at the call, before anything is streamed. The hard ceiling is the
+    largest order whose class count a search with other symmetry breaking
+    has confirmed; the search is exponential in the cell count.
     """
     if max_order > min(bound, HARD_BOUND):
         raise EnumerationBoundError(max_order, min(bound, HARD_BOUND))
+    return _stream(max_order)
+
+
+def _stream(max_order: int) -> Iterator[FiniteEffectAlgebra]:
     for n in range(2, max_order + 1):
-        # equal labelling keys give equal canonical tables, so only the first
-        # leaf of each class is relabelled into a new algebra
-        firsts: dict[tuple[int, ...], FiniteEffectAlgebra] = {}
-        for alg in _complete_tables(n):
-            firsts.setdefault(_search(alg)[0], alg)
-        for alg in sorted(firsts.values(), key=canonical_form):
-            yield canonical_algebra(alg)
+        # equal labelling keys give equal canonical tables, so one leaf of
+        # each class is relabelled into a new algebra. That leaf's memo holds
+        # its class, so each leaf is dropped as its class is yielded.
+        leaves = {_search(alg)[0]: alg for alg in _complete_tables(n)}.values()
+        leaves = sorted(leaves, key=canonical_form, reverse=True)
+        while leaves:
+            yield canonical_algebra(leaves.pop())
 
 
 def random_algebra(seed: int, order: int, *, bound: int = DEFAULT_BOUND) -> FiniteEffectAlgebra:

@@ -10,6 +10,7 @@ output bytes do not depend on it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -191,12 +192,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    universe: list[tuple[str, object]] = [
-        (entry.name, entry.algebra) for entry in named_catalog()
-    ]
-    for i, alg in enumerate(enumerate_all(args.max_order, bound=HARD_BOUND)):
-        universe.append((f"enum-{alg.order}-{i:03d}", alg))
-    reports = run_suite(universe, jobs=args.jobs if args.jobs else None)
+    # an order past the bound is refused here, before any anchor runs
+    classes = enumerate(enumerate_all(args.max_order, bound=HARD_BOUND))
+    catalog = ((entry.name, entry.algebra) for entry in named_catalog())
+    enumerated = ((f"enum-{alg.order}-{i:03d}", alg) for i, alg in classes)
+    reports = run_suite(itertools.chain(catalog, enumerated), jobs=args.jobs if args.jobs else None)
     width = max(len(r.anchor) for r in reports)
     failed = 0
     for r in reports:

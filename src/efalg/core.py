@@ -167,19 +167,13 @@ def verify_effect_algebra(table: PartialOpTable, zero: int, one: int) -> Verdict
     failure, or when Ei fails and the walk would prove nothing.
     """
     _check_constants(table, zero, one)
-    t = table.entries
-    n = table.order
     violations: list[Violation] = []
 
     if zero == one:
         violations.append(Violation("E0", (zero,), "zero and one coincide"))
 
-    # (Ei) commutativity, read off the stored table.
-    asymmetric = _commutativity_violation(t, n, "Ei")
-    violations.extend(asymmetric)
-
-    # (Eii) associativity: if one side is defined, both are and they agree.
-    violations.extend(_associativity_violation(table, "Eii", symmetric=not asymmetric))
+    # (Ei) commutativity and (Eii) associativity.
+    violations.extend(_table_laws(table, "Ei", "Eii"))
 
     # (Eiii) every x has exactly one y with x + y = one.
     for x, row in enumerate(table.row_sums):
@@ -203,13 +197,7 @@ def verify_effect_algebra(table: PartialOpTable, zero: int, one: int) -> Verdict
 def verify_generalized(table: PartialOpTable, zero: int) -> Verdict:
     """Check the five generalized-effect-algebra axioms over the stored table."""
     _check_constants(table, zero)
-    t = table.entries
-    n = table.order
-    violations: list[Violation] = []
-
-    asymmetric = _commutativity_violation(t, n, "GE1")
-    violations.extend(asymmetric)
-    violations.extend(_associativity_violation(table, "GE2", symmetric=not asymmetric))
+    violations = _table_laws(table, "GE1", "GE2")
 
     # (GE3) cancellation: a row may not repeat a defined value. first maps
     # each value to the first column holding it; the witness is the first
@@ -230,8 +218,8 @@ def verify_generalized(table: PartialOpTable, zero: int) -> Verdict:
         violations.append(Violation("GE4", hit, "nonzero elements sum to zero"))
 
     # (GE5) zero is neutral.
-    for x in range(n):
-        if t[x][zero] != x:
+    for x, row in enumerate(table.entries):
+        if row[zero] != x:
             violations.append(Violation("GE5", (x,), "zero not neutral"))
             break
 
@@ -245,6 +233,12 @@ def axiom_verdict(alg: "_SumAlgebra") -> Verdict:
     if one is None:
         return verify_generalized(alg.table, alg.zero)
     return verify_effect_algebra(alg.table, alg.zero, one)
+
+
+def _table_laws(table: PartialOpTable, commutativity: str, associativity: str) -> list[Violation]:
+    """The commutativity violation, then the associativity one, under the given axiom tags."""
+    asymmetric = _commutativity_violation(table.entries, table.order, commutativity)
+    return asymmetric + _associativity_violation(table, associativity, symmetric=not asymmetric)
 
 
 def _commutativity_violation(t, n: int, axiom: str) -> list[Violation]:

@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
-from .core import UNDEFINED, FiniteEffectAlgebra, axiom_verdict
+from .core import UNDEFINED, FiniteEffectAlgebra, axiom_verdict, memoized
 from .iso import find_isomorphism  # not called here; perfbench's tracer wraps this module-level name
 from .structure import (
     _block_algebra,
@@ -249,12 +249,13 @@ def check_jmpy2(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     sharp = set(sharp_elements(E))
     meager = meager_elements(E)
+    meager_set = set(meager)
     above = sharp_bounds(E).above
     for x in meager:
         hat = above[x]
         if hat is None:
             continue
-        out.tick((x, "gap"), E.ominus(hat, x) in set(meager))
+        out.tick((x, "gap"), E.ominus(hat, x) in meager_set)
         for y in meager:
             z = E.sum(x, y)
             if z is not None and z in sharp:
@@ -347,7 +348,7 @@ def check_gejzasum(E: FiniteEffectAlgebra) -> CheckOutcome:
                 if _family_refines(E, combo + (E.one,), covers):
                     # every block holds zero and one
                     out.tick(("v", combo), any(b.issuperset(combo) for b in block_sets))
-    out.tick(("vi",), is_sub_effect_algebra(E, sharp_elements(E)))
+    out.tick(("vi",), _sharp_closed(E))
     sharp = frozenset(sharp_elements(E))
     below = E._below
     for b in blks:
@@ -810,6 +811,7 @@ def _qualifies(E) -> bool:
     return is_homogeneous(E) and is_sharply_dominating(E)
 
 
+@memoized
 def _sharp_closed(E) -> bool:
     return is_sub_effect_algebra(E, sharp_elements(E))
 
@@ -889,24 +891,30 @@ def worker_count() -> int:
     return max(jobs, 1)
 
 
+def _named_checks(item: tuple[str, FiniteEffectAlgebra]):
+    name, alg = item
+    return name, run_checks(alg)
+
+
 def run_suite(
-    universe: Sequence[tuple[str, FiniteEffectAlgebra]], jobs: int | None = None
+    universe: Iterable[tuple[str, FiniteEffectAlgebra]], jobs: int | None = None
 ) -> list[AnchorReport]:
-    """Run every anchor over the universe; output is independent of job count."""
+    """Run every anchor over the universe; output is independent of job count.
+
+    One worker checks each algebra as it reads it; more list the universe once.
+    """
     if jobs is None:
         jobs = worker_count()
-    items = list(universe)
-    algebras = [alg for _name, alg in items]
-    if jobs > 1 and len(items) > 1:
+    if jobs > 1:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            outcomes = pool.map(run_checks, algebras)
+            outcomes = pool.map(_named_checks, universe)
     else:
-        outcomes = map(run_checks, algebras)
+        outcomes = map(_named_checks, universe)
 
     reports = [AnchorReport(anchor, 0, 0, [], []) for anchor, _fn in ANCHORS]
-    for (name, _alg), checks in zip(items, outcomes):
+    for name, checks in outcomes:
         for report, (_anchor, outcome) in zip(reports, checks):
             if outcome.checked or outcome.failures:
                 report.algebras += 1

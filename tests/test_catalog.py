@@ -1,7 +1,9 @@
 """Constructions, exhaustive enumeration, and random sampling."""
 
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -214,6 +216,17 @@ class TestEnumerate:
     def test_stream_sorted_by_canonical_bytes(self, enumerated_6):
         keys = [(a.order, canonical_form(a)) for a in enumerated_6]
         assert keys == sorted(keys)
+
+    def test_stream_keeps_no_class_the_consumer_dropped(self):
+        # each leaf's memo holds its class, so the stream drops the leaf as
+        # it yields the class
+        refs = []
+        for alg in enumerate_all(6):
+            refs.append(weakref.ref(alg))
+            del alg
+            gc.collect()
+            assert [ref() for ref in refs] == [None] * len(refs)
+        assert len(refs) == 19
 
     def test_bound_refusal(self):
         with pytest.raises(EnumerationBoundError):

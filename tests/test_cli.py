@@ -369,6 +369,19 @@ def test_suite_small(capsys):
     assert "failing: 0" in out
 
 
+def test_suite_refuses_past_the_hard_bound_before_any_anchor_runs(capsys, monkeypatch):
+    def never(E):
+        raise AssertionError("an anchor ran before the refusal")
+
+    monkeypatch.setattr(properties, "run_checks", never)
+    code, out, err = run(capsys, "suite", "--max-order", "11")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: max_order 11 exceeds the configured bound 10; "
+        "the search at order 11 visits 1154984 nodes and validates 9571 leaves\n"
+    )
+
+
 def test_suite_reaches_past_the_default_bound(capsys):
     code, out, _ = run(capsys, "suite", "--max-order", "7")
     assert code == 0

@@ -1,6 +1,8 @@
 """Suite plumbing: anchor registry, worker handling, witness quality."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -66,6 +68,25 @@ def test_run_suite_aggregates(universe_6):
     sample = universe_6[:3]
     reports = run_suite(sample, jobs=1)
     assert [r.anchor for r in reports] == [a for a, _ in ANCHORS]
+    assert all(not r.failures for r in reports)
+
+
+def test_run_suite_holds_only_the_algebra_it_has_just_checked():
+    """One worker reads the universe as it checks it: when the next algebra
+    is drawn, every earlier one is freed, memo and all, except the one the
+    generator itself still names."""
+    refs, alive = [], []
+
+    def universe():
+        for k in range(1, 7):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            alg = make_chain(k)
+            refs.append(weakref.ref(alg))
+            yield f"c{k}", alg
+
+    reports = run_suite(universe(), jobs=1)
+    assert alive == [0, 1, 1, 1, 1, 1]
     assert all(not r.failures for r in reports)
 
 
