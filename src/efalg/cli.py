@@ -3,8 +3,9 @@
 Exit codes are a stable contract for CI: 0 all checks passed, 1 a property
 or axiom check failed, 2 an operation's hypotheses were not met, 3 the
 input was malformed, a usage error or an output that cannot be written.
-``suite`` honors the EFALG_JOBS environment variable for its worker count;
-output bytes do not depend on it.
+``suite`` takes its worker count from ``--jobs`` or else the EFALG_JOBS
+environment variable, capped at the CPU count; output bytes do not depend
+on it.
 """
 
 from __future__ import annotations
@@ -194,9 +195,8 @@ def cmd_enumerate(args) -> int:
 def cmd_suite(args) -> int:
     # an order past the bound is refused here, before any anchor runs
     classes = enumerate(enumerate_all(args.max_order, bound=HARD_BOUND))
-    catalog = ((entry.name, entry.algebra) for entry in named_catalog())
     enumerated = ((f"enum-{alg.order}-{i:03d}", alg) for i, alg in classes)
-    reports = run_suite(itertools.chain(catalog, enumerated), jobs=args.jobs if args.jobs else None)
+    reports = run_suite(itertools.chain(named_catalog(), enumerated), jobs=args.jobs if args.jobs else None)
     width = max(len(r.anchor) for r in reports)
     failed = 0
     for r in reports:

@@ -388,6 +388,7 @@ def check_corcduya(E: FiniteEffectAlgebra) -> CheckOutcome:
     meager = frozenset(meager_elements(E))
     meager_mask = sum(1 << m for m in meager)
     bounds = sharp_bounds(E)
+    block_masks = [(b, sum(1 << y for y in b)) for b in blocks(E)]
     for x in E.elements():
         floor, hat = bounds.below[x], bounds.above[x]
         pool = _orthogonal_pool(E, x)
@@ -399,13 +400,11 @@ def check_corcduya(E: FiniteEffectAlgebra) -> CheckOutcome:
             )
             if not extendable:
                 out.tick((x, t), E.sum(floor, t) == x)
-        for b in blocks(E):
-            if x not in b:
-                continue
-            bset = set(b)
-            lower = {y for y in E.elements() if E.leq(floor, y) and E.leq(y, x)}
-            upper = {y for y in E.elements() if E.leq(x, y) and E.leq(y, hat)}
-            out.tick((x, b), lower <= bset and upper <= bset)
+        # the intervals [floor, x] and [x, hat], as one mask
+        span = E.above_mask(floor) & E.below_mask(x) | E.above_mask(x) & E.below_mask(hat)
+        for b, b_mask in block_masks:
+            if b_mask >> x & 1:
+                out.tick((x, b), not span & ~b_mask)
     return out
 
 
@@ -494,6 +493,9 @@ def check_modjen(E: FiniteEffectAlgebra) -> CheckOutcome:
                 out.tick((b, v, y, "i"), me is not None and mb is not None and elems[mb] == me)
         for x in b_meager:
             hat = bounds.above[x]
+            if hat != E.zero:
+                ivl, ivl_elems = interval_algebra(E, hat)
+                ivl_index = {e: i for i, e in enumerate(ivl_elems)}
             for y in b_meager:
                 if bounds.above[y] != hat:
                     continue
@@ -504,8 +506,6 @@ def check_modjen(E: FiniteEffectAlgebra) -> CheckOutcome:
                 if hat == E.zero:
                     ji_src: int | None = E.zero
                 else:
-                    ivl, ivl_elems = interval_algebra(E, hat)
-                    ivl_index = {e: i for i, e in enumerate(ivl_elems)}
                     ji = ivl.join(ivl_index[x], ivl_index[y])
                     ji_src = None if ji is None else ivl_elems[ji]
                 ok = (
@@ -902,9 +902,12 @@ def run_suite(
     """Run every anchor over the universe; output is independent of job count.
 
     One worker checks each algebra as it reads it; more list the universe once.
+    The job count, which comes from outside the program, is capped at the CPU
+    count, so no value starts more processes than the machine can run.
     """
     if jobs is None:
         jobs = worker_count()
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         import multiprocessing
 

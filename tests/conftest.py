@@ -21,13 +21,19 @@ def enumerated_6():
 @pytest.fixture(scope="session")
 def universe_6(catalog, enumerated_6):
     """Named catalog plus every isomorphism class up to order 6."""
-    out = [(e.name, e.algebra) for e in catalog]
+    out = list(catalog)
     for i, alg in enumerate(enumerated_6):
         out.append((f"enum-{alg.order}-{i:03d}", alg))
     return out
 
 
 @pytest.fixture(scope="session")
-def enumerated_8():
-    """Every isomorphism class up to order 8."""
-    return tuple(enumerate_all(8, bound=8))
+def enumerated_9():
+    """Every isomorphism class up to order 9."""
+    return tuple(enumerate_all(9, bound=9))
+
+
+@pytest.fixture(scope="session")
+def enumerated_8(enumerated_9):
+    """Every isomorphism class up to order 8: the same stream, cut at order 8."""
+    return tuple(alg for alg in enumerated_9 if alg.order <= 8)

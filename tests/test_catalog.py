@@ -68,6 +68,114 @@ SEEDED_DRAW_DIGESTS = {
 }
 
 
+def _chain_expected(n: int) -> dict:
+    """The structure of make_chain(n), the (n + 1)-element chain, in closed form."""
+    return {
+        "sharp": tuple((0, n)) if n > 1 else (0, 1),
+        "meager": tuple(range(n)),
+        "hypermeager": tuple(k for k in range(n + 1) if 2 * k <= n),
+        "center": (0, n) if n > 1 else (0, 1),
+        "principal": (0, n) if n > 1 else (0, 1),
+        "blocks": (tuple(range(n + 1)),),
+        "homogeneous": True,
+        "rdp": True,
+        "lattice": True,
+        "sharply_dominating": True,
+        "orthoalgebra": n == 1,
+    }
+
+
+# Hand-derived structure of the named catalog's other entries, by name.
+CATALOG_FACTS = {
+    "boolean-4": {
+        "sharp": (0, 1, 2, 3),
+        "meager": (0,),
+        "hypermeager": (0,),
+        "center": (0, 1, 2, 3),
+        "blocks": ((0, 1, 2, 3),),
+        "homogeneous": True,
+        "rdp": True,
+        "lattice": True,
+        "orthoalgebra": True,
+    },
+    "boolean-8": {
+        "sharp": tuple(range(8)),
+        "meager": (0,),
+        "center": tuple(range(8)),
+        "blocks": (tuple(range(8)),),
+        "homogeneous": True,
+        "rdp": True,
+        "lattice": True,
+        "orthoalgebra": True,
+    },
+    "hsum-3-3": {
+        "sharp": (0, 3),
+        "meager": (0, 1, 2),
+        "hypermeager": (0, 1, 2),
+        "center": (0, 3),
+        "principal": (0, 3),
+        "blocks": ((0, 1, 3), (0, 2, 3)),
+        "homogeneous": True,
+        "rdp": False,
+        "lattice": True,
+        "orthoalgebra": False,
+    },
+    "hsum-3-3-3": {
+        "sharp": (0, 4),
+        "meager": (0, 1, 2, 3),
+        "blocks": ((0, 1, 4), (0, 2, 4), (0, 3, 4)),
+        "homogeneous": True,
+        "rdp": False,
+    },
+    "hsum-4-3": {
+        "sharp": (0, 4),
+        "meager": (0, 1, 2, 3),
+        "hypermeager": (0, 1, 3),
+        "blocks": ((0, 1, 2, 4), (0, 3, 4)),
+        "homogeneous": True,
+        "lattice": True,
+    },
+    "hsum-4-4": {
+        "sharp": (0, 5),
+        "meager": (0, 1, 2, 3, 4),
+        "hypermeager": (0, 1, 3),
+        "blocks": ((0, 1, 2, 5), (0, 3, 4, 5)),
+        "homogeneous": True,
+    },
+    "hsum-b4-3": {
+        "sharp": (0, 1, 2, 4),
+        "meager": (0, 3),
+        "hypermeager": (0, 3),
+        "center": (0, 4),
+        "principal": (0, 1, 2, 4),
+        "blocks": ((0, 1, 2, 4), (0, 3, 4)),
+        "homogeneous": True,
+        "rdp": False,
+        "lattice": True,
+    },
+    "product-3x2": {
+        "sharp": (0, 1, 4, 5),
+        "meager": (0, 2),
+        "hypermeager": (0, 2),
+        "center": (0, 1, 4, 5),
+        "blocks": ((0, 1, 2, 3, 4, 5),),
+        "homogeneous": True,
+        "rdp": True,
+        "lattice": True,
+    },
+    "product-4x2": {
+        "sharp": (0, 1, 6, 7),
+        "meager": (0, 2, 4),
+        "hypermeager": (0, 2),
+        "center": (0, 1, 6, 7),
+        "blocks": (tuple(range(8)),),
+        "homogeneous": True,
+        "rdp": True,
+        "lattice": True,
+    },
+}
+
+
 class TestChain:
     def test_chain_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -86,16 +194,19 @@ class TestChain:
         assert hypermeager_elements(make_chain(6)) == (0, 1, 2, 3)
 
     def test_expected_golden_data(self, catalog):
-        for entry in catalog:
-            if entry.expected is None:
-                continue
-            report = structure_report(entry.algebra)
-            for key, want in entry.expected.items():
+        cases = [
+            (name, alg, _chain_expected(alg.order - 1) if name.startswith("chain-") else CATALOG_FACTS[name])
+            for name, alg in catalog
+        ]
+        cases += [(f"make_chain({n})", make_chain(n), _chain_expected(n)) for n in range(1, 41)]
+        for name, alg, expected in cases:
+            report = structure_report(alg)
+            for key, want in expected.items():
                 if key in ("homogeneous", "rdp", "lattice", "sharply_dominating", "orthoalgebra"):
                     got = getattr(report, key).value
                 else:
                     got = getattr(report, key)
-                assert got == want, (entry.name, key, got, want)
+                assert got == want, (name, key, got, want)
 
 
 class TestHorizontalSum:
@@ -246,8 +357,8 @@ class TestEnumerate:
         assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_8_DIGEST
 
     @pytest.mark.slow
-    def test_order_9_matches_the_seeded_search(self):
-        forms = [canonical_form(a) for a in enumerate_all(9, bound=9) if a.order == 9]
+    def test_order_9_matches_the_seeded_search(self, enumerated_9):
+        forms = [canonical_form(a) for a in enumerated_9 if a.order == 9]
         assert len(forms) == ORDER_9_CLASS_COUNT
         assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_9_DIGEST
 

@@ -393,13 +393,15 @@ def test_suite_reaches_past_the_default_bound(capsys):
 SUITE_6_SHA256 = "b048a36303e54248cf6f2e0f2b4d7958c327da61525fd86f3a220dbfacf42791"
 
 
-@pytest.mark.parametrize("jobs", [None, "2"])
-def test_suite_table_does_not_move(capsys, monkeypatch, jobs):
+@pytest.mark.parametrize(
+    "jobs, flags", [(None, ()), ("2", ()), (None, ("--jobs", "2"))], ids=["None", "2", "jobs-flag"]
+)
+def test_suite_table_does_not_move(capsys, monkeypatch, jobs, flags):
     if jobs is None:
         monkeypatch.delenv("EFALG_JOBS", raising=False)
     else:
         monkeypatch.setenv("EFALG_JOBS", jobs)
-    code, out, _ = run(capsys, "suite", "--max-order", "6")
+    code, out, _ = run(capsys, "suite", "--max-order", "6", *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SUITE_6_SHA256
 

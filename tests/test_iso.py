@@ -7,7 +7,7 @@ from itertools import combinations, islice
 
 import pytest
 
-from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_boolean, make_chain, named_catalog
+from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain, named_catalog
 from efalg.core import FiniteEffectAlgebra, FiniteGeneralizedEffectAlgebra, PartialOpTable, UNDEFINED
 from efalg.iso import _invariants, _search, canonical_form, find_isomorphism, isomorphisms, morphism_failure
 from efalg.structure import meager_algebra
@@ -223,14 +223,14 @@ def test_boolean_64_relabelled_pair():
     assert w is not None and is_witness(a, b, w)
 
 
-def test_witnesses_and_canonical_bytes_do_not_move():
+def test_witnesses_and_canonical_bytes_do_not_move(enumerated_9):
     """Two seeded relabellings of every class to order 9, of each LARGE
     algebra and of each one's meager GEA: the find_isomorphism witness
     between them, the first 50 maps of isomorphisms, the canonical forms and
     the search results, pinned by digests recorded before the invariant
     filter, the lists of defined sums and the early stop were added."""
     rng = random.Random(14)
-    bases = list(enumerate_all(9, bound=9)) + [build() for build in LARGE.values()]
+    bases = list(enumerated_9) + [build() for build in LARGE.values()]
     bases += [meager_algebra(alg)[0] for alg in bases]
     pairs = [(permuted_copy(alg, rng), permuted_copy(alg, rng)) for alg in bases]
     assert len(pairs) == 278 and min(alg.order for alg in bases) == 1

@@ -1,12 +1,14 @@
 """Suite plumbing: anchor registry, worker handling, witness quality."""
 
 import gc
+import multiprocessing
+import os
 import random
 import weakref
 
 import pytest
 
-from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_chain, named_catalog
+from efalg.catalog import direct_product, horizontal_sum, make_chain, named_catalog
 import efalg.core
 from efalg import properties
 from efalg.core import FiniteEffectAlgebra, PartialOpTable, Verdict, Violation
@@ -122,7 +124,7 @@ def test_run_suite_gathers_failures_and_notes_in_universe_order(monkeypatch, job
 
 @pytest.mark.slow
 def test_suite_passes_on_the_order_8_universe(enumerated_8):
-    universe = [(e.name, e.algebra) for e in named_catalog()]
+    universe = list(named_catalog())
     universe += [(f"enum-{a.order}-{i:03d}", a) for i, a in enumerate(enumerated_8)]
     reports = run_suite(universe, jobs=1)
     assert len(universe) == 88
@@ -130,8 +132,8 @@ def test_suite_passes_on_the_order_8_universe(enumerated_8):
 
 
 @pytest.mark.slow
-def test_suite_passes_on_the_order_9_classes():
-    universe = [(f"enum-9-{i:03d}", a) for i, a in enumerate(a for a in enumerate_all(9, bound=9) if a.order == 9)]
+def test_suite_passes_on_the_order_9_classes(enumerated_9):
+    universe = [(f"enum-9-{i:03d}", a) for i, a in enumerate(a for a in enumerated_9 if a.order == 9)]
     reports = run_suite(universe, jobs=1)
     assert len(universe) == 60
     assert [(r.anchor, r.failures) for r in reports] == [(a, []) for a, _ in ANCHORS]
@@ -146,6 +148,41 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 1
     monkeypatch.delenv("EFALG_JOBS")
     assert worker_count() == 1
+
+
+def test_job_count_is_capped_at_the_cpu_count(monkeypatch):
+    """A huge job count, passed in or from EFALG_JOBS, asks for a pool of
+    the CPU count. The pool is a fake that records its size and maps in
+    process, so no process starts."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    universe = [("chain-3", make_chain(2))]
+    want = run_suite(universe, jobs=1)
+    assert run_suite(universe, jobs=10**6) == want
+    monkeypatch.setenv("EFALG_JOBS", "1000000")
+    assert run_suite(universe) == want
+    # an unknown CPU count means one worker, in process
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_suite(universe) == want
+    assert sizes == [3, 3]
 
 
 def test_false_flags_carry_least_witness():

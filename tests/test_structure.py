@@ -8,7 +8,7 @@ import random
 import pytest
 
 from efalg import structure
-from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_boolean, make_chain
+from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain
 from efalg.structure import (
     HypothesisError,
     _block_algebra,
@@ -404,11 +404,11 @@ def _meet_missing_below_a_bound(alg) -> bool:
     )
 
 
-def test_riesz_witnesses_do_not_move():
+def test_riesz_witnesses_do_not_move(enumerated_9):
     """The RDP and homogeneity witnesses of every class to order 9, a seeded
     relabelling of each and each one's product with the 2-chain, pinned by
     digest to the output of the scan that decoded every target."""
-    classes = tuple(enumerate_all(9, bound=9))
+    classes = enumerated_9
     rng = random.Random(13)
     algs = list(classes)
     algs += [permuted_copy(alg, rng) for alg in classes]
