@@ -3,9 +3,9 @@
 Exit codes are a stable contract for CI: 0 all checks passed, 1 a property
 or axiom check failed, 2 an operation's hypotheses were not met, 3 the
 input was malformed, a usage error or an output that cannot be written.
-``suite`` takes its worker count from ``--jobs`` or else the EFALG_JOBS
-environment variable, capped at the CPU count; output bytes do not depend
-on it.
+``suite`` takes its worker count from ``--jobs``, which must be at least 1,
+or else the EFALG_JOBS environment variable, capped at the CPU count; output
+bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def cmd_suite(args) -> int:
     # an order past the bound is refused here, before any anchor runs
     classes = enumerate(enumerate_all(args.max_order, bound=HARD_BOUND))
     enumerated = ((f"enum-{alg.order}-{i:03d}", alg) for i, alg in classes)
-    reports = run_suite(itertools.chain(named_catalog(), enumerated), jobs=args.jobs if args.jobs else None)
+    reports = run_suite(itertools.chain(named_catalog(), enumerated), jobs=args.jobs)
     width = max(len(r.anchor) for r in reports)
     failed = 0
     for r in reports:
@@ -210,6 +210,17 @@ def cmd_suite(args) -> int:
             print(f"{'':<{width}}  note: {note}")
     print(f"anchors: {len(reports)}, failing: {failed}")
     return EXIT_OK if failed == 0 else EXIT_PROPERTY
+
+
+def _worker_count(text: str) -> int:
+    """A ``--jobs`` value: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run every property check over the catalog and enumeration")
     p.add_argument("--max-order", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=0, help="workers; default EFALG_JOBS or 1")
+    p.add_argument("--jobs", type=_worker_count, help="workers, at least 1; default EFALG_JOBS or 1")
     p.set_defaults(fn=cmd_suite)
 
     return parser

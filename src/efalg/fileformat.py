@@ -13,13 +13,15 @@ Effect algebras:
     sum 1 1 2
 
 Generalized effect algebras use the magic line ``gefa 1`` and carry no
-``one`` header. ``#`` starts a comment. A ``sum I J K`` line states that
-I + J = K; absent pairs are undefined. The serializer emits sums only for
-I <= J in sorted order, so output is canonical and diff friendly; the
-parser applies the commutative closure and rejects duplicate definitions
-for a pair, contradictory or not. An ``order`` above ``MAX_ORDER`` is
-refused on its own line, with the table's cell count, an estimate of the
-memory that parsing and verifying it would take and a lower bound on the time.
+``one`` header. Each header line (``order``, ``zero``, ``one``) takes exactly
+one value; trailing tokens are refused on their line. ``#`` starts a
+comment. A ``sum I J K`` line states that I + J = K; absent pairs are
+undefined. The serializer emits sums only for I <= J in sorted order, so
+output is canonical and diff friendly; the parser applies the commutative
+closure and rejects duplicate definitions for a pair, contradictory or not.
+An ``order`` above ``MAX_ORDER`` is refused on its own line, with the
+table's cell count, an estimate of the memory that parsing and verifying it
+would take and a lower bound on the time.
 """
 
 from __future__ import annotations
@@ -109,6 +111,7 @@ def _parse_common(text: str, magic: str, with_one: bool):
         if kind == "order":
             if order is not None:
                 raise ParseError(no, "duplicate 'order'")
+            _one_value(no, fields)
             order = _int_field(no, fields, 1, "order")
             if order < 1:
                 raise ParseError(no, "order must be positive")
@@ -117,12 +120,14 @@ def _parse_common(text: str, magic: str, with_one: bool):
         elif kind == "zero":
             if zero is not None:
                 raise ParseError(no, "duplicate 'zero'")
+            _one_value(no, fields)
             zero = _element_field(no, fields, 1, need_order(no))
         elif kind == "one":
             if not with_one:
                 raise ParseError(no, "'one' not allowed here")
             if one is not None:
                 raise ParseError(no, "duplicate 'one'")
+            _one_value(no, fields)
             one = _element_field(no, fields, 1, need_order(no))
         elif kind == "name":
             if len(fields) < 3:
@@ -176,6 +181,11 @@ def _bytes(n: int) -> str:
 
 def _seconds(s: float) -> str:
     return f"{s:,.0f} s" if s >= 10 else f"{s:.2g} s"
+
+
+def _one_value(no: int, fields: list[str]) -> None:
+    if len(fields) > 2:
+        raise ParseError(no, f"'{fields[0]}' takes one value, got {len(fields) - 1}")
 
 
 def _int_field(no: int, fields: list[str], idx: int, what: str) -> int:

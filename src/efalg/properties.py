@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import UNDEFINED, FiniteEffectAlgebra, axiom_verdict, memoized
 from .iso import find_isomorphism  # not called here; perfbench's tracer wraps this module-level name
@@ -89,6 +89,29 @@ class AnchorReport:
     checked: int
     failures: list
     notes: list
+
+
+# ---------------------------------------------------------------------------
+# law shapes stated by several checks
+
+
+def _meet_distributes(E: FiniteEffectAlgebra, a: int, b: int, c: int, whole: int | None) -> bool:
+    """a ^ b and a ^ c exist and sum to whole, the caller's a ^ (b + c).
+
+    b + c is defined, so a sum of lower bounds of b and c is too, and a
+    missing whole (None) fails the law.
+    """
+    ab, ac = E.meet(a, b), E.meet(a, c)
+    return ab is not None and ac is not None and E.sum(ab, ac) == whole
+
+
+def _maximal_totals(E: FiniteEffectAlgebra, x: int, allowed: int) -> Iterator[int]:
+    """Sums of the orthogonal families below x inside the down-set mask
+    allowed that no further member of x's pool extends inside allowed."""
+    pool = _orthogonal_pool(E, x)
+    for t in _reachable_totals(E, pool, allowed):
+        if not any((n := E.sum(t, y)) is not None and allowed >> n & 1 for y in pool):
+            yield t
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +248,6 @@ def check_xssuplem(E: FiniteEffectAlgebra) -> CheckOutcome:
             )
             out.tick((x, "above"), ok)
         if floor is not None and hat is not None:
-            t = E.ominus(x, floor)
-            r = E.ominus(hat, x)
             out.tick((x, "both"), base == E.below_mask(t) & E.below_mask(r))
     return out
 
@@ -294,27 +315,13 @@ def check_gejzapulm(E: FiniteEffectAlgebra) -> CheckOutcome:
     for c in centre:
         for x, row in enumerate(E.table.row_sums):
             for y, s in row:
-                cx, cy, cs = E.meet(c, x), E.meet(c, y), E.meet(c, s)
-                ok = (
-                    cx is not None
-                    and cy is not None
-                    and cs is not None
-                    and E.sum(cx, cy) == cs
-                )
-                out.tick((c, x, y, "i"), ok)
+                out.tick((c, x, y, "i"), _meet_distributes(E, c, x, y, E.meet(c, s)))
         for d in centre:
             cd = E.sum(c, d)
             if cd is None:
                 continue
             for x in E.elements():
-                xc, xd, xcd = E.meet(x, c), E.meet(x, d), E.meet(x, cd)
-                ok = (
-                    xc is not None
-                    and xd is not None
-                    and xcd is not None
-                    and E.sum(xc, xd) == xcd
-                )
-                out.tick((c, d, x, "ii"), ok)
+                out.tick((c, d, x, "ii"), _meet_distributes(E, x, c, d, E.meet(x, cd)))
     return out
 
 
@@ -372,34 +379,20 @@ def check_archim(E: FiniteEffectAlgebra) -> CheckOutcome:
 def check_cduya(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     for x in meager_elements(E):
-        pool = _orthogonal_pool(E, x)
-        totals = _reachable_totals(E, pool, E.below_mask(x))
-        for t in totals:
-            extendable = any(
-                (n := E.sum(t, y)) is not None and E.leq(n, x) for y in pool
-            )
-            if not extendable:
-                out.tick((x, t), t == x)
+        for t in _maximal_totals(E, x, E.below_mask(x)):
+            out.tick((x, t), t == x)
     return out
 
 
 def check_corcduya(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
-    meager = frozenset(meager_elements(E))
-    meager_mask = sum(1 << m for m in meager)
+    meager_mask = sum(1 << m for m in meager_elements(E))
     bounds = sharp_bounds(E)
     block_masks = [(b, sum(1 << y for y in b)) for b in blocks(E)]
     for x in E.elements():
         floor, hat = bounds.below[x], bounds.above[x]
-        pool = _orthogonal_pool(E, x)
-        totals = _reachable_totals(E, pool, E.below_mask(x) & meager_mask)
-        for t in totals:
-            extendable = any(
-                (n := E.sum(t, y)) is not None and E.leq(n, x) and n in meager
-                for y in pool
-            )
-            if not extendable:
-                out.tick((x, t), E.sum(floor, t) == x)
+        for t in _maximal_totals(E, x, E.below_mask(x) & meager_mask):
+            out.tick((x, t), E.sum(floor, t) == x)
         # the intervals [floor, x] and [x, hat], as one mask
         span = E.above_mask(floor) & E.below_mask(x) | E.above_mask(x) & E.below_mask(hat)
         for b, b_mask in block_masks:
@@ -412,10 +405,10 @@ def check_duscduya(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     meager = frozenset(meager_elements(E))
     for b in blocks(E):
-        bset = set(b)
+        outside = ~sum(1 << y for y in b)
         for x in b:
             if x in meager:
-                out.tick((b, x), set(E.down_set(x)) <= bset)
+                out.tick((b, x), E.below_mask(x) & outside == 0)
         sub, elems = _block_algebra(E, b)
         sub_meager = {elems[m] for m in meager_elements(sub)}
         out.tick((b, "meager"), sub_meager <= meager)
@@ -445,11 +438,10 @@ def check_meetmodjen(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     above = sharp_bounds(E).above
     for b in blocks(E):
-        sub, elems = _block_algebra(E, b)
-        index = {e: i for i, e in enumerate(elems)}
-        for x in b:
-            for y in b:
-                if sub.meet(index[x], index[y]) == sub.zero:
+        sub, elems = _block_algebra(E, b)  # b is sorted, so elems == b
+        for i, x in enumerate(elems):
+            for j, y in enumerate(elems):
+                if sub.meet(i, j) == sub.zero:
                     out.tick((b, x, y), E.meet(above[x], above[y]) == E.zero)
     return out
 
@@ -520,10 +512,9 @@ def check_modjen(E: FiniteEffectAlgebra) -> CheckOutcome:
             for v in b:
                 if not E.leq(x, v):
                     continue
-                vs, vm = bounds.below[v], E.ominus(v, bounds.below[v])
-                ms, mm = E.meet(x, vs), E.meet(x, vm)
-                ok = ms is not None and mm is not None and E.sum(ms, mm) == x
-                out.tick((b, x, v, "v"), ok)
+                vs = bounds.below[v]
+                # x <= v = vs + (v - vs), so the whole is x
+                out.tick((b, x, v, "v"), _meet_distributes(E, x, vs, E.ominus(v, vs), x))
     return out
 
 
@@ -566,9 +557,8 @@ def check_center_boolean(E: FiniteEffectAlgebra) -> CheckOutcome:
     for c in centre:
         cc = E.orthosupplement(c)
         for y in E.elements():
-            yc, ycc = E.meet(y, c), E.meet(y, cc)
-            ok = yc is not None and ycc is not None and E.sum(yc, ycc) == y
-            out.tick((c, y, "split"), ok)
+            # y ^ (c + c') = y ^ 1 = y
+            out.tick((c, y, "split"), _meet_distributes(E, y, c, cc, y))
         for d in centre:
             s = E.sum(c, d)
             if s is not None:
@@ -647,8 +637,9 @@ def check_structure_sets(E: FiniteEffectAlgebra) -> CheckOutcome:
     principal = frozenset(principal_elements(E))
     out.tick(("sharp-meager",), sharp & meager == {E.zero})
     out.tick(("hyper-subset",), hyper <= meager)
-    out.tick(("downset-meager",), all(set(E.down_set(x)) <= meager for x in meager))
-    out.tick(("downset-hyper",), all(set(E.down_set(x)) <= hyper for x in hyper))
+    for tag, members in (("downset-meager", meager), ("downset-hyper", hyper)):
+        outside = ~sum(1 << x for x in members)
+        out.tick((tag,), all(E.below_mask(x) & outside == 0 for x in members))
     out.tick(("center-principal",), centre <= principal)
     out.tick(("principal-sharp",), principal <= sharp)
     out.tick(("sharp-closed",), all(E.orthosupplement(s) in sharp for s in sharp))

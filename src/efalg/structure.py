@@ -443,8 +443,9 @@ def restrict(E: FiniteEffectAlgebra, subset: Iterable[int]) -> tuple[FiniteEffec
     defined for members, E defines y + z, a member, and x + (y + z) equals
     it (and symmetrically). Each member x has its supplement in Q, the
     only y with x + y = one, as in E; one + x is defined only for x = zero,
-    and zero != one, as in E. A subset not closed under sums is refused
-    with ValueError; any other gets the full constructor, which refuses it.
+    and zero != one, as in E. A subset not closed under sums, or closed but
+    without zero or one, is refused with ValueError naming what it lacks;
+    any other gets the full constructor, which refuses it.
     """
     table, pos, elems = _induced_table(E, subset)
     zero, one = pos[E.zero], pos[E.one]
@@ -454,6 +455,9 @@ def restrict(E: FiniteEffectAlgebra, subset: Iterable[int]) -> tuple[FiniteEffec
         for b, v in E.table.row_sums[a]:
             if pos[b] != UNDEFINED and pos[v] == UNDEFINED:
                 raise ValueError(f"subset not closed under defined sums at ({a},{b})")
+    for role, c in (("zero", E.zero), ("one", E.one)):
+        if pos[c] == UNDEFINED:
+            raise ValueError(f"subset does not hold {role} ({c})")
     return FiniteEffectAlgebra(table, zero, one), elems
 
 
@@ -496,10 +500,13 @@ def restrict_downset(
     Commutativity is inherited. Associativity: if (x + y) + z is defined in
     D, E defines y + z and x + (y + z) with the same value, and y + z lies
     below it, so in D; the other direction is symmetric. Cancellation and "x + y = zero only for x = y = zero"
-    hold in E, and x + zero = x is in D. Any other subset gets the full
+    hold in E, and x + zero = x is in D. A subset without zero, the empty
+    one included, is refused with ValueError; any other gets the full
     constructor.
     """
     table, pos, elems = _induced_table(E, downset)
+    if pos[E.zero] == UNDEFINED:
+        raise ValueError(f"subset does not hold zero ({E.zero})")
     inside = sum(1 << x for x in elems)
     if all(E._below[x] & ~inside == 0 for x in elems):  # a non-empty down-set holds zero
         return FiniteGeneralizedEffectAlgebra._trusted(table, pos[E.zero]), elems

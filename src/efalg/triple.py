@@ -34,7 +34,7 @@ from .structure import (
     homogeneity_counterexample,
     is_sharply_dominating,
     meager_algebra,
-    meager_elements,
+    meager_elements,  # not called here; perfbench's tracer wraps this module-level name
     restrict,
     sharp_bounds,
     sharp_elements,

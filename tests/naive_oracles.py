@@ -348,6 +348,35 @@ def _naive_families(entries, zero):
     return out
 
 
+def naive_maximal_totals(entries, zero, x, within) -> set[int]:
+    """Totals of the maximal orthogonal families below x inside within.
+
+    A family is a multiset of the nonzero y <= x with x + y defined, summed
+    member by member; it counts when its total lies below x and in within,
+    and it is maximal when no further such y keeps the total there.
+    """
+    leq = _naive_leq(entries)
+    allowed = {t for t in within if (t, x) in leq}
+    pool = [y for y in range(len(entries)) if y != zero and (y, x) in leq and entries[x][y] != UNDEF]
+    families = []
+
+    def grow(start, family):
+        families.append(family)
+        for k in range(start, len(pool)):
+            if _naive_fold(entries, zero, family + (pool[k],)) is not None:
+                grow(k, family + (pool[k],))
+
+    grow(0, ())
+    totals = set()
+    for family in families:
+        total = _naive_fold(entries, zero, family)
+        if total in allowed and not any(
+            _naive_fold(entries, zero, family + (y,)) in allowed for y in pool
+        ):
+            totals.add(total)
+    return totals
+
+
 def _naive_refined(families, subset) -> bool:
     return any(members <= subset <= subs for members, subs in families)
 

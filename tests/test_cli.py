@@ -131,6 +131,10 @@ def test_parse_error_is_input_error(capsys, tmp_path):
         ("efa 1\n# zero 0\n", "line 1: missing 'order'"),
         ("efa 1\norder\n", "line 2: missing value for order"),
         ("efa 1\norder two\n", "line 2: order is not an integer: 'two'"),
+        ("efa 1\norder 2 7\nzero 0\none 1\n", "line 2: 'order' takes one value, got 2"),
+        ("efa 1\norder 2\nzero 0 1\none 1\n", "line 3: 'zero' takes one value, got 2"),
+        ("gefa 1\norder 2\nzero 0 # bottom\nzero 1 x\n", "line 4: duplicate 'zero'"),
+        ("efa 1\norder 2\nzero 0\none 1 junk\n", "line 4: 'one' takes one value, got 2"),
     ],
 )
 def test_verify_refuses_malformed_files_on_one_line(capsys, tmp_path, text, reason):
@@ -351,7 +355,14 @@ def test_unwritable_output_is_input_error(capsys, tmp_path, chain3_file, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, expected", [(["suite", "--max-order", "x"], 3), (["bogus"], 3), (["--help"], 0)]
+    "argv, expected",
+    [
+        (["suite", "--max-order", "x"], 3),
+        (["suite", "--jobs", "0"], 3),
+        (["suite", "--jobs", "-5"], 3),
+        (["bogus"], 3),
+        (["--help"], 0),
+    ],
 )
 def test_usage_errors_are_input_errors(capsys, argv, expected):
     with pytest.raises(SystemExit) as exc:
@@ -359,6 +370,9 @@ def test_usage_errors_are_input_errors(capsys, argv, expected):
     captured = capsys.readouterr()
     assert exc.value.code == expected
     assert (captured.err if expected else captured.out).startswith("usage: efalg")
+    if expected:
+        # one usage error, and nothing ran
+        assert captured.out == "" and captured.err.count("error:") == 1
 
 
 def test_suite_small(capsys):

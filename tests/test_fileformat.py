@@ -76,6 +76,9 @@ def test_symmetric_closure_on_read():
         ("efa 1\norder 2\nzero 0\none 1\nfrob 1\n", "unknown directive"),
         ("efa 1\norder 2\nzero 0\nsum 0 0 0\n", "missing 'one'"),
         ("efa 1\norder 0\nzero 0\none 1\n", "order must be positive"),
+        ("efa 1\norder 2 7\nzero 0\none 1\n", "'order' takes one value, got 2"),
+        ("efa 1\norder 2\nzero 0 1\none 1\n", "'zero' takes one value, got 2"),
+        ("efa 1\norder 2\nzero 0\none 1 junk\n", "'one' takes one value, got 2"),
     ],
 )
 def test_parse_errors_carry_line_and_reason(text, fragment):

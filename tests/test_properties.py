@@ -11,11 +11,13 @@ import pytest
 from efalg.catalog import direct_product, horizontal_sum, make_chain, named_catalog
 import efalg.core
 from efalg import properties
-from efalg.core import FiniteEffectAlgebra, PartialOpTable, Verdict, Violation
+from efalg.core import UNDEFINED, FiniteEffectAlgebra, PartialOpTable, Verdict, Violation
 from efalg.properties import (
     ANCHORS,
     AnchorReport,
     CheckOutcome,
+    _maximal_totals,
+    _meet_distributes,
     check_center_boolean,
     check_gejzasum,
     check_infasoc,
@@ -24,9 +26,9 @@ from efalg.properties import (
     run_suite,
     worker_count,
 )
-from efalg.structure import homogeneity_counterexample, is_homogeneous, rdp_counterexample
+from efalg.structure import homogeneity_counterexample, is_homogeneous, meager_elements, rdp_counterexample
 
-from naive_oracles import naive_infasoc, naive_refined_cores
+from naive_oracles import naive_infasoc, naive_maximal_totals, naive_meet, naive_refined_cores
 from test_core import PLANTED
 from test_iso import permuted_copy, plain
 
@@ -215,6 +217,50 @@ def test_infasoc_matches_naive_oracle(universe_6):
         outcome = check_infasoc(alg)
         entries, zero, _ = plain(alg)
         assert (outcome.checked, outcome.failures) == naive_infasoc(entries, zero)
+
+
+@pytest.fixture(scope="module")
+def relabelled_6(universe_6):
+    """Every algebra of universe_6 and one relabelled copy of each."""
+    rng = random.Random(24)
+    algs = [alg for _, alg in universe_6]
+    return algs + [permuted_copy(alg, rng) for alg in algs]
+
+
+def test_meet_distributes_matches_the_law_read_off_the_order(relabelled_6):
+    """_meet_distributes(a, b, c, a ^ (b + c)) holds exactly when
+    a ^ (b + c) = (a ^ b) + (a ^ c) with all three meets defined, each meet
+    taken from the definition of the order, over every triple with b + c
+    defined; the law fails on some of them."""
+    outcomes = set()
+    for alg in relabelled_6:
+        entries, _, _ = plain(alg)
+        meets = [[naive_meet(entries, a, b) for b in alg.elements()] for a in alg.elements()]
+        for a in alg.elements():
+            for b in alg.elements():
+                for c in alg.elements():
+                    s = entries[b][c]
+                    if s == UNDEFINED:
+                        continue
+                    ab, ac, whole = meets[a][b], meets[a][c], meets[a][s]
+                    law = None not in (ab, ac, whole) and entries[ab][ac] == whole
+                    assert _meet_distributes(alg, a, b, c, whole) == law, (a, b, c)
+                    outcomes.add(law)
+    assert outcomes == {True, False}
+
+
+def test_maximal_totals_match_the_maximal_families_listed_one_by_one(relabelled_6):
+    """For every x, with the families kept below x and inside the meager set
+    or inside the down-set of any z, the totals _maximal_totals yields are
+    those of the maximal orthogonal families listed member by member."""
+    for alg in relabelled_6:
+        entries, zero, _ = plain(alg)
+        meager = set(meager_elements(alg))
+        for x in alg.elements():
+            for within in [meager] + [set(alg.down_set(z)) for z in alg.elements()]:
+                allowed = alg.below_mask(x) & sum(1 << y for y in within)
+                got = list(_maximal_totals(alg, x, allowed))
+                assert got == sorted(naive_maximal_totals(entries, zero, x, within)), (x, within)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -34,6 +35,7 @@ from efalg.structure import (
     principal_elements,
     rdp_counterexample,
     restrict,
+    restrict_downset,
     sharp_bounds,
     sharp_elements,
     sigma_closure,
@@ -549,6 +551,21 @@ class TestIntervalAndReport:
         # in the 4-chain 1 + 1 = 2, which the subset leaves out
         with pytest.raises(ValueError, match=r"^subset not closed under defined sums at \(1,1\)$"):
             restrict(make_chain(3), {0, 1, 3})
+
+    @pytest.mark.parametrize(
+        "restriction, E, subset, missing",
+        [
+            # each subset is closed under the sums it holds, so only the
+            # missing constant refuses it
+            (restrict, make_boolean(2), [1, 2, 3], "zero (0)"),
+            (restrict, make_boolean(2), [0, 1], "one (3)"),
+            (restrict_downset, make_chain(3), [1, 2], "zero (0)"),
+        ],
+        ids=["restrict-zero", "restrict-one", "downset-zero"],
+    )
+    def test_restrictions_refuse_a_subset_without_a_constant(self, restriction, E, subset, missing):
+        with pytest.raises(ValueError, match=rf"^subset does not hold {re.escape(missing)}$"):
+            restriction(E, subset)
 
     def test_interval_refuses_top_zero(self):
         E = make_chain(3)

@@ -2,10 +2,12 @@
 names by getattr/setattr; every name it plans to wrap must exist, the plan
 must not lose a name, and uninstalling must put the originals back."""
 
+import ast
 import importlib
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "efalg"
 
 # The tracer plans a name only while the module imports it, so a refactor that
 # drops an import silently empties that name's span. Pin the plan instead.
@@ -90,3 +92,31 @@ def test_tracer_wraps_and_restores_every_planned_name(monkeypatch):
     finally:
         tracer.uninstall()
     assert [getattr(m, name) for m, name in planned] == originals
+
+
+# Imported and never called: each module holds the name only so that the
+# tracer, which wraps module-level names, can time the calls made through it.
+TRACED_ONLY = {
+    ("efalg.catalog", "verify_effect_algebra"),
+    ("efalg.properties", "find_isomorphism"),
+    ("efalg.triple", "meager_elements"),
+}
+
+
+def test_every_import_is_used_or_traced():
+    """No module imports a name it never reads, except the names the tracer
+    needs; __init__.py is left out, since it imports to re-export."""
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.add((f"efalg.{path.stem}", name))
+    assert unused == TRACED_ONLY
+    assert all(name in PLANNED[module] for module, name in TRACED_ONLY)
