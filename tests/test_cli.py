@@ -358,10 +358,10 @@ def test_unwritable_output_is_input_error(capsys, tmp_path, chain3_file, argv):
     "argv, expected",
     [
         (["suite", "--max-order", "x"], 3),
-        (["suite", "--jobs", "0"], 3),
-        (["suite", "--jobs", "-5"], 3),
         (["bogus"], 3),
         (["--help"], 0),
+        (["suite", "--jobs", "0"], 3),
+        (["suite", "--jobs", "-5"], 3),
     ],
 )
 def test_usage_errors_are_input_errors(capsys, argv, expected):
