@@ -95,8 +95,7 @@ def _parse_common(text: str, magic: str, with_one: bool):
         raise ParseError(no, f"expected header '{magic} 1'")
 
     order: int | None = None
-    zero: int | None = None
-    one: int | None = None
+    headers: dict[str, int] = {}
     names: dict[int, str] = {}
     sums: dict[tuple[int, int], int] = {}
 
@@ -108,35 +107,7 @@ def _parse_common(text: str, magic: str, with_one: bool):
     for no, line in lines[1:]:
         fields = line.split()
         kind = fields[0]
-        if kind == "order":
-            if order is not None:
-                raise ParseError(no, "duplicate 'order'")
-            _one_value(no, fields)
-            order = _int_field(no, fields, 1, "order")
-            if order < 1:
-                raise ParseError(no, "order must be positive")
-            if order > MAX_ORDER:
-                raise ParseError(no, ceiling_message(order))
-        elif kind == "zero":
-            if zero is not None:
-                raise ParseError(no, "duplicate 'zero'")
-            _one_value(no, fields)
-            zero = _element_field(no, fields, 1, need_order(no))
-        elif kind == "one":
-            if not with_one:
-                raise ParseError(no, "'one' not allowed here")
-            if one is not None:
-                raise ParseError(no, "duplicate 'one'")
-            _one_value(no, fields)
-            one = _element_field(no, fields, 1, need_order(no))
-        elif kind == "name":
-            if len(fields) < 3:
-                raise ParseError(no, "'name' needs an element and a label")
-            i = _element_field(no, fields, 1, need_order(no))
-            if i in names:
-                raise ParseError(no, f"duplicate name for element {i}")
-            names[i] = line.split(None, 2)[2]
-        elif kind == "sum":
+        if kind == "sum":
             n = need_order(no)
             if len(fields) != 4:
                 raise ParseError(no, "'sum' needs exactly three elements")
@@ -147,22 +118,41 @@ def _parse_common(text: str, magic: str, with_one: bool):
             if key in sums:
                 raise ParseError(no, f"duplicate definition for pair {key}")
             sums[key] = k
+        elif kind in ("order", "zero", "one"):
+            if kind == "one" and not with_one:
+                raise ParseError(no, "'one' not allowed here")
+            if kind in headers:
+                raise ParseError(no, f"duplicate '{kind}'")
+            if len(fields) > 2:
+                raise ParseError(no, f"'{kind}' takes one value, got {len(fields) - 1}")
+            if kind == "order":
+                order = headers[kind] = _int_field(no, fields, 1, "order")
+                if order < 1:
+                    raise ParseError(no, "order must be positive")
+                if order > MAX_ORDER:
+                    raise ParseError(no, ceiling_message(order))
+            else:
+                headers[kind] = _element_field(no, fields, 1, need_order(no))
+        elif kind == "name":
+            if len(fields) < 3:
+                raise ParseError(no, "'name' needs an element and a label")
+            i = _element_field(no, fields, 1, need_order(no))
+            if i in names:
+                raise ParseError(no, f"duplicate name for element {i}")
+            names[i] = line.split(None, 2)[2]
         else:
             raise ParseError(no, f"unknown directive {kind!r}")
 
     last = lines[-1][0]
-    if order is None:
-        raise ParseError(last, "missing 'order'")
-    if zero is None:
-        raise ParseError(last, "missing 'zero'")
-    if with_one and one is None:
-        raise ParseError(last, "missing 'one'")
+    for kind in ("order", "zero", "one") if with_one else ("order", "zero"):
+        if kind not in headers:
+            raise ParseError(last, f"missing '{kind}'")
 
     table = PartialOpTable.from_pairs(order, sums)
     name_tuple = None
     if names:
         name_tuple = tuple(names.get(i, str(i)) for i in range(order))
-    return table, zero, one, name_tuple
+    return table, headers["zero"], headers.get("one"), name_tuple
 
 
 def ceiling_message(order: int) -> str:
@@ -181,11 +171,6 @@ def _bytes(n: int) -> str:
 
 def _seconds(s: float) -> str:
     return f"{s:,.0f} s" if s >= 10 else f"{s:.2g} s"
-
-
-def _one_value(no: int, fields: list[str]) -> None:
-    if len(fields) > 2:
-        raise ParseError(no, f"'{fields[0]}' takes one value, got {len(fields) - 1}")
 
 
 def _int_field(no: int, fields: list[str], idx: int, what: str) -> int:

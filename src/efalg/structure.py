@@ -730,7 +730,7 @@ class StructureReport:
             "center": list(self.center),
             "principal": list(self.principal),
             "blocks": [list(b) for b in self.blocks],
-            "ord": [None if v is None else v for v in self.ord],
+            "ord": list(self.ord),
             "sharp_bounds": {
                 "below": list(self.bounds_below),
                 "above": list(self.bounds_above),

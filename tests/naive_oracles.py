@@ -484,6 +484,45 @@ def naive_split(entries, zero, one, x, y):
     return s, v if meager else None
 
 
+def naive_modyjem(entries, one) -> dict[int, tuple[bool, bool]]:
+    """{v: (ii, iii)}, walked element by element over every w <= v: (ii)
+    each common lower bound of w and w' lies below v - w, and (iii) y lies
+    below w and w' exactly when it lies below w and v - w."""
+    n = len(entries)
+    leq = _naive_leq(entries)
+    sup = _naive_supplement(entries, one)
+    out = {}
+    for v in range(n):
+        ii = iii = True
+        for w in range(n):
+            if (w, v) not in leq:
+                continue
+            z = _naive_minus(entries, v, w)
+            for y in range(n):
+                common = (y, w) in leq and (y, sup[w]) in leq
+                ii = ii and (not common or (y, z) in leq)
+                iii = iii and common == ((y, w) in leq and (y, z) in leq)
+        out[v] = (ii, iii)
+    return out
+
+
+def naive_jpy2_unique(entries, zero, one) -> dict[int, bool]:
+    """{x: unique} for each x with a greatest sharp element f below it:
+    unique when every sum s + m = x, s sharp and m meager, is f + (x - f)."""
+    n = len(entries)
+    leq = _naive_leq(entries)
+    sharp = _naive_sharp(entries, zero, one)
+    meager = [m for m in range(n) if not any(s != zero and (s, m) in leq for s in sharp)]
+    out = {}
+    for x in range(n):
+        below = [s for s in sharp if (s, x) in leq]
+        floor = next((f for f in below if all((s, f) in leq for s in below)), None)
+        if floor is not None:
+            rest = _naive_minus(entries, x, floor)
+            out[x] = all((s, m) == (floor, rest) for s in sharp for m in meager if entries[s][m] == x)
+    return out
+
+
 def naive_infasoc(entries, zero):
     """(checked, failures) of the finite associativity law: for every multiset
     of 2 to 4 nonzero elements and every split of it into two parts whose

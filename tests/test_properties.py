@@ -21,6 +21,8 @@ from efalg.properties import (
     check_center_boolean,
     check_gejzasum,
     check_infasoc,
+    check_jpy2,
+    check_modyjem,
     check_structure_sets,
     run_checks,
     run_suite,
@@ -28,7 +30,14 @@ from efalg.properties import (
 )
 from efalg.structure import homogeneity_counterexample, is_homogeneous, meager_elements, rdp_counterexample
 
-from naive_oracles import naive_infasoc, naive_maximal_totals, naive_meet, naive_refined_cores
+from naive_oracles import (
+    naive_infasoc,
+    naive_jpy2_unique,
+    naive_maximal_totals,
+    naive_meet,
+    naive_modyjem,
+    naive_refined_cores,
+)
 from test_core import PLANTED
 from test_iso import permuted_copy, plain
 
@@ -261,6 +270,35 @@ def test_maximal_totals_match_the_maximal_families_listed_one_by_one(relabelled_
                 allowed = alg.below_mask(x) & sum(1 << y for y in within)
                 got = list(_maximal_totals(alg, x, allowed))
                 assert got == sorted(naive_maximal_totals(entries, zero, x, within)), (x, within)
+
+
+def test_modyjem_and_jpy2_tick_the_laws_walked_element_by_element(relabelled_6, monkeypatch):
+    """modyjem's (ii) and (iii), read off the order masks, and jpy2's
+    "unique", read off the sharp elements below x, tick as the laws walked
+    element by element and over every sharp + meager sum; (ii) and (iii)
+    each read both true and false."""
+    ticked = []
+    tick = CheckOutcome.tick
+
+    def record(self, witness=None, ok=True):
+        ticked.append((witness, ok))
+        tick(self, witness, ok)
+
+    monkeypatch.setattr(CheckOutcome, "tick", record)
+    seen_ii, seen_iii = set(), set()
+    for alg in relabelled_6:
+        entries, zero, one = plain(alg)
+        ticked.clear()
+        check_modyjem(alg)
+        got = {v: (ii, iii) for (v, _, ii, iii), _ in ticked}
+        assert got == naive_modyjem(entries, one)
+        seen_ii |= {ii for ii, _ in got.values()}
+        seen_iii |= {iii for _, iii in got.values()}
+        ticked.clear()
+        check_jpy2(alg)
+        got = {x: ok for (x, tag), ok in ticked if tag == "unique"}
+        assert got == naive_jpy2_unique(entries, zero, one)
+    assert seen_ii == seen_iii == {True, False}
 
 
 @pytest.mark.parametrize(

@@ -58,7 +58,6 @@ PLANNED = {
         "extract_triple",
         "homogeneity_counterexample",
         "is_sharply_dominating",
-        "meager_elements",
         "reconstruct_tea",
         "sharp_bounds",
         "sharp_elements",
@@ -99,7 +98,6 @@ def test_tracer_wraps_and_restores_every_planned_name(monkeypatch):
 TRACED_ONLY = {
     ("efalg.catalog", "verify_effect_algebra"),
     ("efalg.properties", "find_isomorphism"),
-    ("efalg.triple", "meager_elements"),
 }
 
 

@@ -78,6 +78,23 @@ class TestExtract:
                     if T.sharp.leq(s, t):
                         assert T.h[s] <= T.h[t]
 
+    def test_h_is_the_meager_part_below_each_sharp_element(self, universe_6):
+        """On every qualifying algebra and a relabelled copy, h(s) holds the
+        meager m whose source lies below the source of s, read off the sum
+        table; each h(s) is a down-set of the meager algebra, h(0) is the
+        meager zero alone and h(1) is the whole meager carrier."""
+        rng = random.Random(25)
+        algs = [alg for _, alg in qualifying(universe_6)]
+        for alg in algs + [permuted_copy(alg, rng) for alg in algs]:
+            T = extract_triple(alg)
+            rows = alg.table.entries
+            for s, s_src in enumerate(T.sharp_to_source):
+                # m <= s when m + z = s for some z: s appears in m's row
+                assert T.h[s] == {m for m, m_src in enumerate(T.meager_to_source) if s_src in rows[m_src]}
+                assert all(T.h[s].issuperset(T.meager.down_set(m)) for m in T.h[s])
+            assert T.h[T.sharp.zero] == {T.meager.zero}
+            assert T.h[T.sharp.one] == set(T.meager.elements())
+
     @pytest.mark.parametrize("sharp", [(0, 1, 3), (0, 2, 3)])
     def test_sharp_set_refused_by_restrict_is_a_reconstruction_error(self, monkeypatch, sharp):
         # {0, 1, 3} is not closed (1 + 1 = 2); {0, 2, 3} is closed but lacks
