@@ -34,6 +34,11 @@ already compared. The walk costs the number of left-defined triples instead
 of order³. An asymmetric table, or one the walk rejects, gets the
 lexicographic scan over all triples, which names the least witness; only
 invalid tables pay for it.
+
+Commutativity compares each row with its column as a whole. Only the first
+row unequal to its column is walked cell by cell, to name the least
+asymmetric pair: every earlier row equals its column, so that row's first
+mismatch lies right of the diagonal.
 """
 
 from __future__ import annotations
@@ -120,7 +125,7 @@ class PartialOpTable:
         for i, row in enumerate(self.entries):
             if len(row) != n:
                 raise MalformedTableError(f"row {i} has length {len(row)}, expected {n}")
-            sums.append(tuple((j, v) for j, v in enumerate(row) if v != UNDEFINED))
+            sums.append(tuple([(j, v) for j, v in enumerate(row) if v != UNDEFINED]))
             for j, v in sums[-1]:
                 if not (0 <= v < n):
                     raise MalformedTableError(f"cell ({i},{j}) holds {v}, out of range")
@@ -176,8 +181,10 @@ def verify_effect_algebra(table: PartialOpTable, zero: int, one: int) -> Verdict
     violations.extend(_table_laws(table, "Ei", "Eii"))
 
     # (Eiii) every x has exactly one y with x + y = one.
-    for x, row in enumerate(table.row_sums):
-        sups = [y for y, v in row if v == one]
+    for x, row in enumerate(table.entries):
+        if row.count(one) == 1:
+            continue
+        sups = [y for y, v in table.row_sums[x] if v == one]
         if not sups:
             violations.append(Violation("Eiii", (x,), "no orthosupplement"))
             break
@@ -243,9 +250,9 @@ def _table_laws(table: PartialOpTable, commutativity: str, associativity: str) -
 
 def _commutativity_violation(t, n: int, axiom: str) -> list[Violation]:
     # Reads every cell: an asymmetric pair may hold UNDEFINED on either side.
-    for x in range(n):
-        hit = next((y for y in range(x + 1, n) if t[x][y] != t[y][x]), None)
-        if hit is not None:
+    for x, (row, column) in enumerate(zip(t, zip(*t))):
+        if row != column:
+            hit = next(y for y in range(x + 1, n) if t[x][y] != t[y][x])
             return [Violation(axiom, (x, hit), "asymmetric cells")]
     return []
 

@@ -27,6 +27,7 @@ would take and a lower bound on the time.
 from __future__ import annotations
 
 from .core import (
+    UNDEFINED,
     FiniteEffectAlgebra,
     FiniteGeneralizedEffectAlgebra,
     PartialOpTable,
@@ -60,10 +61,11 @@ BYTES_PER_CELL = 94
 # Time per table cell of `efalg verify` on the sparsest valid tables, the
 # horizontal sums of 3-chains: their sum lines grow with the order, so the
 # work done for every cell (building the table, its range check and the
-# axiom scans) is nearly the whole cost. Wall clock over an idle run, median
-# of seven, at orders 128, 256 and 512: 0.10-0.12 us per cell (Intel Xeon,
-# Python 3.11.7, x86-64 Linux). More sums only add work, so the estimate is
-# a lower bound.
+# axiom scans) is nearly the whole cost. main(["verify", file]) in process,
+# median of fifteen, at orders 512, 256 and 128: 0.11-0.13, 0.15 and
+# 0.26-0.27 us per cell (Intel Xeon, Python 3.11.7, x86-64 Linux); the
+# smaller orders carry more per-line cost. More sums only add work, so the
+# estimate is a lower bound.
 SECONDS_PER_CELL = 1e-7
 
 
@@ -97,7 +99,7 @@ def _parse_common(text: str, magic: str, with_one: bool):
     order: int | None = None
     headers: dict[str, int] = {}
     names: dict[int, str] = {}
-    sums: dict[tuple[int, int], int] = {}
+    rows: list[list[int]] = []
 
     def need_order(no: int) -> int:
         if order is None:
@@ -111,13 +113,18 @@ def _parse_common(text: str, magic: str, with_one: bool):
             n = need_order(no)
             if len(fields) != 4:
                 raise ParseError(no, "'sum' needs exactly three elements")
-            i = _element_field(no, fields, 1, n)
-            j = _element_field(no, fields, 2, n)
-            k = _element_field(no, fields, 3, n)
-            key = (min(i, j), max(i, j))
-            if key in sums:
-                raise ParseError(no, f"duplicate definition for pair {key}")
-            sums[key] = k
+            try:
+                i, j, k = int(fields[1]), int(fields[2]), int(fields[3])
+                valid = 0 <= i < n and 0 <= j < n and 0 <= k < n
+            except ValueError:
+                valid = False
+            if not valid:  # name the first bad field
+                i, j, k = (_element_field(no, fields, f, n) for f in (1, 2, 3))
+            # A line writes its cell and the mirrored one, so a pair stated
+            # twice, in either order, finds its cell already set.
+            if rows[i][j] != UNDEFINED:
+                raise ParseError(no, f"duplicate definition for pair {(min(i, j), max(i, j))}")
+            rows[i][j] = rows[j][i] = k
         elif kind in ("order", "zero", "one"):
             if kind == "one" and not with_one:
                 raise ParseError(no, "'one' not allowed here")
@@ -131,6 +138,7 @@ def _parse_common(text: str, magic: str, with_one: bool):
                     raise ParseError(no, "order must be positive")
                 if order > MAX_ORDER:
                     raise ParseError(no, ceiling_message(order))
+                rows = [[UNDEFINED] * order for _ in range(order)]
             else:
                 headers[kind] = _element_field(no, fields, 1, need_order(no))
         elif kind == "name":
@@ -148,7 +156,7 @@ def _parse_common(text: str, magic: str, with_one: bool):
         if kind not in headers:
             raise ParseError(last, f"missing '{kind}'")
 
-    table = PartialOpTable.from_pairs(order, sums)
+    table = PartialOpTable.from_rows(rows)
     name_tuple = None
     if names:
         name_tuple = tuple(names.get(i, str(i)) for i in range(order))
@@ -212,22 +220,24 @@ def parse_generalized(text: str) -> FiniteGeneralizedEffectAlgebra:
     return FiniteGeneralizedEffectAlgebra(*parse_raw_generalized(text))
 
 
-def _serialize_common(magic: str, table: PartialOpTable, zero: int, one: int | None, names) -> str:
-    lines = [f"{magic} 1", f"order {table.order}", f"zero {zero}"]
+def _write(magic: str, order: int, zero: int, one: int | None, names, rows) -> str:
+    """The text of an algebra whose row i of defined sums lists the pairs
+    (j, i + j) in column order; only pairs with j >= i are read."""
+    lines = [f"{magic} 1", f"order {order}", f"zero {zero}"]
     if one is not None:
         lines.append(f"one {one}")
     if names:
         for i, label in enumerate(names):
             lines.append(f"name {i} {label}")
-    for i, row in enumerate(table.row_sums):
+    for i, row in enumerate(rows):
         lines.extend(f"sum {i} {j} {v}" for j, v in row if j >= i)
     return "\n".join(lines) + "\n"
 
 
 def serialize(alg: FiniteEffectAlgebra) -> str:
     """Canonical text form: fixed header order, sums sorted with i <= j only."""
-    return _serialize_common("efa", alg.table, alg.zero, alg.one, alg.names)
+    return _write("efa", alg.order, alg.zero, alg.one, alg.names, alg.table.row_sums)
 
 
 def serialize_generalized(alg: FiniteGeneralizedEffectAlgebra) -> str:
-    return _serialize_common("gefa", alg.table, alg.zero, None, alg.names)
+    return _write("gefa", alg.order, alg.zero, None, alg.names, alg.table.row_sums)

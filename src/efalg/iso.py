@@ -40,6 +40,7 @@ from .core import (
     _SumAlgebra,
     memoized,
 )
+from .fileformat import _write
 from .structure import element_order, sharp_elements
 
 __all__ = ["find_isomorphism", "isomorphisms", "morphism_failure", "canonical_algebra", "canonical_form"]
@@ -153,20 +154,32 @@ def _search(
         return len(path)
 
     def visit(cells, path) -> int:
-        """Explore a node; return the depth at which the search resumes."""
+        """Explore a node; return the depth at which the search resumes.
+
+        A child w is pruned when a found automorphism fixing the path maps it
+        to a smaller member of its cell. The cell's first member is never
+        pruned, so its orbit is not computed: every cell is in ascending
+        order (_split keeps the order of its input, and individualizing w
+        leaves the rest in order), so the first member is the cell's least.
+        An automorphism that fixes the path fixes each cell of the refined
+        partition, so the first member's orbit lies in the cell and that
+        member is its least.
+        """
         cells = _refine(sums, cells)
         k = next((k for k, cell in enumerate(cells) if len(cell) > 1), None)
         if k is None:
             return leaf(cells, path)
         depth = len(path)
         known = -1
-        for w in cells[k]:
-            if len(gens) != known:  # orbits of the found automorphisms fixing the path
-                known = len(gens)
-                rep = _orbit_min([g for g in gens if all(g[v] == v for v in path)], n)
-            if rep[w] != w:
-                continue
-            rest = [u for u in cells[k] if u != w]
+        cell = cells[k]
+        for w in cell:
+            if w != cell[0]:
+                if len(gens) != known:  # orbits of the found automorphisms fixing the path
+                    known = len(gens)
+                    rep = _orbit_min([g for g in gens if all(g[v] == v for v in path)], n)
+                if rep[w] != w:
+                    continue
+            rest = [u for u in cell if u != w]
             back = visit(cells[:k] + [[w], rest] + cells[k + 1 :], path + (w,))
             if back < depth:
                 return back
@@ -261,7 +274,15 @@ def canonical_algebra(alg: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
 
 
 def canonical_form(alg: FiniteEffectAlgebra) -> bytes:
-    """Canonical byte serialization; equal bytes exactly when isomorphic."""
-    from .fileformat import serialize
+    """Canonical byte serialization; equal bytes exactly when isomorphic.
 
-    return serialize(canonical_algebra(alg)).encode("ascii")
+    The bytes are serialize(canonical_algebra(alg)), written straight from
+    the search key: the serializer's writer reads each row's (column, value)
+    pairs off the key, where the value n marks an undefined sum.
+    """
+    key = _search(alg)[0]
+    n = alg.order
+    rows = [
+        [(j, v) for j, v in enumerate(key[i * n + i : (i + 1) * n], start=i) if v != n] for i in range(n)
+    ]
+    return _write("efa", n, 0, n - 1, None, rows).encode("ascii")

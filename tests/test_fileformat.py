@@ -94,8 +94,30 @@ def test_duplicate_sum_rejected():
     assert "duplicate definition" in str(err.value)
     assert err.value.line_no == 6
     # the mirrored pair counts as the same definition
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse(base + "sum 1 2 3\nsum 2 1 3\n")
+    assert str(err.value) == "line 6: duplicate definition for pair (1, 2)"
+
+
+# Each field of a sum line gets its own bad values, so a message names the field.
+_BAD_SUM_FIELDS = [
+    ("sum a 1 2", "element is not an integer: 'a'"),
+    ("sum 1 b 2", "element is not an integer: 'b'"),
+    ("sum 1 1 c", "element is not an integer: 'c'"),
+    ("sum 4 1 2", "element 4 out of range for order 4"),
+    ("sum 1 5 2", "element 5 out of range for order 4"),
+    ("sum 1 1 -6", "element -6 out of range for order 4"),
+    # the first bad field is named, whatever follows it
+    ("sum 1 b 6", "element is not an integer: 'b'"),
+    ("sum 1 5 c", "element 5 out of range for order 4"),
+]
+
+
+@pytest.mark.parametrize("line,reason", _BAD_SUM_FIELDS)
+def test_bad_sum_field_is_named_on_its_line(line, reason):
+    with pytest.raises(ParseError) as err:
+        parse_raw(f"efa 1\norder 4\nzero 0\none 3\nsum 0 0 0\n{line}\n")
+    assert (err.value.line_no, err.value.reason) == (6, reason)
 
 
 def test_axiom_failure_is_not_a_parse_error():

@@ -9,7 +9,17 @@ import pytest
 
 from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain, named_catalog
 from efalg.core import FiniteEffectAlgebra, FiniteGeneralizedEffectAlgebra, PartialOpTable, UNDEFINED
-from efalg.iso import _invariants, _search, canonical_form, find_isomorphism, isomorphisms, morphism_failure
+from efalg import iso
+from efalg.fileformat import serialize
+from efalg.iso import (
+    _invariants,
+    _search,
+    canonical_algebra,
+    canonical_form,
+    find_isomorphism,
+    isomorphisms,
+    morphism_failure,
+)
 from efalg.structure import meager_algebra
 
 from naive_oracles import naive_automorphism_count, naive_isomorphic
@@ -211,6 +221,31 @@ def test_canonical_form_of_large_symmetric_algebras():
         assert len(got) == 1, name
         forms[name] = got.pop()
     assert len(set(forms.values())) == len(forms)
+
+
+def test_canonical_form_prints_the_canonical_algebra(universe_6):
+    """canonical_form writes the search key itself; its bytes are the
+    serialization of the canonical algebra built from the same key."""
+    algs = [alg for _, alg in universe_6] + [build() for build in LARGE.values()]
+    for alg in algs:
+        assert canonical_form(alg) == serialize(canonical_algebra(alg)).encode()
+
+
+def test_orbits_are_not_computed_for_a_cells_first_member(monkeypatch):
+    """The horizontal sum of k 3-chains has the automorphism group S_k. Its
+    search computes orbits at most 2k times, since a cell's first member is
+    never pruned; testing every member cost 1,321 orbit computations at k = 50."""
+    calls = []
+
+    def counted(gens, n):
+        calls.append(n)
+        return orbit_min(gens, n)
+
+    orbit_min = iso._orbit_min
+    monkeypatch.setattr(iso, "_orbit_min", counted)
+    k = 50
+    canonical_form(horizontal_sum([make_chain(2)] * k))
+    assert 0 < len(calls) <= 2 * k
 
 
 def test_boolean_64_relabelled_pair():
