@@ -42,7 +42,6 @@ break in the test suite.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
@@ -115,10 +114,8 @@ def make_chain(n: int) -> FiniteEffectAlgebra:
     """The (n+1)-element chain with i + j defined exactly when i + j <= n."""
     if n < 1:
         raise ValueError("chain needs n >= 1; n = 0 collapses zero and one")
-    pairs = {
-        (i, j): i + j for i in range(n + 1) for j in range(i, n + 1) if i + j <= n
-    }
-    return FiniteEffectAlgebra(PartialOpTable.from_pairs(n + 1, pairs), 0, n)
+    rows = [[i + j if i + j <= n else UNDEFINED for j in range(n + 1)] for i in range(n + 1)]
+    return FiniteEffectAlgebra(PartialOpTable.from_rows(rows), 0, n)
 
 
 def make_boolean(k: int) -> FiniteEffectAlgebra:
@@ -126,10 +123,8 @@ def make_boolean(k: int) -> FiniteEffectAlgebra:
     if not (1 <= k <= 6):
         raise ValueError("boolean algebra supported for 1 <= k <= 6 atoms")
     n = 1 << k
-    pairs = {
-        (i, j): i | j for i in range(n) for j in range(i, n) if i & j == 0
-    }
-    return FiniteEffectAlgebra(PartialOpTable.from_pairs(n, pairs), 0, n - 1)
+    rows = [[i | j if i & j == 0 else UNDEFINED for j in range(n)] for i in range(n)]
+    return FiniteEffectAlgebra(PartialOpTable.from_rows(rows), 0, n - 1)
 
 
 def horizontal_sum(algebras: Sequence[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
@@ -149,24 +144,21 @@ def horizontal_sum(algebras: Sequence[FiniteEffectAlgebra]) -> FiniteEffectAlgeb
     """
     if not algebras:
         raise ValueError("horizontal sum needs at least one summand")
-    interiors: list[tuple[FiniteEffectAlgebra, dict[int, int]]] = []
+    order = sum(alg.order - 2 for alg in algebras) + 2
+    one = order - 1
+    rows = [[UNDEFINED] * order for _ in range(order)]
     next_id = 1
     for alg in algebras:
-        mapping = {alg.zero: 0}
+        label = {alg.zero: 0, alg.one: one}
         for x in alg.elements():
-            if x not in (alg.zero, alg.one):
-                mapping[x] = next_id
+            if x not in label:
+                label[x] = next_id
                 next_id += 1
-        interiors.append((alg, mapping))
-    order = next_id + 1
-    one = order - 1
-    pairs: dict[tuple[int, int], int] = {(0, 0): 0, (0, one): one}
-    for alg, mapping in interiors:
-        mapping[alg.one] = one
         for x, row in enumerate(alg.table.row_sums):
+            out = rows[label[x]]
             for y, v in row:
-                pairs[(mapping[x], mapping[y])] = mapping[v]
-    return FiniteEffectAlgebra._trusted(PartialOpTable.from_pairs(order, pairs), 0, one)
+                out[label[y]] = label[v]
+    return FiniteEffectAlgebra._trusted(PartialOpTable.from_rows(rows), 0, one)
 
 
 def direct_product(a: FiniteEffectAlgebra, b: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
@@ -180,22 +172,20 @@ def direct_product(a: FiniteEffectAlgebra, b: FiniteEffectAlgebra) -> FiniteEffe
     """
     nb = b.order
     order = a.order * nb
-
-    def idx(x: int, y: int) -> int:
-        return x * nb + y
-
-    pairs = {}
-    for x1, row_a in enumerate(a.table.row_sums):
-        for y1, row_b in enumerate(b.table.row_sums):
+    rows = []
+    # row x1 * nb + y1 combines row x1 of a with row y1 of b
+    for row_a in a.table.row_sums:
+        for row_b in b.table.row_sums:
+            row = [UNDEFINED] * order
             for x2, u in row_a:
                 for y2, v in row_b:
-                    pairs[(idx(x1, y1), idx(x2, y2))] = idx(u, v)
+                    row[x2 * nb + y2] = u * nb + v
+            rows.append(row)
     return FiniteEffectAlgebra._trusted(
-        PartialOpTable.from_pairs(order, pairs), idx(a.zero, b.zero), idx(a.one, b.one)
+        PartialOpTable.from_rows(rows), a.zero * nb + b.zero, a.one * nb + b.one
     )
 
 
-@lru_cache(maxsize=None)
 def named_catalog() -> tuple[CatalogEntry, ...]:
     """The fixed example algebras exercised by tests and the property suite."""
     return tuple(CatalogEntry(f"chain-{n + 1}", make_chain(n)) for n in range(1, 7)) + (

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -286,7 +287,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.fn is cmd_gen and args.kind in ("chain", "boolean") and args.n is None:
         parser.error(f"--kind {args.kind} needs --n")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; keep the interpreter's exit flush silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     except ValueError as exc:
         if isinstance(exc, AxiomViolationError):
             print(f"error: input fails the algebra axioms: {exc}", file=sys.stderr)

@@ -46,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 UNDEFINED = -1
 
@@ -138,19 +138,6 @@ class PartialOpTable:
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "PartialOpTable":
         return PartialOpTable(tuple(tuple(r) for r in rows))
-
-    @staticmethod
-    def from_pairs(order: int, pairs: Mapping[tuple[int, int], int]) -> "PartialOpTable":
-        """Build a symmetric table from {(i, j): k} given for unordered pairs."""
-        rows = [[UNDEFINED] * order for _ in range(order)]
-        for (i, j), k in pairs.items():
-            if not (0 <= i < order and 0 <= j < order):
-                raise MalformedTableError(f"pair ({i},{j}) out of range for order {order}")
-            for a, b in ((i, j), (j, i)):
-                if rows[a][b] != UNDEFINED and rows[a][b] != k:
-                    raise MalformedTableError(f"conflicting values for cell ({a},{b})")
-                rows[a][b] = k
-        return PartialOpTable.from_rows(rows)
 
 
 def _check_constants(table: PartialOpTable, *constants: int) -> None:

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import random
 import weakref
 
@@ -21,7 +22,7 @@ from efalg.catalog import (
     named_catalog,
     random_algebra,
 )
-from efalg.core import FiniteEffectAlgebra, PartialOpTable
+from efalg.core import UNDEFINED, FiniteEffectAlgebra, PartialOpTable
 from efalg.iso import canonical_form, find_isomorphism
 from efalg.structure import (
     blocks,
@@ -174,6 +175,102 @@ CATALOG_FACTS = {
         "lattice": True,
     },
 }
+
+
+def _cells(order, sums):
+    """Rows of a table of the given order holding the cells {(x, y): x + y}."""
+    return tuple(tuple(sums.get((x, y), UNDEFINED) for y in range(order)) for x in range(order))
+
+
+def _downward_chain(n=3):
+    """The (n+1)-element chain labelled downwards: zero is n and one is 0."""
+    rows = [[i + j - n if i + j >= n else UNDEFINED for j in range(n + 1)] for i in range(n + 1)]
+    return FiniteEffectAlgebra(PartialOpTable.from_rows(rows), n, 0)
+
+
+def _factors():
+    """Chains of order up to 5, boolean-4, hsum-3-3 and the downward chain-4."""
+    return [make_chain(n) for n in range(1, 5)] + [
+        make_boolean(2),
+        horizontal_sum([make_chain(2), make_chain(2)]),
+        _downward_chain(),
+    ]
+
+
+class TestDefinitions:
+    """Each construction, cell by cell, against its definition on the factors' entries."""
+
+    def test_chain(self):
+        for n in range(1, 13):
+            sums = {(i, j): i + j for i in range(n + 1) for j in range(n + 1 - i)}
+            c = make_chain(n)
+            assert (c.table.entries, c.zero, c.one) == (_cells(n + 1, sums), 0, n)
+
+    def test_boolean(self):
+        for k in range(1, 6):
+            subsets = [frozenset(a for a in range(k) if x >> a & 1) for x in range(1 << k)]
+            sums = {
+                (x, y): subsets.index(sx | sy)
+                for x, sx in enumerate(subsets)
+                for y, sy in enumerate(subsets)
+                if not sx & sy
+            }
+            b = make_boolean(k)
+            assert (b.table.entries, b.zero, b.one) == (_cells(1 << k, sums), 0, (1 << k) - 1)
+
+    def test_product(self):
+        factors = _factors()
+        for a in factors:
+            for b in factors:
+                def pair(x, y):
+                    return x * b.order + y
+
+                sums = {
+                    (pair(x1, y1), pair(x2, y2)): pair(u, v)
+                    for x1, row_a in enumerate(a.table.entries)
+                    for x2, u in enumerate(row_a)
+                    if u != UNDEFINED
+                    for y1, row_b in enumerate(b.table.entries)
+                    for y2, v in enumerate(row_b)
+                    if v != UNDEFINED
+                }
+                p = direct_product(a, b)
+                want = (_cells(a.order * b.order, sums), pair(a.zero, b.zero), pair(a.one, b.one))
+                assert (p.table.entries, p.zero, p.one) == want
+
+    def test_horizontal_sum(self):
+        # one to three summands, repeats and absorbed 2-chains included
+        pool = [make_chain(1), make_chain(2), make_boolean(2), _downward_chain()]
+        for k in (1, 2, 3):
+            for summands in itertools.product(pool, repeat=k):
+                interiors = [[x for x in s.elements() if x not in (s.zero, s.one)] for s in summands]
+                one = sum(map(len, interiors)) + 1
+                sums = {}
+                start = 1
+                for s, inner in zip(summands, interiors):
+                    label = {s.zero: 0, s.one: one, **{x: start + i for i, x in enumerate(inner)}}
+                    start += len(inner)
+                    for x, row in enumerate(s.table.entries):
+                        for y, v in enumerate(row):
+                            if v != UNDEFINED:
+                                sums[(label[x], label[y])] = label[v]
+                h = horizontal_sum(summands)
+                assert (h.table.entries, h.zero, h.one) == (_cells(one + 1, sums), 0, one)
+
+
+class TestRefusals:
+    def test_boolean_atoms(self):
+        for k in (0, 7):
+            with pytest.raises(ValueError, match=r"boolean algebra supported for 1 <= k <= 6 atoms"):
+                make_boolean(k)
+
+    def test_random_order_too_small(self):
+        with pytest.raises(ValueError, match="order must be at least 2"):
+            random_algebra(1, 1)
+
+    def test_random_order_past_the_bound(self):
+        with pytest.raises(EnumerationBoundError, match="visits 2515 nodes and validates 177 leaves"):
+            random_algebra(1, 8)
 
 
 class TestChain:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import efalg.cli
 from efalg import properties
 from efalg.catalog import HARD_BOUND, direct_product, enumerate_all, make_boolean, make_chain, named_catalog
 from efalg.cli import main
@@ -18,7 +19,7 @@ from efalg.core import UNDEFINED, AxiomViolationError
 from efalg.fileformat import MAX_ORDER, ceiling_message, magic_line, parse, parse_generalized, serialize
 from efalg.iso import canonical_form
 from efalg.structure import HypothesisError
-from efalg.triple import extract_triple
+from efalg.triple import ReconstructionError, RoundtripResult, extract_triple
 
 from test_core import PLANTED, PLANTED_VERDICTS
 from test_iso import permuted_copy
@@ -230,6 +231,22 @@ def test_roundtrip_pass(capsys, chain3_file):
     assert code == 0 and "isomorphism" in out
 
 
+def test_failed_roundtrip_is_a_failed_check(capsys, monkeypatch, chain3_file):
+    failing = RoundtripResult(False, None, "sum not preserved", (1, 1))
+    monkeypatch.setattr(efalg.cli, "verify_roundtrip", lambda alg: failing)
+    code, out, _ = run(capsys, "roundtrip", chain3_file)
+    assert (code, out) == (1, f"{chain3_file}: roundtrip failed: sum not preserved witness (1, 1)\n")
+
+
+def test_reconstruction_error_is_a_failed_check(capsys, monkeypatch, chain3_file):
+    def broken(alg):
+        raise ReconstructionError("rebuild lost element 1")
+
+    monkeypatch.setattr(efalg.cli, "verify_roundtrip", broken)
+    code, out, err = run(capsys, "roundtrip", chain3_file)
+    assert (code, out, err) == (1, "", "error: internal consistency: rebuild lost element 1\n")
+
+
 def test_iso_with_permuted_copy(capsys, tmp_path):
     alg = make_chain(3)
     a = tmp_path / "a.efa"
@@ -362,6 +379,7 @@ def test_unwritable_output_is_input_error(capsys, tmp_path, chain3_file, argv):
         (["--help"], 0),
         (["suite", "--jobs", "0"], 3),
         (["suite", "--jobs", "-5"], 3),
+        (["suite", "--jobs", "abc"], 3),
     ],
 )
 def test_usage_errors_are_input_errors(capsys, argv, expected):
@@ -373,6 +391,8 @@ def test_usage_errors_are_input_errors(capsys, argv, expected):
     if expected:
         # one usage error, and nothing ran
         assert captured.out == "" and captured.err.count("error:") == 1
+    if argv[-1] == "abc":
+        assert "argument --jobs: invalid int value: 'abc'" in captured.err
 
 
 def test_suite_small(capsys):
@@ -452,6 +472,22 @@ def test_module_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "isomorphism" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["iso", "{f}", "{f}"], ["analyze", "{f}", "--json"], ["verify", "{f}"]])
+def test_closed_stdout_is_an_unwritable_output(chain3_file, argv):
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "efalg", *(arg.format(f=chain3_file) for arg in argv)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader is gone before the command prints
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (3, b"")
 
 
 # --- fuzzing `verify`, `analyze`, `roundtrip`, `triple` and `iso` -----------

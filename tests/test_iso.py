@@ -26,10 +26,15 @@ from naive_oracles import naive_automorphism_count, naive_isomorphic
 
 
 def permuted_copy(alg, rng: random.Random):
-    """A relabelled copy of an effect algebra or a generalized effect algebra."""
-    n = alg.order
-    perm = list(range(n))
+    """A randomly relabelled copy of an effect algebra or a generalized effect algebra."""
+    perm = list(range(alg.order))
     rng.shuffle(perm)
+    return relabelled_copy(alg, perm)
+
+
+def relabelled_copy(alg, perm):
+    """The copy of an effect algebra or a generalized effect algebra that labels x as perm[x]."""
+    n = alg.order
     rows = [[UNDEFINED] * n for _ in range(n)]
     t = alg.table.entries
     for i in range(n):

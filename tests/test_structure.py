@@ -11,6 +11,7 @@ import pytest
 from efalg import structure
 from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain
 from efalg.structure import (
+    Flag,
     HypothesisError,
     _block_algebra,
     are_compatible,
@@ -55,7 +56,7 @@ from naive_oracles import (
     naive_principal,
     naive_riesz_counterexample,
 )
-from test_iso import LARGE, permuted_copy, plain
+from test_iso import LARGE, permuted_copy, plain, relabelled_copy
 
 
 @pytest.fixture(scope="module")
@@ -588,6 +589,13 @@ class TestIntervalAndReport:
         with pytest.raises(HypothesisError) as err:
             decompose(no_sharp_cover, 6)
         assert err.value.hypothesis == "sharply_dominating"
+
+    def test_report_names_the_side_that_lacks_a_sharp_bound(self, no_sharp_cover):
+        # element 1 has no sharp element below it; once labels 1 and 6 swap,
+        # the least element lacking a bound is the former 6, with none above
+        swapped = relabelled_copy(no_sharp_cover, [0, 6, 2, 3, 4, 5, 1, 7])
+        assert structure_report(no_sharp_cover).sharply_dominating == Flag(False, (1, "below"))
+        assert structure_report(swapped).sharply_dominating == Flag(False, (1, "above"))
 
     def test_meager_algebra_is_meet_semilattice_when_qualifying(self, universe_6):
         for _, alg in universe_6:
