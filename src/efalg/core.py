@@ -343,6 +343,12 @@ class _SumAlgebra(_Memoizing):
             object.__setattr__(self, "names", tuple(self.names))
             if len(self.names) != n:
                 raise MalformedTableError("names must cover every element")
+            for x, name in enumerate(self.names):
+                # the file format writes "name x <name>" on one line, and the
+                # parser drops what follows '#' and strips the line
+                one_line = isinstance(name, str) and name.splitlines() == [name]
+                if not one_line or name != name.strip() or "#" in name:
+                    raise MalformedTableError(f"element {x} has a name a file cannot hold: {name!r}")
         verdict = axiom_verdict(self)
         if not verdict.ok:
             raise AxiomViolationError(verdict)

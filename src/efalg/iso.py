@@ -255,6 +255,14 @@ def find_isomorphism(a: _SumAlgebra, b: _SumAlgebra) -> tuple[int, ...] | None:
     return next(isomorphisms(a, b), None)
 
 
+def _effect_algebra(alg: _SumAlgebra) -> FiniteEffectAlgebra:
+    """alg itself; anything other than a FiniteEffectAlgebra, which has no
+    unit to relabel as order-1, is refused with ValueError."""
+    if not isinstance(alg, FiniteEffectAlgebra):
+        raise ValueError(f"canonical form needs a FiniteEffectAlgebra, got {type(alg).__name__}")
+    return alg
+
+
 @memoized
 def canonical_algebra(alg: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
     """A canonical relabeling: the least relabelled table over the leaves of the search.
@@ -267,7 +275,7 @@ def canonical_algebra(alg: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
     a bijection that sends zero to 0 and one to order-1, so the result is
     isomorphic to the verified alg and satisfies the same axioms.
     """
-    key = _search(alg)[0]
+    key = _search(_effect_algebra(alg))[0]
     n = alg.order
     rows = [[UNDEFINED if v == n else v for v in key[i * n : (i + 1) * n]] for i in range(n)]
     return FiniteEffectAlgebra._trusted(PartialOpTable.from_rows(rows), 0, n - 1)
@@ -280,7 +288,7 @@ def canonical_form(alg: FiniteEffectAlgebra) -> bytes:
     the search key: the serializer's writer reads each row's (column, value)
     pairs off the key, where the value n marks an undefined sum.
     """
-    key = _search(alg)[0]
+    key = _search(_effect_algebra(alg))[0]
     n = alg.order
     rows = [
         [(j, v) for j, v in enumerate(key[i * n + i : (i + 1) * n], start=i) if v != n] for i in range(n)

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Iterator
 from .core import UNDEFINED, FiniteEffectAlgebra, _mask_elements, axiom_verdict, memoized
 from .iso import find_isomorphism  # not called here; perfbench's tracer wraps this module-level name
 from .structure import (
+    _below_both,
     _block_algebra,
     _families,
     _family_refines,
@@ -135,13 +136,10 @@ def check_xshom(E: FiniteEffectAlgebra) -> CheckOutcome:
 def check_modyjem(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     sharp = set(sharp_elements(E))
-    below = E._below
+    below, both = E._below, _below_both(E)
     for v in E.elements():
         # per w <= v: the common lower bounds of w and w', and those of w and v - w
-        pairs = [
-            (below[w] & below[E.orthosupplement(w)], below[w] & below[E.ominus(v, w)])
-            for w in E.down_set(v)
-        ]
+        pairs = [(both[w], below[w] & below[E.ominus(v, w)]) for w in E.down_set(v)]
         c1 = v in sharp
         c2 = all(common & ~rest == 0 for common, rest in pairs)
         c3 = all(common == rest for common, rest in pairs)
@@ -216,27 +214,20 @@ def check_dusuplem(E: FiniteEffectAlgebra) -> CheckOutcome:
 
 def check_xssuplem(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
-    b = sharp_bounds(E)
+    b, both = sharp_bounds(E), _below_both(E)
     for x in E.elements():
         xc = E.orthosupplement(x)
-        base = E.below_mask(x) & E.below_mask(xc)
         floor, hat = b.below[x], b.above[x]
         if floor is not None:
             t = E.ominus(x, floor)
-            ok = (
-                base == E.below_mask(t) & E.below_mask(xc)
-                == E.below_mask(t) & E.below_mask(E.orthosupplement(t))
-            )
+            ok = both[x] == E.below_mask(t) & E.below_mask(xc) == both[t]
             out.tick((x, "below"), ok)
         if hat is not None:
             r = E.ominus(hat, x)
-            ok = (
-                base == E.below_mask(x) & E.below_mask(r)
-                == E.below_mask(E.orthosupplement(r)) & E.below_mask(r)
-            )
+            ok = both[x] == E.below_mask(x) & E.below_mask(r) == both[r]
             out.tick((x, "above"), ok)
         if floor is not None and hat is not None:
-            out.tick((x, "both"), base == E.below_mask(t) & E.below_mask(r))
+            out.tick((x, "both"), both[x] == E.below_mask(t) & E.below_mask(r))
     return out
 
 
@@ -344,13 +335,13 @@ def check_gejzasum(E: FiniteEffectAlgebra) -> CheckOutcome:
                     out.tick(("v", combo), any(b.issuperset(combo) for b in block_sets))
     out.tick(("vi",), _sharp_closed(E))
     sharp = frozenset(sharp_elements(E))
-    below = E._below
+    both = _below_both(E)
     for b, b_mask in zip(blks, block_masks):
         out.tick(("vii", b), _sub_center(E, b) == sharp & frozenset(b))
         outside = ~b_mask
         for x in b:
             # the common lower bounds of x and x' lie in the block
-            out.tick(("viii", b, x), below[x] & below[E.orthosupplement(x)] & outside == 0)
+            out.tick(("viii", b, x), both[x] & outside == 0)
     return out
 
 

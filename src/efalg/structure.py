@@ -88,14 +88,17 @@ class HypothesisError(RuntimeError):
 
 
 @memoized
+def _below_both(E: FiniteEffectAlgebra) -> tuple[int, ...]:
+    """Per element x, the mask of the common lower bounds of x and x'."""
+    below, sup = E._below, E._sup
+    return tuple(below[x] & below[sup[x]] for x in E.elements())
+
+
+@memoized
 def sharp_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     """Elements whose only common lower bound with their supplement is zero."""
-    out = []
-    for x in E.elements():
-        common = E.below_mask(x) & E.below_mask(E.orthosupplement(x))
-        if common == 1 << E.zero:
-            out.append(x)
-    return tuple(out)
+    zero = 1 << E.zero
+    return tuple(x for x, common in enumerate(_below_both(E)) if common == zero)
 
 
 @memoized
@@ -107,11 +110,12 @@ def meager_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
 
 @memoized
 def hypermeager_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
-    """Elements lying below some y and below its supplement at the same time."""
-    above, sup = E._above, E._sup
-    return tuple(
-        x for x in E.elements() if any((above[x] >> sup[y]) & 1 for y in _mask_elements(above[x]))
-    )
+    """Elements lying below some y and below its supplement at the same time:
+    the union over y of the common lower bounds of y and y'."""
+    union = 0
+    for common in _below_both(E):
+        union |= common
+    return _mask_elements(union)
 
 
 def element_order(alg: _SumAlgebra, x: int) -> int | float:
@@ -158,24 +162,14 @@ def principal_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
 def central_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     """Elements x with x, x' principal such that every y splits across x and x'.
 
-    y splits when y = y1 + y2 with y1 <= x and y2 <= x', that is, when y is a
-    defined sum a + b with a <= x and b <= x' (a = y1, b = y2 and back). So x
-    is central iff those sums cover every element, which one pass over the
-    two down-sets decides.
+    y splits when y = y1 + y2 with y1 <= x and y2 <= x', so x is central iff
+    _split_mask(E, x) covers every element (Greechie, Foulis and Pulmannova,
+    "The center of an effect algebra", Order 12, 1995).
     """
     principal = principal_elements(E)
-    below, sup, rows = E._below, E._sup, E.table.entries
-    out = []
-    for x in principal:
-        if sup[x] not in principal:
-            continue
-        covered = 0
-        for a in _mask_elements(below[x]):
-            for b in _mask_elements(below[sup[x]] & below[sup[a]]):
-                covered |= 1 << rows[a][b]
-        if covered == (1 << E.order) - 1:
-            out.append(x)
-    return tuple(out)
+    is_principal = sum(1 << p for p in principal)
+    full, sup = (1 << E.order) - 1, E._sup
+    return tuple(x for x in principal if (is_principal >> sup[x]) & 1 and _split_mask(E, x) == full)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +179,7 @@ def central_elements(E: FiniteEffectAlgebra) -> tuple[int, ...]:
 def are_compatible(alg: _SumAlgebra, x: int, y: int) -> bool:
     """Pairwise compatibility: x = p+q, y = q+r with p+q+r defined.
 
-    Works in effect algebras and generalized effect algebras alike. The
-    search runs over common lower bounds q; p and r are then forced.
+    Works in effect algebras and generalized effect algebras alike.
     """
     return (_compat_masks(alg)[x] >> y) & 1 == 1
 
@@ -194,18 +187,28 @@ def are_compatible(alg: _SumAlgebra, x: int, y: int) -> bool:
 @memoized
 def _compat_masks(alg: _SumAlgebra) -> tuple[int, ...]:
     """Per element, the mask of the elements compatible with it."""
-    n = alg.order
-    masks = [0] * n
-    for x in range(n):
-        for y in range(x, n):
-            common = alg.below_mask(x) & alg.below_mask(y)
-            for q in _mask_elements(common):
-                r = alg.ominus(y, q)
-                if r is not None and alg.sum(x, r) is not None:
-                    masks[x] |= 1 << y
-                    masks[y] |= 1 << x
-                    break
-    return tuple(masks)
+    return tuple(_split_mask(alg, x) for x in alg.elements())
+
+
+def _split_mask(alg: _SumAlgebra, x: int) -> int:
+    """Mask of the sums q + r with q <= x and x + r defined.
+
+    These are exactly the elements y compatible with x. Given such q and r,
+    p = x - q gives x = p + q, y = q + r and p + q + r = x + r defined.
+    Conversely, x = p + q and y = q + r with p + q + r defined give q <= x
+    with x + r defined. Each q + r is defined, since q <= x and x + r is.
+    In an effect algebra x + r is defined exactly when r <= x', so the mask
+    also holds the elements that split across x and x'. It reads x's row of
+    defined sums and no supplement, so it serves generalized effect algebras.
+    """
+    rows = alg.table.entries
+    summands = [r for r, _ in alg.table.row_sums[x]]
+    mask = 0
+    for q in _mask_elements(alg._below[x]):
+        row = rows[q]
+        for r in summands:
+            mask |= 1 << row[r]
+    return mask
 
 
 def is_internally_compatible(alg: _SumAlgebra, subset: frozenset[int] | Iterable[int]) -> bool:
@@ -412,6 +415,9 @@ def decompose(E: FiniteEffectAlgebra, x: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # restrictions
+#
+# Each of these refuses an id outside the carrier with ValueError, through
+# _members, before it reads the table.
 
 
 def is_sub_effect_algebra(E: FiniteEffectAlgebra, subset: Iterable[int]) -> bool:
@@ -420,7 +426,7 @@ def is_sub_effect_algebra(E: FiniteEffectAlgebra, subset: Iterable[int]) -> bool
     A defined sum x + y = z breaks the closure exactly when two of x, y, z
     are members and the third is not.
     """
-    q = sum(1 << x for x in frozenset(subset))
+    q = sum(1 << x for x in _members(E, subset))
     if not (q >> E.one) & 1:
         return False
     # a sum with two members has a member summand, and the table is
@@ -474,6 +480,16 @@ def _sub_center(E: FiniteEffectAlgebra, block: tuple[int, ...]) -> frozenset[int
     return frozenset(elems[c] for c in central_elements(sub))
 
 
+def _members(E: _SumAlgebra, subset: Iterable[int]) -> tuple[int, ...]:
+    """The distinct members of the subset in ascending order; an id outside
+    0..order-1 is refused with ValueError."""
+    elems = tuple(sorted(frozenset(subset)))
+    for e in elems[:1] + elems[-1:]:
+        if not 0 <= e < E.order:
+            raise ValueError(f"element {e} out of range for order {E.order}")
+    return elems
+
+
 def _induced_table(
     E: FiniteEffectAlgebra, subset: Iterable[int]
 ) -> tuple[PartialOpTable, list[int], tuple[int, ...]]:
@@ -482,7 +498,7 @@ def _induced_table(
     pos[e] is e's new index; it is UNDEFINED outside the subset and in its
     last slot, pos[UNDEFINED], so it re-indexes every cell of E's table.
     """
-    elems = tuple(sorted(frozenset(subset)))
+    elems = _members(E, subset)
     pos = [UNDEFINED] * (E.order + 1)
     for i, e in enumerate(elems):
         pos[e] = i
@@ -521,8 +537,10 @@ def interval_algebra(E: FiniteEffectAlgebra, top: int) -> tuple[FiniteEffectAlge
     the generalized axioms hold as in restrict_downset. Each x <= top has
     top - x, the only y with x + y = top by cancellation. If top + x is
     defined and at most top, then (top + x) + w = top for some w, so
-    x + w = zero by cancellation and x = zero. And top != zero is checked.
+    x + w = zero by cancellation and x = zero. And top is checked to be an
+    element other than zero.
     """
+    _members(E, (top,))
     if top == E.zero:
         raise ValueError("interval with top = zero is not an effect algebra")
     table, pos, elems = _induced_table(E, E.down_set(top))
@@ -545,7 +563,7 @@ def hypermeager_algebra(E: FiniteEffectAlgebra) -> tuple[FiniteGeneralizedEffect
 
 def _orthogonal_pool(E: FiniteEffectAlgebra, x: int) -> tuple[int, ...]:
     """Nonzero elements below x that stay summable with x itself."""
-    return _mask_elements(E._below[x] & E._below[E._sup[x]] & ~(1 << E.zero))
+    return _mask_elements(_below_both(E)[x] & ~(1 << E.zero))
 
 
 def _reachable_totals(E: _SumAlgebra, pool: tuple[int, ...], allowed: int) -> tuple[int, ...]:

@@ -427,7 +427,7 @@ def naive_pi(entries, hs, x):
     return join if join in hs else None
 
 
-def _naive_sharp(entries, zero, one) -> list[int]:
+def naive_sharp(entries, zero, one) -> list[int]:
     """s is sharp when zero is the only lower bound of s and its supplement."""
     n = len(entries)
     leq = _naive_leq(entries)
@@ -438,6 +438,14 @@ def _naive_sharp(entries, zero, one) -> list[int]:
     ]
 
 
+def naive_hypermeager(entries, zero, one) -> list[int]:
+    """x is hypermeager when x <= y and x <= y' for some y."""
+    n = len(entries)
+    leq = _naive_leq(entries)
+    sup = _naive_supplement(entries, one)
+    return [x for x in range(n) if any((x, y) in leq and (x, sup[y]) in leq for y in range(n))]
+
+
 def _naive_minus(entries, x, y):
     """x minus y: the z with y + z = x, or None when y is not below x."""
     return next((z for z in range(len(entries)) if entries[y][z] == x), None)
@@ -446,7 +454,7 @@ def _naive_minus(entries, x, y):
 def naive_r_map(entries, zero, one, x):
     """(least sharp element above x) minus x."""
     leq = _naive_leq(entries)
-    covers = [s for s in _naive_sharp(entries, zero, one) if (x, s) in leq]
+    covers = [s for s in naive_sharp(entries, zero, one) if (x, s) in leq]
     cover = next(c for c in covers if all((c, d) in leq for d in covers))
     return _naive_minus(entries, cover, x)
 
@@ -454,7 +462,7 @@ def naive_r_map(entries, zero, one, x):
 def naive_split_pieces(entries, zero, one, x, y) -> list[int]:
     """Sharp z such that the meets z ^ x and z ^ y exist and (z ^ x) + (z ^ y) = z."""
     out = []
-    for z in _naive_sharp(entries, zero, one):
+    for z in naive_sharp(entries, zero, one):
         zx, zy = naive_meet(entries, z, x), naive_meet(entries, z, y)
         if zx is not None and zy is not None and entries[zx][zy] == z:
             out.append(z)
@@ -480,7 +488,7 @@ def naive_split(entries, zero, one, x, y):
         _naive_minus(entries, y, naive_meet(entries, s, y))
     ]
     leq = _naive_leq(entries)
-    meager = v != UNDEF and not any(z != zero and (z, v) in leq for z in _naive_sharp(entries, zero, one))
+    meager = v != UNDEF and not any(z != zero and (z, v) in leq for z in naive_sharp(entries, zero, one))
     return s, v if meager else None
 
 
@@ -511,7 +519,7 @@ def naive_jpy2_unique(entries, zero, one) -> dict[int, bool]:
     unique when every sum s + m = x, s sharp and m meager, is f + (x - f)."""
     n = len(entries)
     leq = _naive_leq(entries)
-    sharp = _naive_sharp(entries, zero, one)
+    sharp = naive_sharp(entries, zero, one)
     meager = [m for m in range(n) if not any(s != zero and (s, m) in leq for s in sharp)]
     out = {}
     for x in range(n):

@@ -3,7 +3,7 @@
 import pytest
 
 from efalg.catalog import named_catalog
-from efalg.core import AxiomViolationError, FiniteEffectAlgebra
+from efalg.core import AxiomViolationError, FiniteEffectAlgebra, MalformedTableError
 from efalg.fileformat import (
     MAX_ORDER,
     ParseError,
@@ -56,6 +56,19 @@ def test_names_round_trip():
     alg = parse(text)
     assert alg.names == ("bottom", "top element")
     assert parse(serialize(alg)) == alg
+
+
+@pytest.mark.parametrize("bad", ["a#b", " x", "x ", "", "a\nsum 0 0 0", "a\n", "a\x1cb", 7, None])
+def test_names_a_file_cannot_hold_are_refused(bad):
+    two = parse(MINIMAL)
+    with pytest.raises(MalformedTableError, match=r"^element 0 has a name a file cannot hold: "):
+        FiniteEffectAlgebra(two.table, two.zero, two.one, (bad, "top"))
+
+
+def test_names_with_inner_whitespace_round_trip():
+    two = parse(MINIMAL)
+    alg = FiniteEffectAlgebra(two.table, two.zero, two.one, ("a  b", "c\td"))
+    assert parse(serialize(alg)).names == alg.names
 
 
 def test_symmetric_closure_on_read():

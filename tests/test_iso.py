@@ -132,6 +132,14 @@ def test_canonical_form_constant_for_two_chain():
     assert canonical_form(make_chain(1)) == b"efa 1\norder 2\nzero 0\none 1\nsum 0 0 0\nsum 0 1 1\n"
 
 
+def test_canonical_forms_refuse_a_generalized_effect_algebra():
+    mea, _ = meager_algebra(make_chain(4))
+    for canonical in (canonical_algebra, canonical_form):
+        with pytest.raises(ValueError, match="^canonical form needs a FiniteEffectAlgebra, got FiniteGeneralized"):
+            canonical(mea)
+    assert find_isomorphism(mea, mea) is not None
+
+
 def test_canonical_form_permutation_invariant():
     rng = random.Random(4)
     for entry in named_catalog():

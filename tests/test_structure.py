@@ -22,6 +22,7 @@ from efalg.structure import (
     has_rdp,
     heyting_block_check,
     homogeneity_counterexample,
+    hypermeager_algebra,
     hypermeager_elements,
     interval_algebra,
     is_archimedean,
@@ -48,6 +49,7 @@ from efalg.structure import (
 from naive_oracles import (
     naive_blocks,
     naive_central,
+    naive_hypermeager,
     naive_internally_compatible,
     naive_is_boolean,
     naive_join,
@@ -55,6 +57,7 @@ from naive_oracles import (
     naive_meet,
     naive_principal,
     naive_riesz_counterexample,
+    naive_sharp,
 )
 from test_iso import LARGE, permuted_copy, plain, relabelled_copy
 
@@ -160,6 +163,15 @@ class TestElementSets:
         assert meager_elements(chain4) == (0, 1, 2)
         assert hypermeager_elements(chain4) == (0, 1)
 
+    def test_sharp_and_hypermeager_match_naive_oracles(self, universe_6):
+        # the classes label the unit last; relabelled copies move it, so a
+        # scan that skipped the last label would be seen
+        rng = random.Random(28)
+        for _, alg in universe_6:
+            for copy in (alg, permuted_copy(alg, rng)):
+                assert list(sharp_elements(copy)) == naive_sharp(*plain(copy))
+                assert list(hypermeager_elements(copy)) == naive_hypermeager(*plain(copy))
+
     def test_sharp_set_closed_and_is_subalgebra_on_homogeneous(self, universe_6):
         for _, alg in universe_6:
             if is_homogeneous(alg):
@@ -224,6 +236,16 @@ class TestPrincipalCentral:
         for sub in subs:
             assert is_boolean_algebra(sub) == naive_is_boolean(*plain(sub)), sub
 
+    def test_centre_needs_a_principal_supplement(self, enumerated_8):
+        # two order-8 classes have a principal element across which, with its
+        # supplement, every element splits, while the supplement is not principal
+        misses = 0
+        for alg in enumerated_8:
+            principal = principal_elements(alg)
+            misses += any(alg.orthosupplement(x) not in principal for x in principal)
+            assert central_elements(alg) == naive_central(*plain(alg))
+        assert misses
+
     def test_central_subset_principal_subset_sharp(self, universe_6):
         for _, alg in universe_6:
             centre = set(central_elements(alg))
@@ -260,6 +282,17 @@ class TestCompatibility:
             for x in alg.elements():
                 for y in alg.elements():
                     assert are_compatible(alg, x, y) == brute_compatible(alg, x, y)
+
+    def test_compatibility_matches_brute_force_without_a_unit(self, universe_6):
+        """The meager and hypermeager generalized effect algebras, and
+        relabellings of them: compatibility there reads no supplement."""
+        rng = random.Random(28)
+        for _, alg in universe_6:
+            for sub in (meager_algebra(alg)[0], hypermeager_algebra(alg)[0]):
+                for copy in (sub, permuted_copy(sub, rng)):
+                    for x in copy.elements():
+                        for y in copy.elements():
+                            assert are_compatible(copy, x, y) == brute_compatible(copy, x, y)
 
     def test_blocks_match_subset_filter_oracle(self, universe_6):
         rng = random.Random(11)
@@ -567,6 +600,22 @@ class TestIntervalAndReport:
     def test_restrictions_refuse_a_subset_without_a_constant(self, restriction, E, subset, missing):
         with pytest.raises(ValueError, match=rf"^subset does not hold {re.escape(missing)}$"):
             restriction(E, subset)
+
+    @pytest.mark.parametrize(
+        "restriction, argument, bad",
+        [
+            (restrict, [0, 3, 4], 4),
+            (restrict, [-1, 0, 3], -1),
+            (restrict_downset, [0, 4], 4),
+            (interval_algebra, 4, 4),
+            (interval_algebra, -1, -1),
+            (is_sub_effect_algebra, [0, 3, 7], 7),
+        ],
+        ids=["restrict-high", "restrict-negative", "downset", "interval-high", "interval-negative", "sub-effect"],
+    )
+    def test_restrictions_refuse_an_id_outside_the_carrier(self, restriction, argument, bad):
+        with pytest.raises(ValueError, match=rf"^element {bad} out of range for order 4$"):
+            restriction(make_chain(3), argument)
 
     def test_interval_refuses_top_zero(self):
         E = make_chain(3)

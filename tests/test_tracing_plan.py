@@ -118,3 +118,25 @@ def test_every_import_is_used_or_traced():
                         unused.add((f"efalg.{path.stem}", name))
     assert unused == TRACED_ONLY
     assert all(name in PLANNED[module] for module, name in TRACED_ONLY)
+
+
+def test_every_private_helper_is_read():
+    """Every module-level private function or class is read somewhere in
+    src/, by name or as an attribute, so a replaced loop leaves no orphan
+    helper behind."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    helpers = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    assert helpers
+    assert [name for name in helpers if name not in read] == []
