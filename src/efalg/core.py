@@ -457,13 +457,28 @@ class _SumAlgebra(_Memoizing):
 
     @functools.cached_property
     def _rbelow(self) -> tuple[int, ...]:
-        """Down-set of each element (indexed by label) in rank numbering."""
-        return tuple(self._rank_mask(m) for m in self._below)
+        """Down-set of each element (indexed by label) in rank numbering.
+
+        Built together with _rabove in one pass over the defined sums: y + z = v
+        puts rank[y] in v's down-set and rank[v] in y's up-set.
+        """
+        bits = [1 << r for r in self._rank]
+        rbelow = [0] * self.order
+        rabove = []
+        for y, row in enumerate(self.table.row_sums):
+            bit, up = bits[y], 0
+            for _, v in row:
+                rbelow[v] |= bit
+                up |= bits[v]
+            rabove.append(up)
+        self.__dict__["_rabove"] = tuple(rabove)
+        return tuple(rbelow)
 
     @functools.cached_property
     def _rabove(self) -> tuple[int, ...]:
-        """Up-set of each element (indexed by label) in rank numbering."""
-        return tuple(self._rank_mask(m) for m in self._above)
+        """Up-set of each element (indexed by label) in rank numbering; see _rbelow."""
+        self._rbelow  # builds both
+        return self.__dict__["_rabove"]
 
     def _rank_mask(self, mask: int) -> int:
         """A label mask renumbered by rank."""

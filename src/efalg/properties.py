@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .core import UNDEFINED, FiniteEffectAlgebra, _mask_elements, axiom_verdict, memoized
+from .core import UNDEFINED, FiniteEffectAlgebra, _mask_elements, _table_laws, axiom_verdict, memoized
 from .iso import find_isomorphism  # not called here; perfbench's tracer wraps this module-level name
 from .structure import (
     _below_both,
@@ -555,8 +555,19 @@ def check_infasoc(E: FiniteEffectAlgebra) -> CheckOutcome:
     2^(k-1) sums instead of 2^k - 1. The pre-order walk meets the families
     of one size in combinations_with_replacement order; failures are held
     per size and reported size by size, as a loop over sizes would.
+
+    When the table is commutative and associative (Ei and Eii), the walk
+    skips a family whose sum is undefined, with every extension of it. That
+    loses no tick and no failure. By Ei and Eii, two sums of one multiset,
+    taken in any order and bracketing, are both undefined or equal; so a
+    split whose two parts and their sum are all defined sums to the whole
+    family, and a family with an undefined sum has no defined split. An
+    extension adds members to the fold, and UNDEFINED absorbs, so its sum is
+    undefined too. A table that breaks Ei or Eii, which only _trusted can
+    build, gets the full walk and keeps every failure.
     """
     out = CheckOutcome()
+    prune = not _table_laws(E.table, "Ei", "Eii")
     # ext[a][b] = a + b, UNDEFINED where undefined or where a or b is
     # UNDEFINED (the extra last row and column, which index -1 reads)
     ext = [row + (UNDEFINED,) for row in E.table.entries]
@@ -570,6 +581,8 @@ def check_infasoc(E: FiniteEffectAlgebra) -> CheckOutcome:
         # order, as E.orthogonal_sum computes it; UNDEFINED once undefined
         for k in range(start, len(nonzero)):
             column = columns[k]
+            if prune and column[sums[-1]] == UNDEFINED:
+                continue
             grown = sums + [column[s] for s in sums]
             member = family + (nonzero[k],)
             if len(member) >= 2:

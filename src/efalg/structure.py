@@ -124,6 +124,7 @@ def element_order(alg: _SumAlgebra, x: int) -> int | float:
     Zero sums to itself forever, so its order is reported as infinite and it
     is excluded from Archimedean checks.
     """
+    _check_element(alg, x)
     if x == alg.zero:
         return math.inf
     n = 1
@@ -181,6 +182,8 @@ def are_compatible(alg: _SumAlgebra, x: int, y: int) -> bool:
 
     Works in effect algebras and generalized effect algebras alike.
     """
+    _check_element(alg, x)
+    _check_element(alg, y)
     return (_compat_masks(alg)[x] >> y) & 1 == 1
 
 
@@ -221,8 +224,8 @@ def is_internally_compatible(alg: _SumAlgebra, subset: frozenset[int] | Iterable
     The walk is lazy and stops at the first witness: walked to the end on
     make_chain(100) it would visit every partition of 100.
     """
-    members = frozenset(subset)
-    pool = tuple(sorted(m for m in members if m != alg.zero))
+    members = _members(alg, subset)
+    pool = tuple(m for m in members if m != alg.zero)
     return _family_refines(alg, members, (sums for _, sums in _families(alg, pool)))
 
 
@@ -404,6 +407,7 @@ def is_sharply_dominating(E: FiniteEffectAlgebra) -> bool:
 
 def decompose(E: FiniteEffectAlgebra, x: int) -> tuple[int, int]:
     """Split x into its sharp part and meager part; unique in qualifying algebras."""
+    _check_element(E, x)
     bounds = sharp_bounds(E)
     if not is_sharply_dominating(E):
         raise HypothesisError("sharply_dominating", _missing_sharp_bound(bounds)[0])
@@ -485,9 +489,15 @@ def _members(E: _SumAlgebra, subset: Iterable[int]) -> tuple[int, ...]:
     0..order-1 is refused with ValueError."""
     elems = tuple(sorted(frozenset(subset)))
     for e in elems[:1] + elems[-1:]:
-        if not 0 <= e < E.order:
-            raise ValueError(f"element {e} out of range for order {E.order}")
+        _check_element(E, e)
     return elems
+
+
+def _check_element(alg: _SumAlgebra, x: int) -> None:
+    """Refuse an id outside 0..order-1 with ValueError, before it is read as
+    a Python index (where -1 would name the last element)."""
+    if not 0 <= x < alg.order:
+        raise ValueError(f"element {x} out of range for order {alg.order}")
 
 
 def _induced_table(
@@ -594,6 +604,7 @@ def vartheta(E: FiniteEffectAlgebra, u: int) -> tuple[int, ...]:
     a defined sum that stays below u and lands in the meager set. Both bounds
     are down-sets, so the sums are a closure (see _reachable_totals).
     """
+    _check_element(E, u)
     meager = sum(1 << m for m in meager_elements(E))
     pool = tuple(m for m in _orthogonal_pool(E, u) if (meager >> m) & 1)
     out = set()

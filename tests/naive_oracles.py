@@ -553,6 +553,20 @@ def naive_infasoc(entries, zero):
     return checked, failures
 
 
+def naive_orthogonal_ticks(entries, zero):
+    """The number of splits infasoc ticks on an effect algebra: 2^k for each
+    multiset of k = 2 to 4 nonzero elements whose fold is defined, since
+    every part of such a family and the complement part sum to the whole."""
+    n = len(entries)
+    nonzero = [x for x in range(n) if x != zero]
+    return sum(
+        1 << size
+        for size in range(2, 5)
+        for family in itertools.combinations_with_replacement(nonzero, size)
+        if _naive_fold(entries, zero, family) is not None
+    )
+
+
 def naive_is_boolean(entries, zero, one) -> bool:
     """Every pair has a meet and a join, each x has x ^ x' = zero and
     x v x' = one, and meets distribute over joins for every triple."""

@@ -32,7 +32,7 @@ from naive_oracles import (
     oracle_effect_axioms,
     oracle_generalized_axioms,
 )
-from test_iso import permuted_copy
+from test_iso import LARGE, permuted_copy
 
 
 def table_of(rows):
@@ -447,3 +447,20 @@ def test_order_data_matches_the_table(universe_6):
         for a in (alg, mea):
             _assert_order_data_matches_table(a)
             _assert_order_data_matches_table(pickle.loads(pickle.dumps(a)))
+
+
+def test_rank_masks_renumber_the_order_masks(universe_6):
+    """_rbelow and _rabove, read off the defined sums in one pass, are the
+    label masks _below and _above renumbered by rank, whichever of the two
+    is read first."""
+    rng = random.Random(29)
+    algs = [alg for _, alg in universe_6]
+    algs += [permuted_copy(alg, rng) for alg in algs]
+    algs += [meager_algebra(alg)[0] for alg in algs]
+    algs += [build() for build in LARGE.values()]
+    for i, alg in enumerate(algs):
+        first, second = ("_rbelow", "_rabove")[:: 1 if i % 2 else -1]
+        getattr(alg, first)
+        getattr(alg, second)
+        assert alg._rbelow == tuple(map(alg._rank_mask, alg._below))
+        assert alg._rabove == tuple(map(alg._rank_mask, alg._above))

@@ -4,6 +4,7 @@ import gc
 import multiprocessing
 import os
 import random
+import time
 import weakref
 
 import pytest
@@ -36,6 +37,7 @@ from naive_oracles import (
     naive_maximal_totals,
     naive_meet,
     naive_modyjem,
+    naive_orthogonal_ticks,
     naive_refined_cores,
 )
 from test_core import PLANTED
@@ -217,7 +219,8 @@ def test_checks_are_label_agnostic():
 
 def test_infasoc_matches_naive_oracle(universe_6):
     """The subset-sum table gives the same ticks and witnesses as folding
-    every part of every split afresh."""
+    every part of every split afresh, and it ticks all 2^k splits of each
+    family of k nonzero elements whose sum is defined, and nothing else."""
     rng = random.Random(11)
     algs = [alg for _, alg in universe_6]
     algs += [permuted_copy(alg, rng) for alg in algs]
@@ -226,6 +229,22 @@ def test_infasoc_matches_naive_oracle(universe_6):
         outcome = check_infasoc(alg)
         entries, zero, _ = plain(alg)
         assert (outcome.checked, outcome.failures) == naive_infasoc(entries, zero)
+        assert (outcome.checked, outcome.failures) == (naive_orthogonal_ticks(entries, zero), [])
+
+
+def test_infasoc_skips_the_families_whose_sum_is_undefined():
+    """chain(7) x chain(7) has 766,416 families of 2 to 4 nonzero elements,
+    and 5,787 of them have a defined sum. Walking them all takes about 2.9 s
+    of CPU time on a 2-vCPU Xeon, and skipping each family whose sum is
+    undefined, with its extensions, about 0.02 s; the bound sits between
+    the two, with room for a slower machine. The skip loses no tick."""
+    E = direct_product(make_chain(7), make_chain(7))
+    start = time.process_time()
+    outcome = check_infasoc(E)
+    assert time.process_time() - start < 0.5
+    entries, zero, _ = plain(E)
+    assert (outcome.checked, outcome.failures) == (naive_orthogonal_ticks(entries, zero), [])
+    assert outcome.checked == 69_912
 
 
 @pytest.fixture(scope="module")

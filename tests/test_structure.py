@@ -617,6 +617,39 @@ class TestIntervalAndReport:
         with pytest.raises(ValueError, match=rf"^element {bad} out of range for order 4$"):
             restriction(make_chain(3), argument)
 
+    @pytest.mark.parametrize(
+        "function, arguments, bad",
+        [
+            (element_order, (-1,), -1),
+            (element_order, (4,), 4),
+            (are_compatible, (-1, 2), -1),
+            (are_compatible, (0, 9), 9),
+            (decompose, (-1,), -1),
+            (vartheta, (-1,), -1),
+            (vartheta, (4,), 4),
+            (theta_map, ([0, -1],), -1),
+            (sigma_closure, ([7],), 7),
+            (is_internally_compatible, ([0, -1, 3],), -1),
+            (is_internally_compatible, ([9],), 9),
+        ],
+        ids=[
+            "order-negative",
+            "order-high",
+            "compatible-negative",
+            "compatible-high",
+            "decompose",
+            "vartheta-negative",
+            "vartheta-high",
+            "theta",
+            "sigma",
+            "internally-compatible-negative",
+            "internally-compatible-high",
+        ],
+    )
+    def test_element_functions_refuse_an_id_outside_the_carrier(self, function, arguments, bad):
+        with pytest.raises(ValueError, match=rf"^element {bad} out of range for order 4$"):
+            function(make_chain(3), *arguments)
+
     def test_interval_refuses_top_zero(self):
         E = make_chain(3)
         with pytest.raises(ValueError, match="top = zero"):
