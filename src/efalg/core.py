@@ -324,10 +324,11 @@ class _SumAlgebra(_Memoizing):
     defined sums themselves live on the table, as table.row_sums; sum and
     defined are point lookups in table.entries. The order data are plain
     instance attributes, not dataclass fields, so they take no part in ==,
-    hash, repr or dataclasses.replace. The rank numbering that
-    greatest/least lookups read, and heavier derived structure, are built on
-    first use per instance (instances are immutable) and freed with the
-    algebra.
+    hash, repr or dataclasses.replace. Built on first use per instance
+    (instances are immutable) and freed with the algebra: the rank numbering
+    and the rank masks that greatest/least lookups read, the meet table
+    _meets that meet, the effect-algebra join and the lattice, Riesz and
+    Boolean classifiers read, and heavier derived structure.
     """
 
     table: PartialOpTable
@@ -394,7 +395,7 @@ class _SumAlgebra(_Memoizing):
 
     @property
     def order(self) -> int:
-        return self.table.order
+        return len(self.table.entries)
 
     def elements(self) -> range:
         return range(self.table.order)
@@ -488,12 +489,35 @@ class _SumAlgebra(_Memoizing):
             out |= 1 << rank[x]
         return out
 
+    @functools.cached_property
+    def _meets(self) -> tuple[tuple[int | None, ...], ...]:
+        """The meet of every pair, indexed [x][y] by label; None where the
+        common lower bounds have no greatest element.
+
+        Filled once, upper triangle mirrored, with _greatest's test: zero lies
+        below everything, so the mask of common lower bounds is never empty.
+        """
+        n, by_rank, rbelow = self.order, self._by_rank, self._rbelow
+        rows: list[list[int | None]] = [[None] * n for _ in range(n)]
+        for x, row in enumerate(rows):
+            bx = rbelow[x]
+            for y in range(x, n):
+                common = bx & rbelow[y]
+                m = by_rank[common.bit_length() - 1]
+                if common & ~rbelow[m] == 0:
+                    row[y] = rows[y][x] = m
+        return tuple(map(tuple, rows))
+
     # Meets and joins in the derived partial order. A missing bound is a
-    # first-class None, never an error.
+    # first-class None, never an error; an id outside 0..order-1 is.
     def meet(self, x: int, y: int) -> int | None:
-        return self._greatest(self._rbelow[x] & self._rbelow[y])
+        _check_element(self, x)
+        _check_element(self, y)
+        return self._meets[x][y]
 
     def join(self, x: int, y: int) -> int | None:
+        _check_element(self, x)
+        _check_element(self, y)
         return self._least(self._rabove[x] & self._rabove[y])
 
     def join_set(self, xs: Iterable[int]) -> int | None:
@@ -521,6 +545,13 @@ class _SumAlgebra(_Memoizing):
         return m if rmask & ~self._rabove[m] == 0 else None
 
 
+def _check_element(alg: _SumAlgebra, x: int) -> None:
+    """Refuse an id outside 0..order-1 with ValueError, before it is read as
+    a Python index (where -1 would name the last element)."""
+    if not 0 <= x < alg.order:
+        raise ValueError(f"element {x} out of range for order {alg.order}")
+
+
 def _mask_elements(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -545,7 +576,19 @@ class FiniteEffectAlgebra(_SumAlgebra):
 
     def orthosupplement(self, x: int) -> int:
         """The unique y with x + y = one; involutive."""
+        _check_element(self, x)
         return self._sup[x]
+
+    def join(self, x: int, y: int) -> int | None:
+        """x v y = (x' ^ y')': x -> x' reverses the order (Foulis and Bennett,
+        "Effect algebras and unsharp quantum logics", Found. Phys. 24, 1994),
+        so it maps the upper bounds of x and y onto the lower bounds of x' and
+        y', least onto greatest."""
+        _check_element(self, x)
+        _check_element(self, y)
+        sup = self._sup
+        m = self._meets[sup[x]][sup[y]]
+        return None if m is None else sup[m]
 
 
 @dataclass(frozen=True)

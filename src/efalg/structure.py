@@ -29,6 +29,7 @@ from .core import (
     FiniteGeneralizedEffectAlgebra,
     PartialOpTable,
     _SumAlgebra,
+    _check_element,
     _mask_elements,
     memoized,
 )
@@ -325,7 +326,6 @@ def _riesz_counterexample(E: FiniteEffectAlgebra, bounded: bool) -> tuple[int, i
     if bounded and _riesz_counterexample(E, False) is None:
         return None
     below, above, ominus, rows = E._below, E._above, E._ominus, E.table.entries
-    rbelow, greatest = E._rbelow, E._greatest
     for u in E.elements():
         targets_u = above[u] & below[E._sup[u]] if bounded else above[u]
         comparable = below[u] | above[u]
@@ -333,7 +333,7 @@ def _riesz_counterexample(E: FiniteEffectAlgebra, bounded: bool) -> tuple[int, i
             targets = targets_u & above[v1]
             if not targets or (comparable >> v1) & 1:
                 continue
-            meet = greatest(rbelow[u] & rbelow[v1])
+            meet = E._meets[u][v1]  # read here: a chain has no incomparable pair and builds no table
             row = rows[v1]
             covered = 0
             for u1 in (meet,) if meet is not None else _mask_elements(below[u] & below[v1]):
@@ -354,12 +354,21 @@ def orthoalgebra_counterexample(E: FiniteEffectAlgebra) -> tuple[int] | None:
 
 @memoized
 def lattice_counterexample(alg: _SumAlgebra) -> tuple[int, int, str] | None:
-    """Least pair (x, y), in label order, without a meet or without a join."""
-    rbelow, rabove, greatest, least = alg._rbelow, alg._rabove, alg._greatest, alg._least
-    for x in alg.elements():
-        bx, ax = rbelow[x], rabove[x]
+    """Least pair (x, y), in label order, without a meet or without a join.
+
+    In an effect algebra every join is a meet of supplements (see
+    FiniteEffectAlgebra.join), so a meet table with no None is a lattice and
+    needs no scan. A generalized effect algebra, or an effect algebra
+    missing a meet, is scanned pair by pair for its least witness.
+    """
+    meets = alg._meets
+    if getattr(alg, "one", None) is not None and all(None not in row for row in meets):
+        return None
+    rabove, least = alg._rabove, alg._least
+    for x, row in enumerate(meets):
+        ax = rabove[x]
         for y in range(x + 1, alg.order):
-            if greatest(bx & rbelow[y]) is None:
+            if row[y] is None:
                 return (x, y, "meet")
             if least(ax & rabove[y]) is None:
                 return (x, y, "join")
@@ -491,13 +500,6 @@ def _members(E: _SumAlgebra, subset: Iterable[int]) -> tuple[int, ...]:
     for e in elems[:1] + elems[-1:]:
         _check_element(E, e)
     return elems
-
-
-def _check_element(alg: _SumAlgebra, x: int) -> None:
-    """Refuse an id outside 0..order-1 with ValueError, before it is read as
-    a Python index (where -1 would name the last element)."""
-    if not 0 <= x < alg.order:
-        raise ValueError(f"element {x} out of range for order {alg.order}")
 
 
 def _induced_table(
@@ -640,17 +642,18 @@ def sigma_closure(E: FiniteEffectAlgebra, subset: Iterable[int]) -> frozenset[in
 def is_boolean_algebra(E: FiniteEffectAlgebra) -> bool:
     """Lattice, distributive, orthosupplement complements: a Boolean algebra.
 
-    Distributivity, x ^ (y v z) = (x ^ y) v (x ^ z), is compared a row of z
-    at a time on tables of every meet and join, which a lattice defines.
+    The joins are the supplements of the meets of supplements, x v y =
+    (x' ^ y')' (see FiniteEffectAlgebra.join), so x ^ x' = 0 alone makes x'
+    a complement: x v x' = (x' ^ x)' = 0' = 1. Distributivity,
+    x ^ (y v z) = (x ^ y) v (x ^ z), is compared a row of z at a time on the
+    meet table and the join table read from it, which a lattice defines.
     """
     if not is_lattice(E):
         return False
-    for x in E.elements():
-        xc = E.orthosupplement(x)
-        if E.meet(x, xc) != E.zero or E.join(x, xc) != E.one:
-            return False
-    meet = [[E.meet(x, y) for y in E.elements()] for x in E.elements()]
-    join = [[E.join(x, y) for y in E.elements()] for x in E.elements()]
+    meet, sup = E._meets, E._sup
+    if any(meet[x][xc] != E.zero for x, xc in enumerate(sup)):
+        return False
+    join = [[sup[meet[sy][sz]] for sz in sup] for sy in sup]
     for mx in meet:
         for y, jy in enumerate(join):
             jxy = join[mx[y]]  # z -> (x ^ y) v z

@@ -188,10 +188,11 @@ def _r_vector(T: TripleRep) -> tuple[int, ...]:
             1 << mea.ominus(v, x) for v in _mask_elements(hm[hat] & mea._above[x])
         )
         # the pair must meet inside the meager algebra and x + (y - (x meet y))
-        # must stay meager and below the cover
+        # must stay meager and below the cover; one meet per candidate, so
+        # the meager algebra builds no meet table
         matches = []
         for y in by_profile.get((hat, left), ()):
-            u = mea.meet(x, y)
+            u = mea._greatest(mea._rbelow[x] & mea._rbelow[y])
             w = None if u is None else mea.sum(x, mea.ominus(y, u))
             if w is not None and hm[hat] >> w & 1:
                 matches.append(y)

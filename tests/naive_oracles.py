@@ -217,6 +217,19 @@ def naive_join(entries, x, y):
     return naive_join_set(entries, (x, y))
 
 
+def naive_lattice_counterexample(entries):
+    """Least pair x < y, in label order, without a meet or else without a
+    join, from the definition of the order; None for a lattice."""
+    n = len(entries)
+    for x in range(n):
+        for y in range(x + 1, n):
+            if naive_meet(entries, x, y) is None:
+                return (x, y, "meet")
+            if naive_join(entries, x, y) is None:
+                return (x, y, "join")
+    return None
+
+
 def _naive_isomorphisms(a, b):
     """Every bijection between two (entries, zero, one) algebras preserving
     zero, one (None when there is no unit) and the partial sum."""

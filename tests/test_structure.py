@@ -10,6 +10,7 @@ import pytest
 
 from efalg import structure
 from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain
+from efalg.core import FiniteEffectAlgebra
 from efalg.structure import (
     Flag,
     HypothesisError,
@@ -32,6 +33,7 @@ from efalg.structure import (
     is_lattice,
     is_sharply_dominating,
     is_sub_effect_algebra,
+    lattice_counterexample,
     meager_algebra,
     meager_elements,
     principal_elements,
@@ -54,6 +56,7 @@ from naive_oracles import (
     naive_is_boolean,
     naive_join,
     naive_join_set,
+    naive_lattice_counterexample,
     naive_meet,
     naive_principal,
     naive_riesz_counterexample,
@@ -146,6 +149,39 @@ class TestMeetJoin:
                 for y in alg.elements()
             )
             assert is_lattice(alg) == total
+
+    def test_lattice_witness_and_meet_table_match_naive_oracles(self, universe_6, enumerated_8, catalog):
+        # the least pair without a meet or a join, against the order's
+        # definition, on the universe, the non-lattices to order 8 and
+        # relabelled copies, products with the 2-chain and a GEA whose meets
+        # all exist but whose atoms have no join; the whole meet table on
+        # every one of order <= 16
+        rng = random.Random(30)
+        algebras = [alg for _, alg in universe_6]
+        algebras += [alg for alg in enumerated_8 if alg.order > 6 and not is_lattice(alg)]
+        algebras += [permuted_copy(alg, rng) for alg in algebras]
+        algebras += [direct_product(alg, make_chain(1)) for alg in algebras if alg.order <= 8]
+        hsum, = (e.algebra for e in catalog if e.name == "hsum-3-3")
+        mea, _ = meager_algebra(hsum)
+        witnesses = []
+        for alg in algebras + [mea]:
+            entries = [list(r) for r in alg.table.entries]
+            expected = naive_lattice_counterexample(entries)
+            assert lattice_counterexample(alg) == expected, alg
+            witnesses.append(expected)
+            if alg.order <= 16:
+                elems = alg.elements()
+                assert alg._meets == tuple(tuple(naive_meet(entries, x, y) for y in elems) for x in elems)
+        assert witnesses[-1] == (1, 2, "join")
+        assert sum(w is not None for w in witnesses) >= 60
+
+    def test_generalized_bounds_refuse_an_id_outside_the_carrier(self):
+        # the effect-algebra cases are in test_element_functions_refuse_an_id_outside_the_carrier
+        mea, _ = meager_algebra(make_chain(4))
+        assert mea.order == 4
+        for method in (mea.meet, mea.join):
+            with pytest.raises(ValueError, match=r"^element -1 out of range for order 4$"):
+                method(-1, 2)
 
 
 class TestElementSets:
@@ -631,6 +667,13 @@ class TestIntervalAndReport:
             (sigma_closure, ([7],), 7),
             (is_internally_compatible, ([0, -1, 3],), -1),
             (is_internally_compatible, ([9],), 9),
+            # -1 would otherwise name the last element, the unit
+            (FiniteEffectAlgebra.meet, (-1, 2), -1),
+            (FiniteEffectAlgebra.meet, (0, 4), 4),
+            (FiniteEffectAlgebra.join, (-1, 2), -1),
+            (FiniteEffectAlgebra.join, (2, 9), 9),
+            (FiniteEffectAlgebra.orthosupplement, (-1,), -1),
+            (FiniteEffectAlgebra.orthosupplement, (4,), 4),
         ],
         ids=[
             "order-negative",
@@ -644,6 +687,12 @@ class TestIntervalAndReport:
             "sigma",
             "internally-compatible-negative",
             "internally-compatible-high",
+            "meet-negative",
+            "meet-high",
+            "join-negative",
+            "join-high",
+            "orthosupplement-negative",
+            "orthosupplement-high",
         ],
     )
     def test_element_functions_refuse_an_id_outside_the_carrier(self, function, arguments, bad):
