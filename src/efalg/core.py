@@ -400,11 +400,16 @@ class _SumAlgebra(_Memoizing):
     def elements(self) -> range:
         return range(self.table.order)
 
+    # The point methods refuse an id outside 0..order-1 with ValueError, except
+    # sum, leq, ominus and below_mask: the suite's laws call those tens of
+    # thousands of times per sweep, and the check would cost it about a tenth.
     def sum(self, x: int, y: int) -> int | None:
         v = self.table.entries[x][y]
         return None if v == UNDEFINED else v
 
     def defined(self, x: int, y: int) -> bool:
+        _check_element(self, x)
+        _check_element(self, y)
         return self.table.entries[x][y] != UNDEFINED
 
     def leq(self, x: int, y: int) -> bool:
@@ -419,9 +424,11 @@ class _SumAlgebra(_Memoizing):
         return self._below[x]
 
     def above_mask(self, x: int) -> int:
+        _check_element(self, x)
         return self._above[x]
 
     def down_set(self, x: int) -> tuple[int, ...]:
+        _check_element(self, x)
         return _mask_elements(self._below[x])
 
     def orthogonal_sum(self, family: Iterable[int]) -> int | None:
@@ -432,10 +439,9 @@ class _SumAlgebra(_Memoizing):
         """
         acc = self.zero
         for x in family:
-            nxt = self.sum(acc, x)
-            if nxt is None:
-                return None
-            acc = nxt
+            _check_element(self, x)  # every member, also past an undefined partial sum
+            if acc is not None:
+                acc = self.sum(acc, x)
         return acc
 
     # Rank numbering, built on first use: the elements sorted by the size of
@@ -523,6 +529,7 @@ class _SumAlgebra(_Memoizing):
     def join_set(self, xs: Iterable[int]) -> int | None:
         mask = (1 << self.order) - 1
         for x in xs:
+            _check_element(self, x)
             mask &= self._rabove[x]
         return self._least(mask)
 

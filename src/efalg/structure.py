@@ -311,25 +311,39 @@ def is_homogeneous(E: FiniteEffectAlgebra) -> bool:
 
 @memoized
 def _riesz_counterexample(E: FiniteEffectAlgebra, bounded: bool) -> tuple[int, int, int] | None:
-    # Per (u, v1), on masks of the sums s = v1 + v2: the targets are the s
-    # above u and v1 (and below u' when bounded). u splits as u1 + u2 with
-    # u1 <= v1, u2 <= v2 = s - v1 exactly when s - v1 >= u - u1 for a common
-    # lower bound u1, i.e. s >= v1 + (u - u1), so the covered sums are the
-    # up-sets of those translates. u1 -> u - u1 is antitone, so when u and v1
-    # have a meet its translate's up-set holds all the others; otherwise every
-    # common lower bound is tried. s -> s - v1 is one to one, so the least v2
-    # without a split is the least difference over the uncovered targets.
-    # A u comparable with v1 always splits: as u + 0 when u <= v1, as
-    # v1 + (u - v1) when v1 <= u <= v1 + v2. The bounded targets are a subset
-    # of the unbounded ones and the covered sums are the same, so an algebra
-    # with RDP is homogeneous and needs one scan, not two.
+    """The least witness of the Riesz scan: unbounded for RDP, bounded by u'
+    for homogeneity.
+
+    Per (u, v1), on masks of the sums s = v1 + v2: the targets are the s
+    above u and v1 (and below u' when bounded). u splits as u1 + u2 with
+    u1 <= v1, u2 <= v2 = s - v1 exactly when s - v1 >= u - u1 for a common
+    lower bound u1, i.e. s >= v1 + (u - u1), so the covered sums are the
+    up-sets of those translates. u1 -> u - u1 is antitone, so when u and v1
+    have a meet its translate's up-set holds all the others; otherwise every
+    common lower bound is tried. s -> s - v1 is one to one, so the least v2
+    without a split is the least difference over the uncovered targets.
+    A u comparable with v1 always splits: as u + 0 when u <= v1, as
+    v1 + (u - v1) when v1 <= u <= v1 + v2. The bounded targets are a subset
+    of the unbounded ones and the covered sums are the same, so an algebra
+    with RDP is homogeneous and needs one scan, not two.
+
+    The unbounded scan reads each unordered pair once, as (u, v1) with
+    u < v1. Whether a pair fails is symmetric in u and v1: so are the targets
+    up(u) & up(v1), comparability and the common lower bounds (or the meet),
+    and the translates agree, v1 + (u - u1) = u + (v1 - u1), both defined or
+    both undefined, since each is u1 + (u - u1) + (v1 - u1) by commutativity
+    and associativity. So if the first failing pair of the row-major scan
+    had v1 < u, the pair (v1, u) would fail earlier: the first failing pair
+    has u < v1, and its v2 is decoded as before. The bounded scan reads every
+    pair, since its targets up(u) & down(u') & up(v1) are not symmetric.
+    """
     if bounded and _riesz_counterexample(E, False) is None:
         return None
     below, above, ominus, rows = E._below, E._above, E._ominus, E.table.entries
     for u in E.elements():
         targets_u = above[u] & below[E._sup[u]] if bounded else above[u]
         comparable = below[u] | above[u]
-        for v1 in E.elements():
+        for v1 in E.elements() if bounded else range(u + 1, E.order):
             targets = targets_u & above[v1]
             if not targets or (comparable >> v1) & 1:
                 continue

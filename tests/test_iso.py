@@ -128,6 +128,109 @@ def test_morphism_failure_passes_witnesses_of_relabelled_copies():
                 assert is_witness(x, y, w), entry.name
 
 
+def full_scan_failure(a, b, mapping):
+    """morphism_failure's contract read off every cell of a's table, row-major:
+    the reference its one-triangle scan must agree with."""
+    n = a.order
+    if b.order != n or sorted(mapping) != list(range(n)):
+        return "not bijective", None
+    if mapping[a.zero] != b.zero:
+        return "zero not preserved", (a.zero,)
+    if getattr(a, "one", None) is not None and mapping[a.one] != b.one:
+        return "one not preserved", (a.one,)
+    for x in range(n):
+        for y in range(n):
+            v, w = a.sum(x, y), b.sum(mapping[x], mapping[y])
+            if (v is None) != (w is None):
+                return "definedness mismatch", (x, y)
+            if v is not None and mapping[v] != w:
+                return "sum value mismatch", (x, y)
+    return None
+
+
+def seeded_mappings(a, b, rng):
+    """Maps from a to b: the isomorphism witness if any and its images with
+    two non-constant values swapped, bijections that keep the constants,
+    bijections that need not, and maps that repeat a value."""
+    n = a.order
+    fixed = {a.zero: b.zero}
+    if getattr(a, "one", None) is not None:
+        fixed[a.one] = b.one
+    free = [x for x in range(n) if x not in fixed]
+    maps = []
+    w = find_isomorphism(a, b)
+    if w is not None:
+        maps.append(w)
+    for _ in range(4):
+        if w is not None and len(free) > 1:
+            x, y = rng.sample(free, 2)
+            swapped = list(w)
+            swapped[x], swapped[y] = w[y], w[x]
+            maps.append(tuple(swapped))
+        images = [v for v in range(n) if v not in fixed.values()]
+        rng.shuffle(images)
+        kept = {**fixed, **dict(zip(free, images))}
+        maps.append(tuple(kept[x] for x in range(n)))
+        maps.append(tuple(rng.sample(range(n), n)))
+        maps.append(tuple(rng.randrange(n) for _ in range(n)))
+    return maps
+
+
+def test_morphism_failure_matches_a_full_row_major_scan(universe_6):
+    """Seeded maps between each catalog algebra and a relabelled copy, between
+    non-isomorphic algebras of equal order, and between their meager algebras
+    (generalized effect algebras): the triangle scan names the failure that
+    the full scan over every cell names first, on the diagonal or right of it."""
+    rng = random.Random(31)
+    algs = [alg for _, alg in universe_6]
+    meager = [meager_algebra(alg)[0] for alg in algs]
+    pairs = []
+    for _, alg in named_catalog():
+        for x in (alg, meager_algebra(alg)[0]):
+            pairs.append((x, permuted_copy(x, rng)))
+    for group in (algs, meager):
+        pairs += [(a, b) for a, b in combinations(group, 2) if a.order == b.order and find_isomorphism(a, b) is None]
+    kinds = set()  # each reason, a mismatch split by whether it lies on the diagonal
+    for a, b in pairs:
+        for mapping in seeded_mappings(a, b, rng):
+            expected = full_scan_failure(a, b, mapping)
+            assert morphism_failure(a, b, mapping) == expected, (a, b, mapping)
+            if expected is None or expected[1] is None or len(expected[1]) == 1:
+                kinds.add(expected and expected[0])
+            else:
+                x, y = expected[1]
+                kinds.add((expected[0], "diagonal" if x == y else "right"))
+    assert kinds == {
+        None,
+        "not bijective",
+        "zero not preserved",
+        "one not preserved",
+        ("definedness mismatch", "diagonal"),
+        ("definedness mismatch", "right"),
+        ("sum value mismatch", "diagonal"),
+        ("sum value mismatch", "right"),
+    }
+
+
+def test_morphism_failure_reads_one_triangle():
+    """On boolean-64 the check of an isomorphism reads each cell on and right
+    of the diagonal once: one mapping read per cell and one more per defined
+    sum, plus one per row and the two constants. The full square read 4,891."""
+
+    class Counted(tuple):
+        reads = 0
+
+        def __getitem__(self, i):
+            Counted.reads += 1
+            return tuple.__getitem__(self, i)
+
+    b64 = make_boolean(6)
+    n = b64.order
+    defined = sum(1 for x in range(n) for y, _ in b64.table.row_sums[x] if x <= y)
+    assert morphism_failure(b64, b64, Counted(range(n))) is None
+    assert Counted.reads == n * (n + 1) // 2 + defined + n + 2 == 2511
+
+
 def test_canonical_form_constant_for_two_chain():
     assert canonical_form(make_chain(1)) == b"efa 1\norder 2\nzero 0\none 1\nsum 0 0 0\nsum 0 1 1\n"
 

@@ -492,6 +492,27 @@ def test_riesz_witnesses_do_not_move(enumerated_9):
     )
 
 
+@pytest.mark.parametrize("name", ["boolean-32", "chain-3x3x3"])
+def test_rdp_scan_reads_each_unordered_pair_once(name):
+    """The unbounded Riesz scan looks up the meet of (u, v1) only for u < v1,
+    and each such pair at most once: whether a pair fails is symmetric in u
+    and v1 (see _riesz_counterexample)."""
+    E = LARGE[name]()
+    reads = []
+
+    class Row:
+        def __init__(self, u, row):
+            self.u, self.row = u, row
+
+        def __getitem__(self, v1):
+            reads.append((self.u, v1))
+            return self.row[v1]
+
+    E.__dict__["_meets"] = [Row(u, row) for u, row in enumerate(E._meets)]
+    assert structure._riesz_counterexample(E, False) is None
+    assert reads and all(u < v1 for u, v1 in reads) and len(set(reads)) == len(reads)
+
+
 class TestSharpBounds:
     def test_sharp_elements_are_their_own_bounds(self, universe_6):
         for _, alg in universe_6:
@@ -674,6 +695,16 @@ class TestIntervalAndReport:
             (FiniteEffectAlgebra.join, (2, 9), 9),
             (FiniteEffectAlgebra.orthosupplement, (-1,), -1),
             (FiniteEffectAlgebra.orthosupplement, (4,), 4),
+            (FiniteEffectAlgebra.defined, (-1, 0), -1),
+            (FiniteEffectAlgebra.defined, (0, 4), 4),
+            (FiniteEffectAlgebra.above_mask, (-1,), -1),
+            (FiniteEffectAlgebra.down_set, (-1,), -1),
+            (FiniteEffectAlgebra.down_set, (4,), 4),
+            (FiniteEffectAlgebra.join_set, ([-1],), -1),
+            (FiniteEffectAlgebra.join_set, ([1, 9],), 9),
+            (FiniteEffectAlgebra.orthogonal_sum, ([-1],), -1),
+            # 3 + 3 is undefined, and the member after it is still checked
+            (FiniteEffectAlgebra.orthogonal_sum, ([3, 3, 4],), 4),
         ],
         ids=[
             "order-negative",
@@ -693,6 +724,15 @@ class TestIntervalAndReport:
             "join-high",
             "orthosupplement-negative",
             "orthosupplement-high",
+            "defined-negative",
+            "defined-high",
+            "above-mask",
+            "down-set-negative",
+            "down-set-high",
+            "join-set-negative",
+            "join-set-high",
+            "orthogonal-sum-negative",
+            "orthogonal-sum-past-undefined",
         ],
     )
     def test_element_functions_refuse_an_id_outside_the_carrier(self, function, arguments, bad):
