@@ -400,10 +400,10 @@ class _SumAlgebra(_Memoizing):
     def elements(self) -> range:
         return range(self.table.order)
 
-    # The point methods refuse an id outside 0..order-1 with ValueError, except
-    # sum, leq, ominus and below_mask: the suite's laws call those tens of
-    # thousands of times per sweep, and the check would cost it about a tenth.
+    # The point methods refuse an id outside 0..order-1 with ValueError.
     def sum(self, x: int, y: int) -> int | None:
+        _check_element(self, x)
+        _check_element(self, y)
         v = self.table.entries[x][y]
         return None if v == UNDEFINED else v
 
@@ -413,14 +413,19 @@ class _SumAlgebra(_Memoizing):
         return self.table.entries[x][y] != UNDEFINED
 
     def leq(self, x: int, y: int) -> bool:
+        _check_element(self, x)
+        _check_element(self, y)
         return (self._below[y] >> x) & 1 == 1
 
     def ominus(self, x: int, y: int) -> int | None:
         """x minus y: the unique z with y + z = x, or None when y is not below x."""
+        _check_element(self, x)
+        _check_element(self, y)
         return self._ominus[y][x]
 
     def below_mask(self, x: int) -> int:
         """Bitmask of elements z with z <= x."""
+        _check_element(self, x)
         return self._below[x]
 
     def above_mask(self, x: int) -> int:

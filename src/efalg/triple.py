@@ -114,8 +114,9 @@ def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
         raise ReconstructionError("sharp elements fail the sub-effect-algebra closure") from None
     meager, meager_src = meager_algebra(E)
 
+    below = E._below
     h = tuple(
-        frozenset(m for m, src_m in enumerate(meager_src) if E.leq(src_m, src_s))
+        frozenset(m for m, src_m in enumerate(meager_src) if below[src_s] >> src_m & 1)
         for src_s in sharp_src
     )
     return TripleRep(sharp, meager, h, sharp_src, meager_src)
@@ -167,6 +168,8 @@ def pi_s(T: TripleRep, s: int, x: int) -> int | None:
 @memoized
 def _r_vector(T: TripleRep) -> tuple[int, ...]:
     mea = T.meager
+    rows, below, above, ominus = mea.table.entries, mea._below, mea._above, mea._ominus
+    rbelow, greatest = mea._rbelow, mea._greatest
     widehat = _widehat_vector(T)
     hm = _h_masks(T)
     # Cancellation profile: adding z to x stays under the cover exactly for
@@ -175,26 +178,20 @@ def _r_vector(T: TripleRep) -> tuple[int, ...]:
     by_profile: dict[tuple[int, int], list[int]] = {}
     for y in mea.elements():
         hat = widehat[y]
-        right = sum(
-            1 << z
-            for z in _mask_elements(hm[hat] & mea._below[y])
-            if widehat[mea.ominus(y, z)] == hat
-        )
+        right = sum(1 << z for z in _mask_elements(hm[hat] & below[y]) if widehat[ominus[z][y]] == hat)
         by_profile.setdefault((hat, right), []).append(y)
     out = []
     for x in mea.elements():
         hat = widehat[x]
-        left = hm[hat] & sum(
-            1 << mea.ominus(v, x) for v in _mask_elements(hm[hat] & mea._above[x])
-        )
+        left = hm[hat] & sum(1 << ominus[x][v] for v in _mask_elements(hm[hat] & above[x]))
         # the pair must meet inside the meager algebra and x + (y - (x meet y))
         # must stay meager and below the cover; one meet per candidate, so
         # the meager algebra builds no meet table
         matches = []
+        row = rows[x]
         for y in by_profile.get((hat, left), ()):
-            u = mea._greatest(mea._rbelow[x] & mea._rbelow[y])
-            w = None if u is None else mea.sum(x, mea.ominus(y, u))
-            if w is not None and hm[hat] >> w & 1:
+            u = greatest(rbelow[x] & rbelow[y])
+            if u is not None and (w := row[ominus[u][y]]) != UNDEFINED and hm[hat] >> w & 1:
                 matches.append(y)
         if len(matches) != 1:
             raise ReconstructionError(
@@ -305,11 +302,8 @@ def _rebuild(T: TripleRep) -> TeaAlgebra:
     """reconstruct_tea's rebuild, without its axiom check."""
     sharp = T.sharp
     mea = T.meager
-    carrier = tuple(
-        (s, m)
-        for s in sharp.elements()
-        for m in sorted(T.h[sharp.orthosupplement(s)])
-    )
+    srows, ssup = sharp.table.entries, sharp._sup
+    carrier = tuple((s, m) for s in sharp.elements() for m in sorted(T.h[ssup[s]]))
     if mea.zero not in T.h[sharp.zero] or mea.zero not in T.h[sharp.one]:
         raise ReconstructionError("h at zero and at one must contain the meager zero")
     index = {pair: k for k, pair in enumerate(carrier)}
@@ -318,7 +312,6 @@ def _rebuild(T: TripleRep) -> TeaAlgebra:
 
     hm = _h_masks(T)
     tops, sums, _ = _split_table(T)
-    srows, ssup = sharp.table.entries, sharp._sup
     n = len(carrier)
     rows = [[UNDEFINED] * n for _ in range(n)]
     for k1, (xs, xm) in enumerate(carrier):
@@ -382,11 +375,12 @@ def _roundtrip_failure(
     index = {pair: k for k, pair in enumerate(tea.carrier)}
 
     bounds = sharp_bounds(E)
+    ominus = E._ominus
     phi: list[int] = []
     for x in E.elements():
         floor = bounds.below[x]
         assert floor is not None
-        rest = E.ominus(x, floor)
+        rest = ominus[floor][x]
         assert rest is not None
         pair = (sharp_inv[floor], meager_inv[rest])
         if pair not in index:

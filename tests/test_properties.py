@@ -49,6 +49,39 @@ def test_anchor_names_unique():
     assert len(names) == len(set(names))
 
 
+# Public point methods the suite's laws may still call, each with its reason.
+# The laws read the order tables instead: every call checks its ids, and a
+# sweep runs the laws' inner loops tens of thousands of times.
+POINT_METHODS_THE_LAWS_MAY_CALL: dict[str, str] = {}
+
+
+def test_the_laws_read_the_tables_not_the_checked_point_methods(universe_6, monkeypatch):
+    """run_checks calls none of sum, leq, ominus, below_mask, meet and
+    orthosupplement, on any algebra (sub-algebras and triples included).
+    Each algebra is rebuilt from its table, so no memoized result from an
+    earlier test hides a call."""
+    calls = {}
+
+    def counting(name, method):
+        def counted(self, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return method(self, *args)
+
+        return counted
+
+    # the shared methods are patched on the base class, so calls on Mea(E) count too
+    targets = [(efalg.core._SumAlgebra, n) for n in ("sum", "leq", "ominus", "below_mask", "meet")]
+    targets.append((FiniteEffectAlgebra, "orthosupplement"))
+    for cls, name in targets:
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    checked = 0
+    for _, alg in universe_6:
+        fresh = FiniteEffectAlgebra(PartialOpTable(alg.table.entries), alg.zero, alg.one)
+        checked += sum(outcome.checked for _, outcome in run_checks(fresh))
+    assert checked > 0
+    assert set(calls) <= set(POINT_METHODS_THE_LAWS_MAY_CALL), calls
+
+
 def test_every_check_passes_on_diamond():
     hs = horizontal_sum([make_chain(2), make_chain(2)])
     for anchor, outcome in run_checks(hs):
@@ -272,7 +305,7 @@ def test_meet_distributes_matches_the_law_read_off_the_order(relabelled_6):
                         continue
                     ab, ac, whole = meets[a][b], meets[a][c], meets[a][s]
                     law = None not in (ab, ac, whole) and entries[ab][ac] == whole
-                    assert _meet_distributes(alg, a, b, c, whole) == law, (a, b, c)
+                    assert _meet_distributes(alg._meets, alg.table.entries, a, b, c, whole) == law, (a, b, c)
                     outcomes.add(law)
     assert outcomes == {True, False}
 

@@ -705,6 +705,15 @@ class TestIntervalAndReport:
             (FiniteEffectAlgebra.orthogonal_sum, ([-1],), -1),
             # 3 + 3 is undefined, and the member after it is still checked
             (FiniteEffectAlgebra.orthogonal_sum, ([3, 3, 4],), 4),
+            # -1 + 0 would read the unit's row, and -1 <= 3 a negative shift
+            (FiniteEffectAlgebra.sum, (-1, 0), -1),
+            (FiniteEffectAlgebra.sum, (0, 4), 4),
+            (FiniteEffectAlgebra.leq, (-1, 3), -1),
+            (FiniteEffectAlgebra.leq, (0, 4), 4),
+            (FiniteEffectAlgebra.ominus, (-1, 0), -1),
+            (FiniteEffectAlgebra.ominus, (3, 4), 4),
+            (FiniteEffectAlgebra.below_mask, (-1,), -1),
+            (FiniteEffectAlgebra.below_mask, (4,), 4),
         ],
         ids=[
             "order-negative",
@@ -733,6 +742,14 @@ class TestIntervalAndReport:
             "join-set-high",
             "orthogonal-sum-negative",
             "orthogonal-sum-past-undefined",
+            "sum-negative",
+            "sum-high",
+            "leq-negative",
+            "leq-high",
+            "ominus-negative",
+            "ominus-high",
+            "below-mask-negative",
+            "below-mask-high",
         ],
     )
     def test_element_functions_refuse_an_id_outside_the_carrier(self, function, arguments, bad):
