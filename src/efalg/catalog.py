@@ -3,40 +3,42 @@
 The enumerator completes partial sum tables cell by cell with constraint
 propagation (forced zero row, forbidden unit row, cancellation within rows,
 orthosupplement uniqueness, associativity) and de-duplicates leaves by
-their canonical labelling, building one canonical algebra per class. Three
+their canonical labelling, building one canonical algebra per class. Two
 devices keep the search small:
 
-- the least-number heuristic of SEM (J. Zhang & H. Zhang, "SEM: a system for
-  enumerating models", IJCAI 1995; also used in Mace4): cells are filled
-  column by column, and of the interior labels that no assigned cell has
-  touched, as an index or a value, only the least is tried. Untouched labels
-  are interchangeable under every constraint of the frame, so no class is
-  lost;
 - lex-leader constraints (Crawford, Ginsberg, Luks & Roy, "Symmetry-breaking
   predicates for search problems", KR 1996) for the swaps s = (k k+1) of
-  adjacent interior labels: the table T, read as the sequence of its
-  interior cells in the search's column-major order with UNDEFINED below
-  every label, must not exceed its relabelling s.T. A node is pruned once
-  its assigned cells prove s.T < T for some s;
+  adjacent interior labels: cells are filled column by column, and the
+  table T, read as the sequence of its interior cells in that order with
+  UNDEFINED below every label, must not exceed its relabelling s.T. A node
+  is pruned once its assigned cells prove s.T < T for some s;
 - watch lists: a newly assigned cell re-examines only its two rows and the
   interior triples that read it, found through an index from each value to
   the cells holding it, instead of rescanning every triple.
 
-The first two together keep a member of every class. Let T* be the least
-table, in that order, among the relabellings of an algebra that fix zero
-and one. Every s.T* is such a relabelling, so T* passes the lex-leader
-test, and propagation only assigns cells that every completion shares. Nor
-does the heuristic prune T*: suppose it skips the value v = T*[c] at cell c
-because a smaller label u is untouched too. Every cell before c is
-assigned and the labels up to c's column count as touched, so neither u
-nor v is an index of c or occurs in that prefix as an index or a value.
-The relabelling (u v).T* then agrees with T* on the prefix and holds u < v
-at c, so it is smaller than T*, which is absurd. Hence T* is a leaf.
+The search keeps a member of every class. Let T* be the least table, in
+that order, among the relabellings of an algebra that fix zero and one.
+Every s.T* is such a relabelling, so T* passes every swap test, and
+propagation only assigns cells that every completion shares. Hence T* is a
+leaf.
+
+The swaps also prune everything that the least-number heuristic of SEM
+(J. Zhang & H. Zhang, "SEM: a system for enumerating models", IJCAI 1995)
+would: of the interior labels that no assigned cell holds, as an index or a
+value, try only the least. Let P be the labels up to the current column
+together with the values of the assigned interior cells. An interior value
+enters the table only as a candidate at the current cell (propagation
+copies values already there, or writes one), so P's interior labels stay a
+prefix 1..t. A value v that the heuristic skips lies above a smaller label
+outside P, so v - 1 and v both lie above t. The swap (v-1 v) fixes every
+index up to the column and every value before the cell, so its relabelling
+agrees with T there and holds v - 1 < v at the cell: the node for v fails
+propagation or the swap test.
 
 Pruning is a speed device only: every surviving leaf is re-validated by the
 full axiom check, and completeness is guarded by an independent
-generate-and-filter oracle and by a seeded search without either symmetry
-break in the test suite.
+generate-and-filter oracle and by a seeded search without symmetry breaking
+in the test suite.
 """
 
 from __future__ import annotations
@@ -212,12 +214,10 @@ def _complete_tables(n: int, rng: random.Random | None = None) -> Iterator[Finit
     stream is complete up to isomorphism once de-duplicated. Yields only
     tables that pass the full axiom check.
 
-    Unseeded, cells are filled column by column, an interior label no
-    assigned cell has touched is tried only if it is the least such label,
-    and nodes that break a lex-leader constraint are pruned. Seeded
-    (``rng``), cells are filled row by row and every candidate is tried in
-    shuffled order, so that search shares no symmetry breaking with the
-    unseeded one.
+    Unseeded, cells are filled column by column and nodes that break a
+    lex-leader constraint are pruned. Seeded (``rng``), cells are filled row
+    by row and every candidate is tried in shuffled order, so that search
+    shares no symmetry breaking with the unseeded one.
     """
     one = n - 1
     t = [[_UNDECIDED] * n for _ in range(n)]
@@ -237,7 +237,6 @@ def _complete_tables(n: int, rng: random.Random | None = None) -> Iterator[Finit
     used = [1 << x for x in range(n)]
     open_cells = [n - 2] * n
     holding: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    interior_mask = (1 << one) - 2
 
     def assign(i: int, j: int, v: int, trail: list) -> bool:
         if v != UNDEFINED:
@@ -315,26 +314,14 @@ def _complete_tables(n: int, rng: random.Random | None = None) -> Iterator[Finit
                 used[j] &= ~(1 << v)
                 del holding[v][-2 if i != j else -1 :]
 
-    def candidates(i: int, j: int, touched: int) -> list[int]:
+    def candidates(i: int, j: int) -> list[int]:
         free = ~(used[i] | used[j])
-        if rng is None:
-            # least-number heuristic: untouched interior labels are
-            # interchangeable, so only the least of them is tried
-            touched |= (2 << j) - 2
-            untouched = interior_mask & ~touched
-            free &= touched | (untouched & -untouched) | (1 << one)
         values = [v for v in range(1, n) if free >> v & 1]
         if rng is not None:
             rng.shuffle(values)
             if rng.random() < 0.5:
                 return values + [UNDEFINED]
         return [UNDEFINED] + values
-
-    def leaf() -> FiniteEffectAlgebra | None:
-        try:
-            return FiniteEffectAlgebra(PartialOpTable.from_rows(t), 0, one)
-        except AxiomViolationError:
-            return None
 
     def swap(k: int, x: int) -> int:
         return k + 1 if x == k else k if x == k + 1 else x
@@ -367,28 +354,26 @@ def _complete_tables(n: int, rng: random.Random | None = None) -> Iterator[Finit
                 p += 1
         return out
 
-    def dfs(k: int, touched: int, pending: list) -> Iterator[FiniteEffectAlgebra]:
+    def dfs(k: int, pending: list) -> Iterator[FiniteEffectAlgebra]:
         while k < len(cells) and t[cells[k][0]][cells[k][1]] != _UNDECIDED:
             k += 1
         if k == len(cells):
-            alg = leaf()
-            if alg is not None:
-                yield alg
+            try:
+                alg = FiniteEffectAlgebra(PartialOpTable.from_rows(t), 0, one)
+            except AxiomViolationError:
+                return
+            yield alg
             return
         i, j = cells[k]
-        for v in candidates(i, j, touched):
+        for v in candidates(i, j):
             trail: list = []
             if assign(i, j, v, trail) and propagate(trail):
                 still = lex_open(pending)
                 if still is not None:
-                    # labels the new cells touch, as an index or a value
-                    marks = touched
-                    for a, b, w in trail:
-                        marks |= 1 << a | 1 << b | (1 << w if w >= 0 else 0)
-                    yield from dfs(k + 1, marks & interior_mask, still)
+                    yield from dfs(k + 1, still)
             undo(trail)
 
-    yield from dfs(0, 0, [(k, 0) for k in swaps])
+    yield from dfs(0, [(k, 0) for k in swaps])
 
 
 def enumerate_all(max_order: int, *, bound: int = DEFAULT_BOUND) -> Iterator[FiniteEffectAlgebra]:

@@ -16,9 +16,12 @@ of its point methods, which check their ids on every call: E.sum(x, y) is
 E.table.entries[x][y], UNDEFINED for None, which is compared with UNDEFINED
 before it is used as an id; E.leq(x, y) is E._below[y] >> x & 1;
 E.ominus(x, y) is E._ominus[y][x]; E.meet(x, y) is E._meets[x][y];
-E.orthosupplement(x) is E._sup[x]; are_compatible(E, x, y) is
-_compat_masks(E)[x] >> y & 1. A bit that enters a witness is compared with 1
-first, so the witness holds a bool, as the methods return.
+E.orthosupplement(x) is E._sup[x]; E.join(x, y) is _join(E._sup, E._meets,
+x, y), and in a generalized effect algebra such as Mea(E) it is
+_least(_rabove[x] & _rabove[y]), join_set taking the AND over the set;
+are_compatible(E, x, y) is _compat_masks(E)[x] >> y & 1. A bit that enters a
+witness is compared with 1 first, so the witness holds a bool, as the
+methods return.
 """
 
 from __future__ import annotations
@@ -112,6 +115,13 @@ def _meet_distributes(meets, rows, a: int, b: int, c: int, whole: int | None) ->
     """
     ab, ac = meets[a][b], meets[a][c]
     return ab is not None and ac is not None and rows[ab][ac] == (UNDEFINED if whole is None else whole)
+
+
+def _join(sup, meets, a: int, b: int) -> int | None:
+    """a v b = (a' ^ b')' in an effect algebra with supplement table sup and
+    meet table meets, as FiniteEffectAlgebra.join; None without a join."""
+    m = meets[sup[a]][sup[b]]
+    return None if m is None else sup[m]
 
 
 def _maximal_totals(E: FiniteEffectAlgebra, x: int, allowed: int) -> Iterator[int]:
@@ -288,7 +298,7 @@ def check_jpy2(E: FiniteEffectAlgebra) -> CheckOutcome:
     meager = set(meager_elements(E))
     floors = sharp_bounds(E).below
     lattice = is_lattice(E)
-    below, ominus, meets = E._below, E._ominus, E._meets
+    below, ominus, meets, sup = E._below, E._ominus, E._meets, E._sup
     for x in E.elements():
         floor = floors[x]
         if floor is None:
@@ -301,7 +311,7 @@ def check_jpy2(E: FiniteEffectAlgebra) -> CheckOutcome:
         out.tick((x, "unique"), unique)
         out.tick((x, "disjoint"), meets[floor][rest] == E.zero)
         if lattice:
-            out.tick((x, "join"), E.join(floor, rest) == x)
+            out.tick((x, "join"), _join(sup, meets, floor, rest) == x)
     return out
 
 
@@ -474,11 +484,12 @@ def check_modjen(E: FiniteEffectAlgebra) -> CheckOutcome:
     bounds = sharp_bounds(E)
     mea, mea_src = meager_algebra(E)
     mea_index = {e: i for i, e in enumerate(mea_src)}
+    mea_rabove, mea_least = mea._rabove, mea._least
     rows, below, ominus, meets = E.table.entries, E._below, E._ominus, E._meets
     for b in blocks(E):
         sub, elems = _block_algebra(E, b)
         index = {e: i for i, e in enumerate(elems)}
-        sub_meets = sub._meets
+        sub_meets, sub_sup = sub._meets, sub._sup
         b_meager = [x for x in b if x in meager]
         for y in b_meager:
             for v in b:
@@ -490,17 +501,18 @@ def check_modjen(E: FiniteEffectAlgebra) -> CheckOutcome:
             if hat != E.zero:
                 ivl, ivl_elems = interval_algebra(E, hat)
                 ivl_index = {e: i for i, e in enumerate(ivl_elems)}
+                ivl_sup, ivl_meets = ivl._sup, ivl._meets
             for y in b_meager:
                 if bounds.above[y] != hat:
                     continue
                 m = meets[x][y]
                 out.tick((b, x, y, "ii"), m is not None and ominus[m][hat] in meager)
-                jm = mea.join(mea_index[x], mea_index[y])
-                jb = sub.join(index[x], index[y])
+                jm = mea_least(mea_rabove[mea_index[x]] & mea_rabove[mea_index[y]])
+                jb = _join(sub_sup, sub_meets, index[x], index[y])
                 if hat == E.zero:
                     ji_src: int | None = E.zero
                 else:
-                    ji = ivl.join(ivl_index[x], ivl_index[y])
+                    ji = _join(ivl_sup, ivl_meets, ivl_index[x], ivl_index[y])
                     ji_src = None if ji is None else ivl_elems[ji]
                 ok = (
                     jm is not None
@@ -524,13 +536,13 @@ def check_modchov(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     mea, mea_src = meager_algebra(E)
     compat, mea_compat = _compat_masks(E), _compat_masks(mea)
-    ominus = E._ominus
+    ominus, mea_meets, mea_rabove, mea_least = E._ominus, mea._meets, mea._rabove, mea._least
     for i, x in enumerate(mea_src):
         for j, y in enumerate(mea_src):
             c1 = compat[x] >> y & 1 == 1
             c2 = mea_compat[i] >> j & 1 == 1
-            join = mea.join(i, j)
-            meet = mea._meets[i][j]
+            join = mea_least(mea_rabove[i] & mea_rabove[j])
+            meet = mea_meets[i][j]
             c3 = (
                 join is not None
                 and meet is not None
@@ -558,16 +570,16 @@ def check_center_boolean(E: FiniteEffectAlgebra) -> CheckOutcome:
     else:
         out.tick(("closure",))
         out.tick(("boolean",), is_boolean_algebra(sub))
-    rows, meets = E.table.entries, E._meets
+    rows, meets, sup = E.table.entries, E._meets, E._sup
     for c in centre:
-        cc = E._sup[c]
+        cc = sup[c]
         for y in E.elements():
             # y ^ (c + c') = y ^ 1 = y
             out.tick((c, y, "split"), _meet_distributes(meets, rows, y, c, cc, y))
         for d in centre:
             s = rows[c][d]
             if s != UNDEFINED:
-                out.tick((c, d, "orth"), E.join(c, d) == s and meets[c][d] == E.zero)
+                out.tick((c, d, "orth"), _join(sup, meets, c, d) == s and meets[c][d] == E.zero)
     return out
 
 
@@ -684,13 +696,17 @@ def check_m2(E: FiniteEffectAlgebra) -> CheckOutcome:
     mea = T.meager
     meager = frozenset(meager_elements(E))
     meets, compat, mea_below = E._meets, _compat_masks(E), mea._below
+    mea_rabove, mea_least, everything = mea._rabove, mea._least, (1 << mea.order) - 1
     for s in T.sharp.elements():
         s_src = T.sharp_to_source[s]
-        hs = T.h[s]
+        h_mask = sum(1 << y for y in T.h[s])
         for x in mea.elements():
             x_src = T.meager_to_source[x]
-            below = [y for y in _mask_elements(mea_below[x]) if y in hs]
-            join = mea.join_set(below)
+            # the join of the members of h(s) below x
+            upper = everything
+            for y in _mask_elements(mea_below[x] & h_mask):
+                upper &= mea_rabove[y]
+            join = mea_least(upper)
             out.tick((s_src, x_src, "sup"), join is not None)
             meet = meets[x_src][s_src]
             if meet is not None:

@@ -236,15 +236,20 @@ def _families(alg: _SumAlgebra, pool: tuple[int, ...]) -> Iterator[tuple[int, in
     multiset F drawn from the pool, the empty family first.
 
     Adding x to F adds v + x for every sub-sum v; those sums are defined
-    because v <= sum of F. The walk needs no depth cap: partial sums of
-    nonzero pool elements strictly increase, so every branch ends once no sum
-    is defined.
+    because v <= sum of F. A family stops growing at order - 1 members, which
+    loses nothing on a lawful table: k nonzero members with a defined sum
+    give k + 1 distinct partial sums, as partial sums strictly increase. The
+    cap ends the walk on a table that breaks Ei or Eii (only _trusted builds
+    one), where a sum can cycle.
     """
     rows = alg.table.entries
-    stack = [(0, alg.zero, 1 << alg.zero)]
+    cap = alg.order - 1
+    stack = [(0, alg.zero, 1 << alg.zero, 0)]
     while stack:
-        start, total, sums = stack.pop()
+        start, total, sums, size = stack.pop()
         yield total, sums
+        if size == cap:
+            continue
         for k in reversed(range(start, len(pool))):
             x = pool[k]
             nxt = rows[total][x]
@@ -253,7 +258,7 @@ def _families(alg: _SumAlgebra, pool: tuple[int, ...]) -> Iterator[tuple[int, in
             extra = 0
             for v in _mask_elements(sums):
                 extra |= 1 << rows[v][x]
-            stack.append((k, nxt, sums | extra))
+            stack.append((k, nxt, sums | extra, size + 1))
 
 
 def _family_refines(alg: _SumAlgebra, members: Iterable[int], covers: Iterable[int]) -> bool:
@@ -361,8 +366,9 @@ def _riesz_counterexample(E: FiniteEffectAlgebra, bounded: bool) -> tuple[int, i
 
 
 def orthoalgebra_counterexample(E: FiniteEffectAlgebra) -> tuple[int] | None:
+    rows = E.table.entries
     for x in E.elements():
-        if x != E.zero and E.defined(x, x):
+        if x != E.zero and rows[x][x] != UNDEFINED:
             return (x,)
     return None
 
@@ -570,7 +576,7 @@ def interval_algebra(E: FiniteEffectAlgebra, top: int) -> tuple[FiniteEffectAlge
     _members(E, (top,))
     if top == E.zero:
         raise ValueError("interval with top = zero is not an effect algebra")
-    table, pos, elems = _induced_table(E, E.down_set(top))
+    table, pos, elems = _induced_table(E, _mask_elements(E._below[top]))
     return FiniteEffectAlgebra._trusted(table, pos[E.zero], pos[top]), elems
 
 

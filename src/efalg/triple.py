@@ -270,16 +270,6 @@ def s_map_top_missing(T: TripleRep) -> tuple[tuple[int, int], ...]:
     return _split_table(T)[2]
 
 
-def _split(T: TripleRep, x: int, y: int) -> tuple[int | None, int | None]:
-    """(s, (x - pi_s x) + (y - pi_s y)) for the top split piece s of x and y.
-
-    Both are None without a top split piece, and the sum is None where it is
-    undefined.
-    """
-    tops, sums, _ = _split_table(T)
-    return tops[x][y], sums[x][y]
-
-
 @memoized
 def reconstruct_tea(T: TripleRep) -> TeaAlgebra:
     """Rebuild the algebra on pairs (z_S, z_M) with z_M in h(z_S').

@@ -58,6 +58,19 @@ ORDER_10_DIGEST = "0a3571b4923bb49a4ebca8f66f2427ff57f953568cbd14e2a61b6e7164964
 # (generator version 2) 16, 142 and 1006; a rise back means a symmetry break
 # has stopped pruning.
 REDUCED_LEAVES = {5: 5, 6: 17, 7: 40}
+# sha256 of repr([a.table.entries for a in _complete_tables(n)]) per order
+# n, recorded with the least-number heuristic and lex-leader pruning both in
+# the unseeded search: dropping the heuristic, which lex-leader subsumes,
+# must keep every leaf and the order they come in.
+LEAF_SEQUENCE_DIGESTS = {
+    2: "0097584ffb9703fe144864e5805024d0dfb81092c77d2e20dceba516388203f0",
+    3: "3430967e619bb4f5c46f8aca1ae31063a2450af7064dbcbaaba9bf43ae0bb807",
+    4: "dfd0417ca971df5b04c7c7345395370b4e9d8d19b36bd8d825a4747f5c3b58ac",
+    5: "deca736de537a33b8e84f5d79ed060be8491186669d3ea4d505783fc63570c29",
+    6: "fc207f18b75efcb6c2249e11c1423afb28f80a51b871bdfc0c27639e1baa5561",
+    7: "8baa66116816eef4d4dc40399316d5139aec562a49d1255117acff540964d415",
+    8: "b4ac7eb8e138186591d6a2946f46f321c688e2f10d05145bd26ed7caaf330736",
+}
 # sha256 of repr([random_algebra(seed, n).table.entries for seed in range(20)])
 # per order n, recorded before lex-leader pruning entered the unseeded search:
 # the seeded search, and so every random draw, must not move.
@@ -400,6 +413,11 @@ class TestEnumerate:
     def test_symmetry_break_prunes(self):
         for n, want in REDUCED_LEAVES.items():
             assert sum(1 for _ in _complete_tables(n)) == want == SEARCH_COST[n][1]
+
+    def test_leaf_sequence_is_pinned(self):
+        for n, want in LEAF_SEQUENCE_DIGESTS.items():
+            tables = [a.table.entries for a in _complete_tables(n)]
+            assert hashlib.sha256(repr(tables).encode()).hexdigest() == want, n
 
     def test_leaves_are_lex_leaders(self):
         for n in range(2, 9):

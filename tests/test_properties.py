@@ -1,6 +1,8 @@
 """Suite plumbing: anchor registry, worker handling, witness quality."""
 
 import gc
+import inspect
+import itertools
 import multiprocessing
 import os
 import random
@@ -29,7 +31,7 @@ from efalg.properties import (
     run_suite,
     worker_count,
 )
-from efalg.structure import homogeneity_counterexample, is_homogeneous, meager_elements, rdp_counterexample
+from efalg.structure import _families, homogeneity_counterexample, is_homogeneous, meager_elements, rdp_counterexample
 
 from naive_oracles import (
     naive_infasoc,
@@ -56,10 +58,10 @@ POINT_METHODS_THE_LAWS_MAY_CALL: dict[str, str] = {}
 
 
 def test_the_laws_read_the_tables_not_the_checked_point_methods(universe_6, monkeypatch):
-    """run_checks calls none of sum, leq, ominus, below_mask, meet and
-    orthosupplement, on any algebra (sub-algebras and triples included).
-    Each algebra is rebuilt from its table, so no memoized result from an
-    earlier test hides a call."""
+    """run_checks calls none of the point methods that check their ids, on
+    any algebra (sub-algebras and triples included). Each algebra is rebuilt
+    from its table, so no memoized result from an earlier test hides a
+    call."""
     calls = {}
 
     def counting(name, method):
@@ -69,17 +71,51 @@ def test_the_laws_read_the_tables_not_the_checked_point_methods(universe_6, monk
 
         return counted
 
-    # the shared methods are patched on the base class, so calls on Mea(E) count too
-    targets = [(efalg.core._SumAlgebra, n) for n in ("sum", "leq", "ominus", "below_mask", "meet")]
-    targets.append((FiniteEffectAlgebra, "orthosupplement"))
+    # the shared methods are patched on the base class, so calls on Mea(E)
+    # count too; FiniteEffectAlgebra has its own join
+    shared = (
+        "sum", "defined", "leq", "ominus", "below_mask", "above_mask", "down_set", "orthogonal_sum",
+        "meet", "join", "join_set",
+    )
+    targets = [(efalg.core._SumAlgebra, name) for name in shared]
+    targets += [(FiniteEffectAlgebra, "join"), (FiniteEffectAlgebra, "orthosupplement")]
+    checking = {
+        (cls, name)
+        for cls in (efalg.core._SumAlgebra, FiniteEffectAlgebra)
+        for name, fn in vars(cls).items()
+        if inspect.isfunction(fn) and "_check_element" in fn.__code__.co_names
+    }
+    assert checking == set(targets)
     for cls, name in targets:
-        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+        monkeypatch.setattr(cls, name, counting(f"{cls.__name__}.{name}", getattr(cls, name)))
     checked = 0
     for _, alg in universe_6:
         fresh = FiniteEffectAlgebra(PartialOpTable(alg.table.entries), alg.zero, alg.one)
         checked += sum(outcome.checked for _, outcome in run_checks(fresh))
     assert checked > 0
     assert set(calls) <= set(POINT_METHODS_THE_LAWS_MAY_CALL), calls
+
+
+@pytest.mark.parametrize("name", ["ge4", "ei-eii"])
+def test_the_family_walk_ends_on_tables_whose_sums_cycle(name):
+    """1 + 1 = 0 in ge4, and 3 + 1 = 2, 2 + 1 = 3 in ei-eii: partial sums
+    cycle, and the walk still ends, as it stops a family at order - 1
+    members."""
+    rows, zero, one = PLANTED[name]
+    E = FiniteEffectAlgebra._trusted(PartialOpTable.from_rows(rows), zero, one)
+    pool = tuple(x for x in E.elements() if x != E.zero)
+    assert sum(1 for _ in itertools.islice(_families(E, pool), 10_000)) < 10_000
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_run_checks_ends_on_every_planted_table(name):
+    """A table that breaks the axioms, built without the check, may make a
+    law raise; the run must end either way."""
+    rows, zero, one = PLANTED[name]
+    try:
+        run_checks(FiniteEffectAlgebra._trusted(PartialOpTable.from_rows(rows), zero, one))
+    except Exception:
+        pass
 
 
 def test_every_check_passes_on_diamond():

@@ -20,7 +20,7 @@ from efalg.triple import (
     extract_triple,
     pi_s,
     r_map,
-    _split,
+    _split_table,
     reconstruct_tea,
     s_map,
     s_map_top_missing,
@@ -172,7 +172,7 @@ class TestMappings:
         assert checked > 90
 
     def test_split_table_agrees_with_naive_oracle(self, universe_6):
-        # s_map, _split and s_map_top_missing read one table, built from the
+        # s_map and s_map_top_missing read _split_table, built from the
         # triple; the oracle takes the top split piece from the source order
         rng = random.Random(2718)
         inputs = []
@@ -185,13 +185,14 @@ class TestMappings:
         checked = 0
         for name, alg in qualifying(inputs):
             T = extract_triple(alg)
+            tops, sums, _ = _split_table(T)
             src = [list(row) for row in alg.table.entries]
             to_sharp, to_mea = T.sharp_to_source, T.meager_to_source
             missing = []
             for x in T.meager.elements():
                 for y in T.meager.elements():
                     args = (src, alg.zero, alg.one, to_mea[x], to_mea[y])
-                    s, zm = _split(T, x, y)
+                    s, zm = tops[x][y], sums[x][y]
                     assert s == s_map(T, x, y)
                     got = (None if s is None else to_sharp[s], None if zm is None else to_mea[zm])
                     assert got == naive_split(*args), (name, x, y)
