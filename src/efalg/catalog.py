@@ -148,7 +148,9 @@ def horizontal_sum(algebras: Sequence[FiniteEffectAlgebra]) -> FiniteEffectAlgeb
         raise ValueError("horizontal sum needs at least one summand")
     order = sum(alg.order - 2 for alg in algebras) + 2
     one = order - 1
-    rows = [[UNDEFINED] * order for _ in range(order)]
+    # zero's and one's rows are shared by every summand: zero is neutral and
+    # one sums only with zero
+    rows = [[(y, y) for y in range(order)]] + [[] for _ in range(order - 2)] + [[(0, one)]]
     next_id = 1
     for alg in algebras:
         label = {alg.zero: 0, alg.one: one}
@@ -157,10 +159,9 @@ def horizontal_sum(algebras: Sequence[FiniteEffectAlgebra]) -> FiniteEffectAlgeb
                 label[x] = next_id
                 next_id += 1
         for x, row in enumerate(alg.table.row_sums):
-            out = rows[label[x]]
-            for y, v in row:
-                out[label[y]] = label[v]
-    return FiniteEffectAlgebra._trusted(PartialOpTable.from_rows(rows), 0, one)
+            if x != alg.zero and x != alg.one:
+                rows[label[x]] = sorted((label[y], label[v]) for y, v in row)
+    return FiniteEffectAlgebra._trusted(PartialOpTable.from_sums(rows), 0, one)
 
 
 def direct_product(a: FiniteEffectAlgebra, b: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
@@ -173,18 +174,15 @@ def direct_product(a: FiniteEffectAlgebra, b: FiniteEffectAlgebra) -> FiniteEffe
     for x and y zero, and (zero, zero) != (one, one).
     """
     nb = b.order
-    order = a.order * nb
-    rows = []
-    # row x1 * nb + y1 combines row x1 of a with row y1 of b
-    for row_a in a.table.row_sums:
-        for row_b in b.table.row_sums:
-            row = [UNDEFINED] * order
-            for x2, u in row_a:
-                for y2, v in row_b:
-                    row[x2 * nb + y2] = u * nb + v
-            rows.append(row)
+    # row x1 * nb + y1 combines row x1 of a with row y1 of b; its columns
+    # x2 * nb + y2 ascend with x2, then y2
+    rows = [
+        [(x2 * nb + y2, u * nb + v) for x2, u in row_a for y2, v in row_b]
+        for row_a in a.table.row_sums
+        for row_b in b.table.row_sums
+    ]
     return FiniteEffectAlgebra._trusted(
-        PartialOpTable.from_rows(rows), a.zero * nb + b.zero, a.one * nb + b.one
+        PartialOpTable.from_sums(rows), a.zero * nb + b.zero, a.one * nb + b.one
     )
 
 

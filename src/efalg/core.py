@@ -2,9 +2,15 @@
 
 An algebra lives on elements 0..order-1. The partial operation is a square
 lookup table whose cells hold either an element id or UNDEFINED. The table
-also lists the defined sums of each row, PartialOpTable.row_sums, built with
-its range check; every walk over the defined sums x + y, here and in the
-other modules, reads that list.
+also lists the defined sums of each row, PartialOpTable.row_sums; every walk
+over the defined sums x + y, here and in the other modules, reads that list.
+A table has two entry points, which build the same value: the dense
+constructor, PartialOpTable(entries) or from_rows, reads every cell to list
+the defined sums, and from_sums writes the listed sums into an otherwise
+undefined table. A producer that holds its defined sums (the restrictions,
+the triple rebuild, the canonical relabelling, the products and horizontal
+sums, and the parser up to fileformat.SCATTERED_CELLS defined cells)
+builds through from_sums, so it never pays a Python pass over every cell.
 
 Validation is eager: the public constructors run the full axiom check and
 refuse bad tables, so every algebra a caller builds, parses or enumerates
@@ -104,15 +110,16 @@ class Verdict:
 class PartialOpTable:
     """Square table of the partial sum; cell value UNDEFINED marks a missing sum.
 
-    The table is fully materialized (no sparse rows) and immutable. Squareness
-    and cell range are enforced here; everything semantic (symmetry included)
-    is the verifier's job, so that broken tables can still be diagnosed.
+    The table is fully materialized and immutable. Squareness and cell range
+    are enforced here; everything semantic (symmetry included) is the
+    verifier's job, so that broken tables can still be diagnosed.
 
     row_sums[x] holds the pairs (y, x + y) of the defined cells of row x, in
-    column order. It is built in the range check's pass over every cell and
-    is the one list of defined sums that every walk over x + y reads. It is
-    an instance attribute, not a field, so it takes no part in ==, hash or
-    repr.
+    column order; it is the one list of defined sums that every walk over
+    x + y reads. It is an instance attribute, not a field, so it takes no
+    part in ==, hash or repr. The two entry points build it differently: the
+    dense constructor (and from_rows) lists it in its range check's pass over
+    every cell, and from_sums takes it as given and writes only its cells.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -138,6 +145,39 @@ class PartialOpTable:
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "PartialOpTable":
         return PartialOpTable(tuple(tuple(r) for r in rows))
+
+    @staticmethod
+    def from_sums(sums: Iterable[Iterable[tuple[int, int]]]) -> "PartialOpTable":
+        """The table whose row x defines exactly the pairs (y, x + y) of sums[x],
+        given in strictly increasing column order.
+
+        It equals the dense constructor's table of the same cells, row_sums
+        included, and refuses what that one refuses, naming the cell; a
+        column out of range or out of order is refused too. Only the listed
+        cells are read and written.
+        """
+        sums = tuple(map(tuple, sums))
+        n = len(sums)
+        if n < 1:
+            raise MalformedTableError("empty table")
+        entries = []
+        for i, row in enumerate(sums):
+            cells = [UNDEFINED] * n
+            last = -1
+            for j, v in row:
+                if not (last < j < n and 0 <= v < n):
+                    if not 0 <= j < n:
+                        raise MalformedTableError(f"cell ({i},{j}) lies outside the {n} columns")
+                    if j <= last:
+                        raise MalformedTableError(f"cell ({i},{j}) does not follow column {last}")
+                    raise MalformedTableError(f"cell ({i},{j}) holds {v}, out of range")
+                cells[j] = v
+                last = j
+            entries.append(tuple(cells))
+        table = object.__new__(PartialOpTable)
+        object.__setattr__(table, "entries", tuple(entries))
+        object.__setattr__(table, "row_sums", sums)
+        return table
 
 
 def _check_constants(table: PartialOpTable, *constants: int) -> None:
@@ -375,15 +415,16 @@ class _SumAlgebra(_Memoizing):
     def _bind_order_data(self):
         n = self.table.order
         # y + z = v puts y below v with v minus y = z; cancellation makes z unique.
+        bits = [1 << x for x in range(n)]
         below = [0] * n
         above = []
         ominus = []
-        for y, row in enumerate(self.table.row_sums):
+        for bit, row in zip(bits, self.table.row_sums):
             up = 0
             diffs: list[int | None] = [None] * n
             for z, v in row:
-                below[v] |= 1 << y
-                up |= 1 << v
+                below[v] |= bit
+                up |= bits[v]
                 diffs[v] = z
             above.append(up)
             ominus.append(tuple(diffs))

@@ -283,8 +283,8 @@ def canonical_algebra(alg: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
     """
     key = _search(_effect_algebra(alg))[0]
     n = alg.order
-    rows = [[UNDEFINED if v == n else v for v in key[i * n : (i + 1) * n]] for i in range(n)]
-    return FiniteEffectAlgebra._trusted(PartialOpTable.from_rows(rows), 0, n - 1)
+    sums = [[(j, v) for j, v in enumerate(key[i * n : (i + 1) * n]) if v != n] for i in range(n)]
+    return FiniteEffectAlgebra._trusted(PartialOpTable.from_sums(sums), 0, n - 1)
 
 
 def canonical_form(alg: FiniteEffectAlgebra) -> bytes:

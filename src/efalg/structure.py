@@ -528,15 +528,17 @@ def _induced_table(
 ) -> tuple[PartialOpTable, list[int], tuple[int, ...]]:
     """Sums that stay inside the subset, re-indexed in ascending element order.
 
-    pos[e] is e's new index; it is UNDEFINED outside the subset and in its
-    last slot, pos[UNDEFINED], so it re-indexes every cell of E's table.
+    pos[e] is e's new index, UNDEFINED outside the subset. It ascends on the
+    members, so each member's defined sums, mapped through pos, keep their
+    column order.
     """
     elems = _members(E, subset)
-    pos = [UNDEFINED] * (E.order + 1)
+    pos = [UNDEFINED] * E.order
     for i, e in enumerate(elems):
         pos[e] = i
-    rows = E.table.entries
-    return PartialOpTable(tuple(tuple(pos[rows[a][b]] for b in elems) for a in elems)), pos, elems
+    sums = E.table.row_sums
+    rows = [[(pos[b], pos[v]) for b, v in sums[a] if pos[b] != UNDEFINED and pos[v] != UNDEFINED] for a in elems]
+    return PartialOpTable.from_sums(rows), pos, elems
 
 
 def restrict_downset(

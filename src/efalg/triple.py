@@ -296,26 +296,42 @@ def _rebuild(T: TripleRep) -> TeaAlgebra:
     carrier = tuple((s, m) for s in sharp.elements() for m in sorted(T.h[ssup[s]]))
     if mea.zero not in T.h[sharp.zero] or mea.zero not in T.h[sharp.one]:
         raise ReconstructionError("h at zero and at one must contain the meager zero")
-    index = {pair: k for k, pair in enumerate(carrier)}
-    zero = index[(sharp.zero, mea.zero)]
-    one = index[(sharp.one, mea.zero)]
+    # index[s][m] is the pair (s, m)'s place in the carrier, None off it;
+    # pairs[s] lists s's pairs as (place, m), m ascending
+    index = [[None] * mea.order for _ in sharp.elements()]
+    pairs: list[list[tuple[int, int]]] = [[] for _ in sharp.elements()]
+    for k, (s, m) in enumerate(carrier):
+        index[s][m] = k
+        pairs[s].append((k, m))
+    zero = index[sharp.zero][mea.zero]
+    one = index[sharp.one][mea.zero]
 
-    hm = _h_masks(T)
+    # A pair k2 >= k1 can sum only where its sharp parts do, so each k1
+    # walks the pairs of each ys >= xs with xs + ys defined, and each sum
+    # found is written with its mirror. As k1 ascends, every row receives
+    # its columns in ascending order.
     tops, sums, _ = _split_table(T)
-    n = len(carrier)
-    rows = [[UNDEFINED] * n for _ in range(n)]
+    rows: list[list[tuple[int, int]]] = [[] for _ in carrier]
     for k1, (xs, xm) in enumerate(carrier):
-        srow, top, zms, row = srows[xs], tops[xm], sums[xm], rows[k1]
-        for k2 in range(k1, n):
-            ys, ym = carrier[k2]
-            t, zm = srow[ys], zms[ym]
-            if t == UNDEFINED or zm is None:
+        top, zms, row = tops[xm], sums[xm], rows[k1]
+        for ys, t in sharp.table.row_sums[xs]:
+            if ys < xs:
                 continue
-            zs = srows[t][top[ym]]
-            if zs != UNDEFINED and hm[ssup[zs]] >> zm & 1:
-                row[k2] = rows[k2][k1] = index[(zs, zm)]
+            trow = srows[t]
+            for k2, ym in pairs[ys]:
+                zm = zms[ym]
+                if k2 < k1 or zm is None:
+                    continue
+                zs = trow[top[ym]]
+                if zs == UNDEFINED:
+                    continue
+                v = index[zs][zm]
+                if v is not None:
+                    row.append((k2, v))
+                    if k2 != k1:
+                        rows[k2].append((k1, v))
 
-    return TeaAlgebra(FiniteEffectAlgebra._trusted(PartialOpTable.from_rows(rows), zero, one), carrier)
+    return TeaAlgebra(FiniteEffectAlgebra._trusted(PartialOpTable.from_sums(rows), zero, one), carrier)
 
 
 @dataclass(frozen=True)

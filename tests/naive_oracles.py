@@ -505,6 +505,30 @@ def naive_split(entries, zero, one, x, y):
     return s, v if meager else None
 
 
+def naive_rebuild(sharp_entries, sharp_zero, sharp_one, meager_zero, h, tops, sums):
+    """The triple's rebuild by the dense walk over every carrier pair k2 >= k1:
+    (table, carrier, zero, one). The carrier lists (s, m) for m in h(s'),
+    sharp-major; the pair sums to (xs + ys + tops[xm][ym], sums[xm][ym]) when
+    xs + ys and that sum are defined, sums[xm][ym] is not None and it lies in
+    h of the sharp part's supplement. tops and sums are the split pieces and
+    split sums of the meager pairs, given as tables indexed [x][y]."""
+    sup = _naive_supplement(sharp_entries, sharp_one)
+    carrier = [(s, m) for s in range(len(sharp_entries)) for m in sorted(h[sup[s]])]
+    index = {pair: k for k, pair in enumerate(carrier)}
+    n = len(carrier)
+    rows = [[UNDEF] * n for _ in range(n)]
+    for k1, (xs, xm) in enumerate(carrier):
+        for k2 in range(k1, n):
+            ys, ym = carrier[k2]
+            t, zm = sharp_entries[xs][ys], sums[xm][ym]
+            if t == UNDEF or zm is None:
+                continue
+            zs = sharp_entries[t][tops[xm][ym]]
+            if zs != UNDEF and zm in h[sup[zs]]:
+                rows[k1][k2] = rows[k2][k1] = index[(zs, zm)]
+    return rows, carrier, index[(sharp_zero, meager_zero)], index[(sharp_one, meager_zero)]
+
+
 def naive_modyjem(entries, one) -> dict[int, tuple[bool, bool]]:
     """{v: (ii, iii)}, walked element by element over every w <= v: (ii)
     each common lower bound of w and w' lies below v - w, and (iii) y lies

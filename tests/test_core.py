@@ -21,10 +21,23 @@ from efalg.core import (
     verify_effect_algebra,
     verify_generalized,
 )
-from efalg.catalog import enumerate_all, make_chain, named_catalog, random_algebra
+from efalg import fileformat
+from efalg.catalog import direct_product, enumerate_all, horizontal_sum, make_chain, named_catalog, random_algebra
 from efalg.fileformat import parse, serialize
-from efalg.structure import meager_algebra, structure_report
-from efalg.triple import verify_roundtrip
+from efalg.iso import canonical_algebra
+from efalg.properties import run_checks
+from efalg.structure import (
+    blocks,
+    hypermeager_algebra,
+    interval_algebra,
+    is_homogeneous,
+    is_sharply_dominating,
+    meager_algebra,
+    restrict,
+    sharp_elements,
+    structure_report,
+)
+from efalg.triple import _rebuild, extract_triple, verify_roundtrip
 
 from naive_oracles import (
     naive_effect_verdict,
@@ -83,6 +96,22 @@ class TestVerifyEffectAlgebra:
             PartialOpTable.from_rows([])
         with pytest.raises(MalformedTableError, match="names must cover every element"):
             FiniteEffectAlgebra(table_of(CHAIN3_ROWS), 0, 2, ("a", "b"))
+
+    @pytest.mark.parametrize(
+        "sums, message",
+        [
+            ([], "empty table"),
+            ([[(0, 0), (2, 1)], [(0, 1)]], r"cell \(0,2\) lies outside the 2 columns"),
+            ([[(0, 0)], [(-1, 1)]], r"cell \(1,-1\) lies outside the 2 columns"),
+            ([[(0, 0), (1, 5)], [(0, 1)]], r"cell \(0,1\) holds 5, out of range"),
+            ([[(0, 0), (1, UNDEFINED)], [(0, 1)]], r"cell \(0,1\) holds -1, out of range"),
+            ([[(1, 1), (0, 0)], [(0, 1)]], r"cell \(0,0\) does not follow column 1"),
+            ([[(0, 0), (0, 1)], [(0, 1)]], r"cell \(0,0\) does not follow column 0"),
+        ],
+    )
+    def test_from_sums_refuses_a_malformed_table_naming_the_cell(self, sums, message):
+        with pytest.raises(MalformedTableError, match=f"^{message}$"):
+            PartialOpTable.from_sums(sums)
 
     def test_constructor_refuses_bad_tables(self):
         rows = [r[:] for r in CHAIN3_ROWS]
@@ -464,3 +493,65 @@ def test_rank_masks_renumber_the_order_masks(universe_6):
         getattr(alg, second)
         assert alg._rbelow == tuple(map(alg._rank_mask, alg._below))
         assert alg._rabove == tuple(map(alg._rank_mask, alg._above))
+
+
+def _assert_same_table(built, dense):
+    """built equals the dense constructor's table: the same cells and sums,
+    ==, hash and repr, before and after a pickle roundtrip."""
+    assert built.entries == dense.entries and built.row_sums == dense.row_sums
+    assert built == dense and hash(built) == hash(dense) and repr(built) == repr(dense)
+    back = pickle.loads(pickle.dumps(built))
+    assert back.entries == dense.entries and back.row_sums == dense.row_sums
+    assert back == dense and hash(back) == hash(dense) and repr(back) == repr(dense)
+
+
+def _routed_products(alg):
+    """The algebras that each producer building through from_sums makes from alg."""
+    E = parse(serialize(alg))
+    out = [E, restrict(E, sharp_elements(E))[0], meager_algebra(E)[0], hypermeager_algebra(E)[0]]
+    out += [interval_algebra(E, top)[0] for top in E.elements() if top != E.zero]
+    out += [restrict(E, block)[0] for block in blocks(E)]
+    out += [canonical_algebra(E), direct_product(E, make_chain(2)), horizontal_sum([E, make_chain(2)])]
+    if is_homogeneous(E) and is_sharply_dominating(E):
+        out.append(_rebuild(extract_triple(E)).algebra)
+    return out
+
+
+def test_from_sums_builds_the_dense_constructors_table(universe_6, monkeypatch):
+    algs = [alg for _, alg in universe_6] + [build() for build in LARGE.values()]
+    for alg in algs:
+        _assert_same_table(PartialOpTable.from_sums(alg.table.row_sums), PartialOpTable(alg.table.entries))
+    for alg in algs:
+        for product in _routed_products(alg):
+            _assert_same_table(product.table, PartialOpTable(product.table.entries))
+    # the parser's other path, for tables past SCATTERED_CELLS, builds the same tables
+    texts = [serialize(alg) for alg in algs]
+    sparse = [parse(text).table for text in texts]
+    monkeypatch.setattr(fileformat, "SCATTERED_CELLS", 0)
+    for text, table in zip(texts, sparse):
+        _assert_same_table(table, parse(text).table)
+
+
+def test_the_pipeline_builds_no_table_through_the_dense_constructor(universe_6, monkeypatch):
+    """parse, structure_report, verify_roundtrip and run_checks build every
+    table they need from its defined sums: on these inputs, all below
+    SCATTERED_CELLS defined cells, no call reaches the dense constructor's
+    pass over every cell."""
+    rng = random.Random(17)
+    algs = [alg for _, alg in universe_6] + [build() for build in LARGE.values()]
+    texts = [serialize(permuted_copy(alg, rng)) for alg in algs]
+    calls = []
+    dense = PartialOpTable.__post_init__
+
+    def counted(self):
+        calls.append(self.order)
+        dense(self)
+
+    monkeypatch.setattr(PartialOpTable, "__post_init__", counted)
+    for text in texts:
+        E = parse(text)
+        structure_report(E)
+        if is_homogeneous(E) and is_sharply_dominating(E):
+            assert verify_roundtrip(E).ok
+        run_checks(E)
+    assert calls == []

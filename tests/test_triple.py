@@ -28,9 +28,9 @@ from efalg.triple import (
     widehat_triple,
 )
 
-from naive_oracles import naive_pi, naive_r_map, naive_split, naive_split_pieces
+from naive_oracles import naive_pi, naive_r_map, naive_rebuild, naive_split, naive_split_pieces
 from test_acceptance import _mutations
-from test_iso import permuted_copy
+from test_iso import LARGE, permuted_copy
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +237,29 @@ class TestReconstruct:
             assert tea.carrier[tea.phi[alg.zero]] == (0, 0)
             sharp_one = extract_triple(alg).sharp.one
             assert tea.carrier[tea.phi[alg.one]] == (sharp_one, 0)
+
+    @pytest.mark.slow
+    def test_rebuild_matches_the_dense_walk(self, enumerated_8):
+        """The rebuild, which walks only the defined sharp sums, writes the
+        table, carrier and constants of the walk over every carrier pair, for
+        every qualifying class to order 8 and LARGE algebra, with and without
+        back-maps."""
+        algs = [(f"enum-{i}", alg) for i, alg in enumerate(enumerated_8)]
+        algs += [(name, build()) for name, build in LARGE.items()]
+        rebuilt = 0
+        for name, alg in qualifying(algs):
+            T = extract_triple(alg)
+            for U in (T, T.stripped()):
+                tea = triple._rebuild(U)
+                tops, sums, _ = _split_table(U)
+                sharp = U.sharp
+                rows, carrier, zero, one = naive_rebuild(
+                    sharp.table.entries, sharp.zero, sharp.one, U.meager.zero, U.h, tops, sums
+                )
+                assert tea.algebra.table.entries == tuple(map(tuple, rows)), name
+                assert (tea.carrier, tea.algebra.zero, tea.algebra.one) == (tuple(carrier), zero, one), name
+                rebuilt += 1
+        assert rebuilt > 2 * len(LARGE)
 
     def test_roundtrip_needs_backmaps(self, chain3_triple):
         with pytest.raises(ValueError, match="back-maps"):
