@@ -9,8 +9,9 @@ constructor, PartialOpTable(entries) or from_rows, reads every cell to list
 the defined sums, and from_sums writes the listed sums into an otherwise
 undefined table. A producer that holds its defined sums (the restrictions,
 the triple rebuild, the canonical relabelling, the products and horizontal
-sums, and the parser up to fileformat.SCATTERED_CELLS defined cells)
-builds through from_sums, so it never pays a Python pass over every cell.
+sums) builds through from_sums, so it never pays a Python pass over every
+cell; the parser, which fills a dense table line by line, and the producers
+that fill every cell use the dense constructor.
 
 Validation is eager: the public constructors run the full axiom check and
 refuse bad tables, so every algebra a caller builds, parses or enumerates

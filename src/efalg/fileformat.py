@@ -60,29 +60,13 @@ BYTES_PER_CELL = 94
 
 # Time per table cell of `efalg verify` on the sparsest valid tables, the
 # horizontal sums of 3-chains: their sum lines grow with the order, so the
-# work done for every cell (allocating the table's rows and the axiom
-# scans; on tables this sparse the parser writes only the stated cells) is
-# nearly the whole cost. main(["verify", file]) in process, median of
-# fifteen, at orders 512, 256 and 128: 0.088-0.091, 0.096-0.102 and
-# 0.19 us per cell (Intel Xeon, Python 3.11.7, x86-64 Linux); the smaller
-# orders carry more per-line cost. More sums only add work, so the
+# work done for every cell (building the table, its range check and the
+# axiom scans) is nearly the whole cost. main(["verify", file]) in process,
+# median of fifteen, at orders 512, 256 and 128: 0.11-0.13, 0.15 and
+# 0.26-0.27 us per cell (Intel Xeon, Python 3.11.7, x86-64 Linux); the
+# smaller orders carry more per-line cost. More sums only add work, so the
 # estimate is a lower bound.
-SECONDS_PER_CELL = 8e-8
-
-
-# The parser makes a pair (j, i + j) for each of a sum line's two rows, so a
-# row's pairs lie scattered in memory, made line by line. Walks over the
-# defined sums read each row many times, and once the table's pairs outgrow
-# the processor's cache that slows them: the associativity walk on the
-# parsed chain(n), against its densely built table, took 1.05 times as long
-# at n = 200 (20,301 defined cells), 1.8 at 250 (31,626) and 2.6 at 400
-# (80,601) (Intel Xeon, Python 3.11.7). A file whose lines could define more
-# cells than this (two per line) makes no pairs while it is read: its table
-# is built from its rows by the dense constructor, whose pass over every
-# cell (about 3 % of parsing chain(400)) makes each row's pairs together.
-# Any other file's table is built from the pairs as stated, with no pass
-# over every cell.
-SCATTERED_CELLS = 1 << 14
+SECONDS_PER_CELL = 1e-7
 
 
 class ParseError(ValueError):
@@ -115,10 +99,7 @@ def _parse_common(text: str, magic: str, with_one: bool):
     order: int | None = None
     headers: dict[str, int] = {}
     names: dict[int, str] = {}
-    rows: list[list[int]] = []  # the cells stated so far: a pair stated twice finds its cell set
-    # sums[i] lists the pairs (j, i + j) stated so far, kept only for a file
-    # whose lines define at most SCATTERED_CELLS cells
-    sums: list[list[tuple[int, int]]] | None = [] if 2 * len(lines) <= SCATTERED_CELLS else None
+    rows: list[list[int]] = []
 
     def need_order(no: int) -> int:
         if order is None:
@@ -144,10 +125,6 @@ def _parse_common(text: str, magic: str, with_one: bool):
             if rows[i][j] != UNDEFINED:
                 raise ParseError(no, f"duplicate definition for pair {(min(i, j), max(i, j))}")
             rows[i][j] = rows[j][i] = k
-            if sums is not None:
-                sums[i].append((j, k))
-                if i != j:
-                    sums[j].append((i, k))
         elif kind in ("order", "zero", "one"):
             if kind == "one" and not with_one:
                 raise ParseError(no, "'one' not allowed here")
@@ -162,8 +139,6 @@ def _parse_common(text: str, magic: str, with_one: bool):
                 if order > MAX_ORDER:
                     raise ParseError(no, ceiling_message(order))
                 rows = [[UNDEFINED] * order for _ in range(order)]
-                if sums is not None:
-                    sums = [[] for _ in range(order)]
             else:
                 headers[kind] = _element_field(no, fields, 1, need_order(no))
         elif kind == "name":
@@ -181,12 +156,7 @@ def _parse_common(text: str, magic: str, with_one: bool):
         if kind not in headers:
             raise ParseError(last, f"missing '{kind}'")
 
-    if sums is None:
-        table = PartialOpTable.from_rows(rows)
-    else:
-        for row in sums:
-            row.sort()
-        table = PartialOpTable.from_sums(sums)
+    table = PartialOpTable.from_rows(rows)
     name_tuple = None
     if names:
         name_tuple = tuple(names.get(i, str(i)) for i in range(order))
