@@ -233,8 +233,19 @@ def morphism_failure(a: _SumAlgebra, b: _SumAlgebra, mapping: Sequence[int]) -> 
     Both tables must be symmetric, as every algebra's is (verified, or
     trusted after a proof). Then the cell (x, y) fails exactly when (y, x)
     does: it compares a's x + y = y + x with b's image cell, which is the
-    same on both sides. So the first row-major failure has x <= y, and only
-    the cells on and right of the diagonal are read.
+    same on both sides. So the first row-major failure has x <= y.
+
+    The check decides on the defined sums: a bijection that keeps the
+    constants fails no cell exactly when each row x of a has as many defined
+    sums as row mapping[x] of b, and each defined x + y = v of a with y >= x
+    has b's image cell equal to mapping[v]. Necessary, as an isomorphism
+    maps row x's defined cells onto row mapping[x]'s. Enough: by the
+    symmetry of both tables every defined cell of a, left of the diagonal
+    too, then maps onto a defined cell of b holding the mapped value;
+    (x, y) -> (mapping[x], mapping[y]) is injective, so these images fill
+    all of row mapping[x]'s defined cells, and every undefined cell of row
+    x maps onto an undefined one. Only on a failed decision are the cells
+    on and right of the diagonal scanned, to name the first failure.
     """
     n = a.order
     if b.order != n or sorted(mapping) != list(range(n)):
@@ -243,6 +254,8 @@ def morphism_failure(a: _SumAlgebra, b: _SumAlgebra, mapping: Sequence[int]) -> 
         return "zero not preserved", (a.zero,)
     if isinstance(a, FiniteEffectAlgebra) and mapping[a.one] != b.one:
         return "one not preserved", (a.one,)
+    if _keeps_defined_sums(a, b, mapping):
+        return None
     # Every cell of the triangle, not a's row_sums: a cell defined in b but
     # not in a is a failure.
     for x, row in enumerate(a.table.entries):
@@ -254,6 +267,21 @@ def morphism_failure(a: _SumAlgebra, b: _SumAlgebra, mapping: Sequence[int]) -> 
             if v != UNDEFINED and mapping[v] != w:
                 return "sum value mismatch", (x, y)
     return None
+
+
+def _keeps_defined_sums(a: _SumAlgebra, b: _SumAlgebra, mapping: Sequence[int]) -> bool:
+    """morphism_failure's decision: equal defined-sum counts on row x and row
+    mapping[x], and each defined x + y = v of a with y >= x sent to b's cell."""
+    image_sums, image_rows = b.table.row_sums, b.table.entries
+    for x, row in enumerate(a.table.row_sums):
+        mx = mapping[x]
+        if len(row) != len(image_sums[mx]):
+            return False
+        image = image_rows[mx]
+        for y, v in row:
+            if y >= x and image[mapping[y]] != mapping[v]:
+                return False
+    return True
 
 
 def find_isomorphism(a: _SumAlgebra, b: _SumAlgebra) -> tuple[int, ...] | None:

@@ -115,10 +115,9 @@ def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
     meager, meager_src = meager_algebra(E)
 
     below = E._below
-    h = tuple(
-        frozenset(m for m, src_m in enumerate(meager_src) if below[src_s] >> src_m & 1)
-        for src_s in sharp_src
-    )
+    pos = {src_m: m for m, src_m in enumerate(meager_src)}
+    meager_mask = sum(1 << src_m for src_m in meager_src)
+    h = tuple(frozenset(map(pos.get, _mask_elements(below[src_s] & meager_mask))) for src_s in sharp_src)
     return TripleRep(sharp, meager, h, sharp_src, meager_src)
 
 
@@ -130,12 +129,18 @@ def _h_masks(T: TripleRep) -> tuple[int, ...]:
 
 @memoized
 def _widehat_vector(T: TripleRep) -> tuple[int, ...]:
-    hm = _h_masks(T)
-    sharp = T.sharp
-    rank = sharp._rank
+    sharp, n = T.sharp, T.meager.order
+    hm, rank = _h_masks(T), sharp._rank
+    # covers[x]: the sharp elements whose h-set holds x, as a rank mask; the
+    # h masks are cut to the meager carrier, as membership tests read them
+    covers = [0] * n
+    for s in sharp.elements():
+        bit = 1 << rank[s]
+        for x in _mask_elements(hm[s] & ((1 << n) - 1)):
+            covers[x] |= bit
     out = []
-    for x in T.meager.elements():
-        best = sharp._least(sum(1 << rank[s] for s in sharp.elements() if hm[s] >> x & 1))
+    for x, mask in enumerate(covers):
+        best = sharp._least(mask)
         if best is None:
             raise ReconstructionError(f"no least sharp cover for meager element {x}")
         out.append(best)
@@ -150,13 +155,19 @@ def widehat_triple(T: TripleRep, x: int) -> int:
 @memoized
 def _pi_table(T: TripleRep) -> tuple[tuple[int | None, ...], ...]:
     # The join of D = {y <= x in h(s)} lies in h(s) exactly when D has a
-    # greatest element, and then it is that element.
+    # greatest element, and then it is that element: _greatest, inline. D is
+    # empty when h(s) lacks the meager zero, and then has none.
     mea = T.meager
-    rbelow, greatest = mea._rbelow, mea._greatest
-    return tuple(
-        tuple(greatest(below & hs) for below in rbelow)
-        for hs in map(mea._rank_mask, _h_masks(T))
-    )
+    rbelow, by_rank = mea._rbelow, mea._by_rank
+    table = []
+    for hs in map(mea._rank_mask, _h_masks(T)):
+        row = []
+        for below in rbelow:
+            d = below & hs
+            m = by_rank[d.bit_length() - 1]
+            row.append(m if d and not d & ~rbelow[m] else None)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def pi_s(T: TripleRep, s: int, x: int) -> int | None:
@@ -228,7 +239,7 @@ def _split_table(T: TripleRep) -> tuple[
     sharp, mea = T.sharp, T.meager
     pi = _pi_table(T)
     widehat, r_vec = _widehat_vector(T), _r_vector(T)
-    rank, greatest = sharp._rank, sharp._greatest
+    rank, by_rank, rbelow = sharp._rank, sharp._by_rank, sharp._rbelow
     rows, ominus = mea.table.entries, mea._ominus
     tops, sums, missing = [], [], []
     for x in mea.elements():
@@ -243,14 +254,18 @@ def _split_table(T: TripleRep) -> tuple[
             for bit, pz, want in pieces:
                 if pz[y] == want:
                     found |= bit
-            s = greatest(found)
-            if s is not None:
+            # the greatest piece, _greatest inline: the top rank when its
+            # down-set covers the others; none when no piece was found
+            s = by_rank[found.bit_length() - 1]
+            if found and not found & ~rbelow[s]:
                 ps = pi[s]
                 v = rows[ominus[ps[x]][x]][ominus[ps[y]][y]]
-            elif found:
-                missing.append((x, y))
+            else:
+                if found:
+                    missing.append((x, y))
+                s = v = None
             top_row.append(s)
-            sum_row.append(None if s is None or v == UNDEFINED else v)
+            sum_row.append(None if v == UNDEFINED else v)
         tops.append(tuple(top_row))
         sums.append(tuple(sum_row))
     return tuple(tops), tuple(sums), tuple(missing)

@@ -505,6 +505,38 @@ def naive_split(entries, zero, one, x, y):
     return s, v if meager else None
 
 
+def naive_widehat(sharp_entries, h, x):
+    """Least sharp s, in the sharp order, whose h-set holds the meager x; None
+    when those s have no least one. Read off a triple alone."""
+    leq = _naive_leq(sharp_entries)
+    covers = [s for s in range(len(sharp_entries)) if x in h[s]]
+    return next((c for c in covers if all((c, d) in leq for d in covers)), None)
+
+
+def naive_triple_pieces(pi, widehat, r, x, y) -> list[int]:
+    """Sharp z with pi[z][x] and pi[z][y] defined, widehat[pi[z][x]] = z and
+    r[pi[z][x]] = pi[z][y]: the split pieces of a triple's meager pair, given
+    its pi table (indexed [z][x], None where undefined) and cover and gap maps."""
+    return [
+        z
+        for z, pz in enumerate(pi)
+        if pz[x] is not None and pz[y] is not None and widehat[pz[x]] == z and r[pz[x]] == pz[y]
+    ]
+
+
+def naive_triple_split(sharp_entries, mea_entries, pi, widehat, r, x, y):
+    """(s, (x - pi_s x) + (y - pi_s y)) for the top piece s, in the sharp
+    order, of naive_triple_pieces; the sum None when undefined; (None, None)
+    without a top piece."""
+    leq = _naive_leq(sharp_entries)
+    pieces = naive_triple_pieces(pi, widehat, r, x, y)
+    s = next((z for z in pieces if all((c, z) in leq for c in pieces)), None)
+    if s is None:
+        return None, None
+    v = mea_entries[_naive_minus(mea_entries, x, pi[s][x])][_naive_minus(mea_entries, y, pi[s][y])]
+    return s, None if v == UNDEF else v
+
+
 def naive_rebuild(sharp_entries, sharp_zero, sharp_one, meager_zero, h, tops, sums):
     """The triple's rebuild by the dense walk over every carrier pair k2 >= k1:
     (table, carrier, zero, one). The carrier lists (s, m) for m in h(s'),

@@ -212,10 +212,11 @@ def test_morphism_failure_matches_a_full_row_major_scan(universe_6):
     }
 
 
-def test_morphism_failure_reads_one_triangle():
-    """On boolean-64 the check of an isomorphism reads each cell on and right
-    of the diagonal once: one mapping read per cell and one more per defined
-    sum, plus one per row and the two constants. The full square read 4,891."""
+def test_morphism_failure_decides_on_the_defined_sums():
+    """On boolean-64 the check of an isomorphism reads only the defined sums:
+    one mapping read per row, two per defined cell on or right of the
+    diagonal (365 of them) and the two constants. Reading every cell of the
+    triangle took 2,511 reads, the full square 4,891."""
 
     class Counted(tuple):
         reads = 0
@@ -228,7 +229,7 @@ def test_morphism_failure_reads_one_triangle():
     n = b64.order
     defined = sum(1 for x in range(n) for y, _ in b64.table.row_sums[x] if x <= y)
     assert morphism_failure(b64, b64, Counted(range(n))) is None
-    assert Counted.reads == n * (n + 1) // 2 + defined + n + 2 == 2511
+    assert Counted.reads == n + 2 * defined + 2 == 796
 
 
 def test_canonical_form_constant_for_two_chain():

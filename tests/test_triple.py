@@ -28,7 +28,16 @@ from efalg.triple import (
     widehat_triple,
 )
 
-from naive_oracles import naive_pi, naive_r_map, naive_rebuild, naive_split, naive_split_pieces
+from naive_oracles import (
+    naive_pi,
+    naive_r_map,
+    naive_rebuild,
+    naive_split,
+    naive_split_pieces,
+    naive_triple_pieces,
+    naive_triple_split,
+    naive_widehat,
+)
 from test_acceptance import _mutations
 from test_iso import LARGE, permuted_copy
 
@@ -201,6 +210,50 @@ class TestMappings:
             assert s_map_top_missing(T) == tuple(missing), name
             checked += 1
         assert checked > 90
+
+    def test_pi_and_split_tables_on_corrupted_triples(self, catalog):
+        """_pi_table and _split_table on sampled corruptions of every catalog
+        triple: each table a call returns agrees with the oracles that read
+        the triple alone, and which call raises what, exception type and
+        message, is pinned by a digest recorded before the kernels read the
+        rank masks inline. An h-set without the meager zero leaves sets to search empty:
+        pi cells with no member of h(s) below x, meager pairs without a split
+        piece. An empty set has no greatest element, never the last rank's."""
+        rng = random.Random(36)
+        outcomes = []
+        empty_pi = empty_split = 0
+        for name, E in catalog:
+            for label, T in _mutations(extract_triple(E), rng, per_kind=12):
+                if T is None:
+                    continue
+                mea = [list(row) for row in T.meager.table.entries]
+                sharp = [list(row) for row in T.sharp.table.entries]
+                elements = T.meager.elements()
+                pi = triple._pi_table(T)
+                assert [list(row) for row in pi] == [[naive_pi(mea, hs, x) for x in elements] for hs in T.h]
+                empty_pi += sum(not any(x in mea[m] for m in hs) for hs in T.h for x in elements)
+                try:
+                    tops, sums, missing = triple._split_table(T)
+                except ReconstructionError as exc:
+                    outcomes.append((name, label, type(exc).__name__, str(exc)))
+                    continue
+                widehat, r = triple._widehat_vector(T), triple._r_vector(T)
+                assert list(widehat) == [naive_widehat(sharp, T.h, x) for x in elements], (name, label)
+                want_missing = []
+                for x in elements:
+                    for y in elements:
+                        args = (sharp, mea, pi, widehat, r, x, y)
+                        assert (tops[x][y], sums[x][y]) == naive_triple_split(*args), (name, label, x, y)
+                        pieces = naive_triple_pieces(pi, widehat, r, x, y)
+                        empty_split += not pieces
+                        if tops[x][y] is None and pieces:
+                            want_missing.append((x, y))
+                assert missing == tuple(want_missing), (name, label)
+                outcomes.append((name, label, "split"))
+        assert (len(outcomes), empty_pi, empty_split) == (196, 160, 236)
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == (
+            "5ad1da27324512058a8f2dc024df53490bddd5d89541d998c47600097ebab39f"
+        )
 
     def test_s_map_trivial_and_diamond(self, chain3_triple, diamond_triple):
         assert s_map(chain3_triple, 0, 0) == chain3_triple.sharp.zero
