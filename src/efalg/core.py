@@ -368,8 +368,9 @@ class _SumAlgebra(_Memoizing):
     hash, repr or dataclasses.replace. Built on first use per instance
     (instances are immutable) and freed with the algebra: the rank numbering
     and the rank masks that greatest/least lookups read, the meet table
-    _meets that meet, the effect-algebra join and the lattice, Riesz and
-    Boolean classifiers read, and heavier derived structure.
+    _meets that meet and the lattice, Riesz and Boolean classifiers read,
+    and heavier derived structure. Every join, in both algebra kinds, is the
+    least element of the AND of the up-set rank masks _rabove.
     """
 
     table: PartialOpTable
@@ -632,17 +633,6 @@ class FiniteEffectAlgebra(_SumAlgebra):
         """The unique y with x + y = one; involutive."""
         _check_element(self, x)
         return self._sup[x]
-
-    def join(self, x: int, y: int) -> int | None:
-        """x v y = (x' ^ y')': x -> x' reverses the order (Foulis and Bennett,
-        "Effect algebras and unsharp quantum logics", Found. Phys. 24, 1994),
-        so it maps the upper bounds of x and y onto the lower bounds of x' and
-        y', least onto greatest."""
-        _check_element(self, x)
-        _check_element(self, y)
-        sup = self._sup
-        m = self._meets[sup[x]][sup[y]]
-        return None if m is None else sup[m]
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,11 @@ of its point methods, which check their ids on every call: E.sum(x, y) is
 E.table.entries[x][y], UNDEFINED for None, which is compared with UNDEFINED
 before it is used as an id; E.leq(x, y) is E._below[y] >> x & 1;
 E.ominus(x, y) is E._ominus[y][x]; E.meet(x, y) is E._meets[x][y];
-E.orthosupplement(x) is E._sup[x]; E.join(x, y) is _join(E._sup, E._meets,
-x, y), and in a generalized effect algebra such as Mea(E) it is
-_least(_rabove[x] & _rabove[y]), join_set taking the AND over the set;
-are_compatible(E, x, y) is _compat_masks(E)[x] >> y & 1. A bit that enters a
-witness is compared with 1 first, so the witness holds a bool, as the
-methods return.
+E.orthosupplement(x) is E._sup[x]; E.join(x, y) is
+_least(_rabove[x] & _rabove[y]) in E and in Mea(E) alike, join_set taking
+the AND over the set; are_compatible(E, x, y) is _compat_masks(E)[x] >> y
+& 1. A bit that enters a witness is compared with 1 first, so the witness
+holds a bool, as the methods return.
 """
 
 from __future__ import annotations
@@ -115,13 +114,6 @@ def _meet_distributes(meets, rows, a: int, b: int, c: int, whole: int | None) ->
     """
     ab, ac = meets[a][b], meets[a][c]
     return ab is not None and ac is not None and rows[ab][ac] == (UNDEFINED if whole is None else whole)
-
-
-def _join(sup, meets, a: int, b: int) -> int | None:
-    """a v b = (a' ^ b')' in an effect algebra with supplement table sup and
-    meet table meets, as FiniteEffectAlgebra.join; None without a join."""
-    m = meets[sup[a]][sup[b]]
-    return None if m is None else sup[m]
 
 
 def _maximal_totals(E: FiniteEffectAlgebra, x: int, allowed: int) -> Iterator[int]:
@@ -298,7 +290,7 @@ def check_jpy2(E: FiniteEffectAlgebra) -> CheckOutcome:
     meager = set(meager_elements(E))
     floors = sharp_bounds(E).below
     lattice = is_lattice(E)
-    below, ominus, meets, sup = E._below, E._ominus, E._meets, E._sup
+    below, ominus, meets, rabove, least = E._below, E._ominus, E._meets, E._rabove, E._least
     for x in E.elements():
         floor = floors[x]
         if floor is None:
@@ -311,7 +303,7 @@ def check_jpy2(E: FiniteEffectAlgebra) -> CheckOutcome:
         out.tick((x, "unique"), unique)
         out.tick((x, "disjoint"), meets[floor][rest] == E.zero)
         if lattice:
-            out.tick((x, "join"), _join(sup, meets, floor, rest) == x)
+            out.tick((x, "join"), least(rabove[floor] & rabove[rest]) == x)
     return out
 
 
@@ -489,7 +481,7 @@ def check_modjen(E: FiniteEffectAlgebra) -> CheckOutcome:
     for b in blocks(E):
         sub, elems = _block_algebra(E, b)
         index = {e: i for i, e in enumerate(elems)}
-        sub_meets, sub_sup = sub._meets, sub._sup
+        sub_meets, sub_rabove, sub_least = sub._meets, sub._rabove, sub._least
         b_meager = [x for x in b if x in meager]
         for y in b_meager:
             for v in b:
@@ -501,18 +493,18 @@ def check_modjen(E: FiniteEffectAlgebra) -> CheckOutcome:
             if hat != E.zero:
                 ivl, ivl_elems = interval_algebra(E, hat)
                 ivl_index = {e: i for i, e in enumerate(ivl_elems)}
-                ivl_sup, ivl_meets = ivl._sup, ivl._meets
+                ivl_rabove, ivl_least = ivl._rabove, ivl._least
             for y in b_meager:
                 if bounds.above[y] != hat:
                     continue
                 m = meets[x][y]
                 out.tick((b, x, y, "ii"), m is not None and ominus[m][hat] in meager)
                 jm = mea_least(mea_rabove[mea_index[x]] & mea_rabove[mea_index[y]])
-                jb = _join(sub_sup, sub_meets, index[x], index[y])
+                jb = sub_least(sub_rabove[index[x]] & sub_rabove[index[y]])
                 if hat == E.zero:
                     ji_src: int | None = E.zero
                 else:
-                    ji = _join(ivl_sup, ivl_meets, ivl_index[x], ivl_index[y])
+                    ji = ivl_least(ivl_rabove[ivl_index[x]] & ivl_rabove[ivl_index[y]])
                     ji_src = None if ji is None else ivl_elems[ji]
                 ok = (
                     jm is not None
@@ -570,7 +562,7 @@ def check_center_boolean(E: FiniteEffectAlgebra) -> CheckOutcome:
     else:
         out.tick(("closure",))
         out.tick(("boolean",), is_boolean_algebra(sub))
-    rows, meets, sup = E.table.entries, E._meets, E._sup
+    rows, meets, sup, rabove, least = E.table.entries, E._meets, E._sup, E._rabove, E._least
     for c in centre:
         cc = sup[c]
         for y in E.elements():
@@ -579,7 +571,7 @@ def check_center_boolean(E: FiniteEffectAlgebra) -> CheckOutcome:
         for d in centre:
             s = rows[c][d]
             if s != UNDEFINED:
-                out.tick((c, d, "orth"), _join(sup, meets, c, d) == s and meets[c][d] == E.zero)
+                out.tick((c, d, "orth"), least(rabove[c] & rabove[d]) == s and meets[c][d] == E.zero)
     return out
 
 

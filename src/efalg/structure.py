@@ -377,10 +377,14 @@ def orthoalgebra_counterexample(E: FiniteEffectAlgebra) -> tuple[int] | None:
 def lattice_counterexample(alg: _SumAlgebra) -> tuple[int, int, str] | None:
     """Least pair (x, y), in label order, without a meet or without a join.
 
-    In an effect algebra every join is a meet of supplements (see
-    FiniteEffectAlgebra.join), so a meet table with no None is a lattice and
-    needs no scan. A generalized effect algebra, or an effect algebra
-    missing a meet, is scanned pair by pair for its least witness.
+    A join is the least element of the AND of the up-set rank masks, as
+    everywhere. An effect algebra whose meet table holds no None
+    needs no scan: x -> x' reverses the order (Foulis and Bennett, "Effect
+    algebras and unsharp quantum logics", Found. Phys. 24, 1994), so it maps
+    the upper bounds of x and y onto the lower bounds of x' and y', and
+    x' ^ y' existing makes (x' ^ y')' the least upper bound of x and y. A
+    generalized effect algebra, or an effect algebra missing a meet, is
+    scanned pair by pair for its least witness.
     """
     meets = alg._meets
     if getattr(alg, "one", None) is not None and all(None not in row for row in meets):
@@ -421,8 +425,12 @@ def sharp_bounds(E: FiniteEffectAlgebra) -> SharpBounds:
     )
 
 
-def _missing_sharp_bound(bounds: SharpBounds) -> tuple[int, str] | None:
-    """Least element lacking a sharp bound, with the side ("below" first) it lacks."""
+@memoized
+def _missing_sharp_bound(E: FiniteEffectAlgebra) -> tuple[int, str] | None:
+    """Least element lacking a sharp bound, with the side ("below" first) it
+    lacks: the one decision that is_sharply_dominating, decompose,
+    extract_triple and structure_report read."""
+    bounds = sharp_bounds(E)
     for x, (lo, hi) in enumerate(zip(bounds.below, bounds.above)):
         if lo is None:
             return (x, "below")
@@ -432,16 +440,15 @@ def _missing_sharp_bound(bounds: SharpBounds) -> tuple[int, str] | None:
 
 
 def is_sharply_dominating(E: FiniteEffectAlgebra) -> bool:
-    return _missing_sharp_bound(sharp_bounds(E)) is None
+    return _missing_sharp_bound(E) is None
 
 
 def decompose(E: FiniteEffectAlgebra, x: int) -> tuple[int, int]:
     """Split x into its sharp part and meager part; unique in qualifying algebras."""
     _check_element(E, x)
-    bounds = sharp_bounds(E)
     if not is_sharply_dominating(E):
-        raise HypothesisError("sharply_dominating", _missing_sharp_bound(bounds)[0])
-    xt = bounds.below[x]
+        raise HypothesisError("sharply_dominating", _missing_sharp_bound(E)[0])
+    xt = sharp_bounds(E).below[x]
     rest = E.ominus(x, xt)
     assert rest is not None
     return xt, rest
@@ -666,18 +673,20 @@ def sigma_closure(E: FiniteEffectAlgebra, subset: Iterable[int]) -> frozenset[in
 def is_boolean_algebra(E: FiniteEffectAlgebra) -> bool:
     """Lattice, distributive, orthosupplement complements: a Boolean algebra.
 
-    The joins are the supplements of the meets of supplements, x v y =
-    (x' ^ y')' (see FiniteEffectAlgebra.join), so x ^ x' = 0 alone makes x'
-    a complement: x v x' = (x' ^ x)' = 0' = 1. Distributivity,
-    x ^ (y v z) = (x ^ y) v (x ^ z), is compared a row of z at a time on the
-    meet table and the join table read from it, which a lattice defines.
+    x ^ x' = 0 alone makes x' a complement. x -> x' reverses the order
+    (Foulis and Bennett, "Effect algebras and unsharp quantum logics",
+    Found. Phys. 24, 1994), so it maps the upper bounds of x and x' onto the
+    lower bounds of x' and x, and x v x' = (x' ^ x)' = 0' = 1.
+    Distributivity, x ^ (y v z) = (x ^ y) v (x ^ z), is compared a row of z
+    at a time on the meet table and a join table read, as every join is,
+    from the up-set rank masks; a lattice defines both.
     """
     if not is_lattice(E):
         return False
-    meet, sup = E._meets, E._sup
+    meet, sup, rabove, least = E._meets, E._sup, E._rabove, E._least
     if any(meet[x][xc] != E.zero for x, xc in enumerate(sup)):
         return False
-    join = [[sup[meet[sy][sz]] for sz in sup] for sy in sup]
+    join = [[least(ay & az) for az in rabove] for ay in rabove]
     for mx in meet:
         for y, jy in enumerate(join):
             jxy = join[mx[y]]  # z -> (x ^ y) v z
@@ -809,7 +818,7 @@ def structure_report(E: FiniteEffectAlgebra) -> StructureReport:
     lat = lattice_counterexample(E)
     orth = orthoalgebra_counterexample(E)
     b = sharp_bounds(E)
-    sd_witness = _missing_sharp_bound(b)
+    sd_witness = _missing_sharp_bound(E)
     orders = [element_order(E, x) for x in E.elements()]
     arch_witness = next((x for x, k in enumerate(orders) if x != E.zero and k == math.inf), None)
     return StructureReport(

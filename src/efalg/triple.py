@@ -23,6 +23,7 @@ from .core import (
     FiniteGeneralizedEffectAlgebra,
     PartialOpTable,
     _Memoizing,
+    _check_element,
     _mask_elements,
     axiom_verdict,
     memoized,
@@ -100,13 +101,14 @@ def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
     down-set of E, so its order is E's restricted: h(s) is a down-set of
     Mea(E), h(0) = {0} and h(1) is all of Mea(E). Sh(E)'s order lies inside
     E's and <= is transitive, so s <= t gives h(s) within h(t). A triple
-    supplied from outside is checked where it is rebuilt.
+    supplied from outside is checked where its h is first read, in _h_masks,
+    and where it is rebuilt.
     """
     witness = homogeneity_counterexample(E)
     if witness is not None:
         raise HypothesisError("homogeneous", witness)
     if not is_sharply_dominating(E):
-        raise HypothesisError("sharply_dominating", _missing_sharp_bound(sharp_bounds(E))[0])
+        raise HypothesisError("sharply_dominating", _missing_sharp_bound(E)[0])
 
     try:
         sharp, sharp_src = restrict(E, sharp_elements(E))
@@ -123,7 +125,20 @@ def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
 
 @memoized
 def _h_masks(T: TripleRep) -> tuple[int, ...]:
-    """h(s) as a bitmask over the meager carrier, one per sharp element."""
+    """h(s) as a bitmask over the meager carrier, one per sharp element.
+
+    The triple's maps and its rebuild read h through these masks, so a
+    supplied triple is checked here, once: it must hold one h-set per sharp
+    element, and each set only ids of the meager carrier. Otherwise
+    ReconstructionError names the sharp element and the id.
+    """
+    carrier = frozenset(T.meager.elements())
+    if len(T.h) != T.sharp.order:
+        raise ReconstructionError(f"h has {len(T.h)} sets for the {T.sharp.order} sharp elements")
+    for s, hs in enumerate(T.h):
+        if not carrier.issuperset(hs):
+            outside = min(set(hs) - carrier)
+            raise ReconstructionError(f"h({s}) holds {outside}, outside the meager carrier 0..{len(carrier) - 1}")
     return tuple(sum(1 << m for m in hs) for hs in T.h)
 
 
@@ -131,12 +146,11 @@ def _h_masks(T: TripleRep) -> tuple[int, ...]:
 def _widehat_vector(T: TripleRep) -> tuple[int, ...]:
     sharp, n = T.sharp, T.meager.order
     hm, rank = _h_masks(T), sharp._rank
-    # covers[x]: the sharp elements whose h-set holds x, as a rank mask; the
-    # h masks are cut to the meager carrier, as membership tests read them
+    # covers[x]: the sharp elements whose h-set holds x, as a rank mask
     covers = [0] * n
     for s in sharp.elements():
         bit = 1 << rank[s]
-        for x in _mask_elements(hm[s] & ((1 << n) - 1)):
+        for x in _mask_elements(hm[s]):
             covers[x] |= bit
     out = []
     for x, mask in enumerate(covers):
@@ -149,6 +163,7 @@ def _widehat_vector(T: TripleRep) -> tuple[int, ...]:
 
 def widehat_triple(T: TripleRep, x: int) -> int:
     """Least sharp element whose h-set contains x, in the sharp algebra's order."""
+    _check_element(T.meager, x)
     return _widehat_vector(T)[x]
 
 
@@ -173,6 +188,8 @@ def _pi_table(T: TripleRep) -> tuple[tuple[int | None, ...], ...]:
 def pi_s(T: TripleRep, s: int, x: int) -> int | None:
     """Join inside the meager algebra of the h(s) part below x, when it lands
     back in h(s); mirrors the meet of x with s in the source algebra."""
+    _check_element(T.sharp, s)
+    _check_element(T.meager, x)
     return _pi_table(T)[s][x]
 
 
@@ -218,6 +235,7 @@ def r_map(T: TripleRep, x: int) -> int:
     Located purely by the triple-expressible characterization; the equality
     with the source-side difference is a test, not the definition.
     """
+    _check_element(T.meager, x)
     return _r_vector(T)[x]
 
 
@@ -273,6 +291,8 @@ def _split_table(T: TripleRep) -> tuple[
 
 def s_map(T: TripleRep, x: int, y: int) -> int | None:
     """Top element of the sharp pieces splitting across x and y, if one exists."""
+    _check_element(T.meager, x)
+    _check_element(T.meager, y)
     return _split_table(T)[0][x][y]
 
 
@@ -307,9 +327,9 @@ def _rebuild(T: TripleRep) -> TeaAlgebra:
     """reconstruct_tea's rebuild, without its axiom check."""
     sharp = T.sharp
     mea = T.meager
-    srows, ssup = sharp.table.entries, sharp._sup
-    carrier = tuple((s, m) for s in sharp.elements() for m in sorted(T.h[ssup[s]]))
-    if mea.zero not in T.h[sharp.zero] or mea.zero not in T.h[sharp.one]:
+    srows, ssup, hm = sharp.table.entries, sharp._sup, _h_masks(T)
+    carrier = tuple((s, m) for s in sharp.elements() for m in _mask_elements(hm[ssup[s]]))
+    if not (hm[sharp.zero] & hm[sharp.one]) >> mea.zero & 1:
         raise ReconstructionError("h at zero and at one must contain the meager zero")
     # index[s][m] is the pair (s, m)'s place in the carrier, None off it;
     # pairs[s] lists s's pairs as (place, m), m ascending

@@ -130,7 +130,7 @@ def test_morphism_failure_passes_witnesses_of_relabelled_copies():
 
 def full_scan_failure(a, b, mapping):
     """morphism_failure's contract read off every cell of a's table, row-major:
-    the reference its one-triangle scan must agree with."""
+    the reference the check must agree with."""
     n = a.order
     if b.order != n or sorted(mapping) != list(range(n)):
         return "not bijective", None
@@ -179,8 +179,8 @@ def seeded_mappings(a, b, rng):
 def test_morphism_failure_matches_a_full_row_major_scan(universe_6):
     """Seeded maps between each catalog algebra and a relabelled copy, between
     non-isomorphic algebras of equal order, and between their meager algebras
-    (generalized effect algebras): the triangle scan names the failure that
-    the full scan over every cell names first, on the diagonal or right of it."""
+    (generalized effect algebras): the check names the failure that the
+    full scan over every cell names first, on the diagonal or right of it."""
     rng = random.Random(31)
     algs = [alg for _, alg in universe_6]
     meager = [meager_algebra(alg)[0] for alg in algs]

@@ -141,6 +141,13 @@ class TestMeetJoin:
             for xs in ([], *([x] for x in elems), elems, elems[::2], elems[1::2], elems[1:3]):
                 assert alg.join_set(xs) == naive_join_set(entries, xs)
 
+    def test_a_join_builds_no_meet_table(self):
+        # an effect algebra's join reads the up-set masks, as every join
+        # does, and leaves the n² meet table unbuilt
+        E = make_chain(50)
+        assert E.join(1, 2) == 2
+        assert "_meets" not in E.__dict__
+
     def test_lattice_flag_matches_totality(self, universe_6):
         for _, alg in universe_6:
             total = all(
@@ -777,6 +784,21 @@ class TestIntervalAndReport:
         with pytest.raises(HypothesisError) as err:
             decompose(no_sharp_cover, 6)
         assert err.value.hypothesis == "sharply_dominating"
+
+    def test_sharp_domination_is_decided_once(self, monkeypatch):
+        # is_sharply_dominating and decompose read one memoized decision,
+        # which reads the sharp bounds once, also when it fails
+        from efalg.fileformat import parse
+
+        E = parse(NOT_SHARPLY_DOMINATING)
+        reads = []
+        real = structure.sharp_bounds
+        monkeypatch.setattr(structure, "sharp_bounds", lambda alg: reads.append(alg) or real(alg))
+        for _ in range(2):
+            assert not is_sharply_dominating(E)
+            with pytest.raises(HypothesisError):
+                decompose(E, 6)
+        assert reads == [E]
 
     def test_report_names_the_side_that_lacks_a_sharp_bound(self, no_sharp_cover):
         # element 1 has no sharp element below it; once labels 1 and 6 swap,

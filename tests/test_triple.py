@@ -255,6 +255,28 @@ class TestMappings:
             "5ad1da27324512058a8f2dc024df53490bddd5d89541d998c47600097ebab39f"
         )
 
+    @pytest.mark.parametrize(
+        "function, arguments, bad, order",
+        [
+            # chain(4)'s triple: a sharp carrier of order 2, a meager one of order 3
+            (widehat_triple, (-1,), -1, 3),
+            (widehat_triple, (3,), 3, 3),
+            (pi_s, (-1, 0), -1, 2),
+            (pi_s, (2, 0), 2, 2),
+            (pi_s, (0, -1), -1, 3),
+            (pi_s, (1, 3), 3, 3),
+            (r_map, (-1,), -1, 3),
+            (r_map, (3,), 3, 3),
+            (s_map, (-1, 0), -1, 3),
+            (s_map, (0, 3), 3, 3),
+        ],
+    )
+    def test_point_functions_refuse_an_id_outside_the_carrier(self, function, arguments, bad, order):
+        # -1 would otherwise read the last row of a table
+        T = extract_triple(make_chain(3))
+        with pytest.raises(ValueError, match=rf"^element {bad} out of range for order {order}$"):
+            function(T, *arguments)
+
     def test_s_map_trivial_and_diamond(self, chain3_triple, diamond_triple):
         assert s_map(chain3_triple, 0, 0) == chain3_triple.sharp.zero
         assert s_map(chain3_triple, 1, 1) == chain3_triple.sharp.one
@@ -367,6 +389,22 @@ class TestPurityAndMutation:
         corrupted = dataclasses.replace(T, h=tuple(h))
         with pytest.raises(ReconstructionError, match="meager zero"):
             reconstruct_tea(corrupted)
+
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (lambda h: h[:1] + (h[1] | {7},), r"h\(1\) holds 7, outside the meager carrier 0\.\.1"),
+            (lambda h: h[:1] + (h[1] | {-1},), r"h\(1\) holds -1, outside the meager carrier 0\.\.1"),
+            (lambda h: h[:1], r"h has 1 sets for the 2 sharp elements"),
+        ],
+        ids=["high", "negative", "short"],
+    )
+    def test_h_outside_the_meager_carrier_is_a_reconstruction_error(self, chain3_triple, corrupt, reason):
+        T = dataclasses.replace(chain3_triple, h=corrupt(chain3_triple.h))
+        reads = (lambda: verify_roundtrip(make_chain(2), T), lambda: reconstruct_tea(T), lambda: widehat_triple(T, 0))
+        for read in reads:
+            with pytest.raises(ReconstructionError, match=f"^{reason}$"):
+                read()
 
     @pytest.mark.slow
     def test_extract_of_rebuild_isomorphic(self, catalog, enumerated_9):
