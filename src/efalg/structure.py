@@ -491,8 +491,9 @@ def restrict(E: FiniteEffectAlgebra, subset: Iterable[int]) -> tuple[FiniteEffec
     it (and symmetrically). Each member x has its supplement in Q, the
     only y with x + y = one, as in E; one + x is defined only for x = zero,
     and zero != one, as in E. A subset not closed under sums, or closed but
-    without zero or one, is refused with ValueError naming what it lacks;
-    any other gets the full constructor, which refuses it.
+    without zero or one, is refused with ValueError naming what it lacks
+    (the empty subset lacks zero); any other gets the full constructor,
+    which refuses it.
     """
     table, pos, elems = _induced_table(E, subset)
     zero, one = pos[E.zero], pos[E.one]
@@ -537,9 +538,11 @@ def _induced_table(
 
     pos[e] is e's new index, UNDEFINED outside the subset. It ascends on the
     members, so each member's defined sums, mapped through pos, keep their
-    column order.
+    column order. The empty subset lacks zero and is refused with ValueError.
     """
     elems = _members(E, subset)
+    if not elems:
+        raise ValueError(f"subset does not hold zero ({E.zero})")
     pos = [UNDEFINED] * E.order
     for i, e in enumerate(elems):
         pos[e] = i
@@ -559,8 +562,8 @@ def restrict_downset(
     D, E defines y + z and x + (y + z) with the same value, and y + z lies
     below it, so in D; the other direction is symmetric. Cancellation and "x + y = zero only for x = y = zero"
     hold in E, and x + zero = x is in D. A subset without zero, the empty
-    one included, is refused with ValueError; any other gets the full
-    constructor.
+    one included, is refused with ValueError naming zero; any other gets the
+    full constructor.
     """
     table, pos, elems = _induced_table(E, downset)
     if pos[E.zero] == UNDEFINED:

@@ -13,6 +13,7 @@ import pytest
 
 from efalg.catalog import direct_product, horizontal_sum, make_chain, named_catalog
 import efalg.core
+import efalg.triple
 from efalg import properties
 from efalg.core import UNDEFINED, FiniteEffectAlgebra, PartialOpTable, Verdict, Violation
 from efalg.properties import (
@@ -31,7 +32,18 @@ from efalg.properties import (
     run_suite,
     worker_count,
 )
-from efalg.structure import _families, homogeneity_counterexample, is_homogeneous, meager_elements, rdp_counterexample
+from efalg.structure import (
+    _families,
+    homogeneity_counterexample,
+    is_homogeneous,
+    is_sharply_dominating,
+    meager_algebra,
+    meager_elements,
+    rdp_counterexample,
+    restrict,
+    sharp_elements,
+)
+from efalg.triple import ReconstructionError, TripleRep, r_map
 
 from naive_oracles import (
     naive_infasoc,
@@ -44,6 +56,9 @@ from naive_oracles import (
 )
 from test_core import PLANTED
 from test_iso import permuted_copy, plain
+
+
+TRIPLE_ANCHORS = {"m2", "m3", "triple_maps", "pommeag", "tripletheor", "triple_pure", "triple_idem"}
 
 
 def test_anchor_names_unique():
@@ -94,6 +109,57 @@ def test_the_laws_read_the_tables_not_the_checked_point_methods(universe_6, monk
         checked += sum(outcome.checked for _, outcome in run_checks(fresh))
     assert checked > 0
     assert set(calls) <= set(POINT_METHODS_THE_LAWS_MAY_CALL), calls
+
+
+def test_the_triple_laws_read_the_triple_tables_not_its_point_functions(universe_6, monkeypatch):
+    """run_checks reads h, the cover and r from the triple's memoized
+    tables: no id passes through efalg.triple's range check. The algebras
+    are rebuilt fresh, as above."""
+    calls = []
+
+    def counted(alg, x):
+        calls.append(x)
+        return check_element(alg, x)
+
+    check_element = efalg.triple._check_element
+    monkeypatch.setattr(efalg.triple, "_check_element", counted)
+    checked = 0
+    for _, alg in universe_6:
+        fresh = FiniteEffectAlgebra(PartialOpTable(alg.table.entries), alg.zero, alg.one)
+        checked += sum(outcome.checked for anchor, outcome in run_checks(fresh) if anchor in TRIPLE_ANCHORS)
+    assert checked > 0
+    assert len(calls) == 0
+
+
+def test_m3_ticks_a_failed_r_vector_once_per_meager_element(enumerated_6, monkeypatch):
+    """When the difference-to-cover search fails, m3 ticks the search's
+    message for every meager element, in carrier order. The triples are
+    built as extract_triple builds them, without its homogeneity gate, on
+    the sharply dominating classes that are not homogeneous."""
+    real = properties.extract_triple
+    tested = 0
+    for E in enumerated_6:
+        if is_homogeneous(E) or not is_sharply_dominating(E):
+            continue
+        try:
+            sharp, sharp_src = restrict(E, sharp_elements(E))
+        except ValueError:
+            continue
+        meager, meager_src = meager_algebra(E)
+        pos = {m: i for i, m in enumerate(meager_src)}
+        h = tuple(frozenset(pos[m] for m in meager_src if E._below[s] >> m & 1) for s in sharp_src)
+        T = TripleRep(sharp, meager, h, sharp_src, meager_src)
+        try:
+            r_map(T, 0)
+            continue
+        except ReconstructionError as exc:
+            message = str(exc)
+        monkeypatch.setattr(properties, "extract_triple", lambda alg, E=E, T=T: T if alg is E else real(alg))
+        outcome = properties.check_m3(E)
+        assert outcome.checked == meager.order
+        assert outcome.failures == [(x_src, message) for x_src in meager_src]
+        tested += 1
+    assert tested > 0
 
 
 @pytest.mark.parametrize("name", ["ge4", "ei-eii"])

@@ -160,18 +160,22 @@ class TestMeetJoin:
     def test_lattice_witness_and_meet_table_match_naive_oracles(self, universe_6, enumerated_8, catalog):
         # the least pair without a meet or a join, against the order's
         # definition, on the universe, the non-lattices to order 8 and
-        # relabelled copies, products with the 2-chain and a GEA whose meets
-        # all exist but whose atoms have no join; the whole meet table on
-        # every one of order <= 16
+        # relabelled copies, products with the 2-chain, Mea(E) and HMea(E)
+        # of the universe (generalized algebras scanned to the end when they
+        # are lattices) and a GEA whose meets all exist but whose atoms have
+        # no join; the whole meet table on every one of order <= 16
         rng = random.Random(30)
         algebras = [alg for _, alg in universe_6]
         algebras += [alg for alg in enumerated_8 if alg.order > 6 and not is_lattice(alg)]
         algebras += [permuted_copy(alg, rng) for alg in algebras]
         algebras += [direct_product(alg, make_chain(1)) for alg in algebras if alg.order <= 8]
+        generalized = [
+            restriction(alg)[0] for _, alg in universe_6 for restriction in (meager_algebra, hypermeager_algebra)
+        ]
         hsum, = (e.algebra for e in catalog if e.name == "hsum-3-3")
         mea, _ = meager_algebra(hsum)
         witnesses = []
-        for alg in algebras + [mea]:
+        for alg in algebras + generalized + [mea]:
             entries = [list(r) for r in alg.table.entries]
             expected = naive_lattice_counterexample(entries)
             assert lattice_counterexample(alg) == expected, alg
@@ -181,6 +185,7 @@ class TestMeetJoin:
                 assert alg._meets == tuple(tuple(naive_meet(entries, x, y) for y in elems) for x in elems)
         assert witnesses[-1] == (1, 2, "join")
         assert sum(w is not None for w in witnesses) >= 60
+        assert (len(generalized), witnesses[len(algebras):-1].count(None)) == (68, 42)
 
     def test_generalized_bounds_refuse_an_id_outside_the_carrier(self):
         # the effect-algebra cases are in test_element_functions_refuse_an_id_outside_the_carrier
@@ -658,8 +663,11 @@ class TestIntervalAndReport:
             (restrict, make_boolean(2), [1, 2, 3], "zero (0)"),
             (restrict, make_boolean(2), [0, 1], "one (3)"),
             (restrict_downset, make_chain(3), [1, 2], "zero (0)"),
+            # the empty subset lacks zero too
+            (restrict, make_chain(3), [], "zero (0)"),
+            (restrict_downset, make_chain(3), [], "zero (0)"),
         ],
-        ids=["restrict-zero", "restrict-one", "downset-zero"],
+        ids=["restrict-zero", "restrict-one", "downset-zero", "restrict-empty", "downset-empty"],
     )
     def test_restrictions_refuse_a_subset_without_a_constant(self, restriction, E, subset, missing):
         with pytest.raises(ValueError, match=rf"^subset does not hold {re.escape(missing)}$"):
