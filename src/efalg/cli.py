@@ -182,9 +182,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    # an order past the bound is refused here, before the directory is made
+    algebras = enumerate_all(args.max_order, bound=HARD_BOUND)
     out = _out_dir(args.out)
     counts: dict[int, int] = {}
-    for alg in enumerate_all(args.max_order, bound=HARD_BOUND):
+    for alg in algebras:
         k = counts.get(alg.order, 0)
         counts[alg.order] = k + 1
         _write(out / f"order{alg.order}_{k:03d}.efa", serialize(alg))

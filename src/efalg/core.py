@@ -28,7 +28,7 @@ proves the axioms in its docstring:
 - catalog.direct_product and catalog.horizontal_sum of verified factors;
 - the rebuild of triple.verify_roundtrip, once its map to the source is an
   isomorphism; on any failure the rebuild gets the full check first.
-Every constructor builds the order data (below/above masks, the ominus
+Every constructor builds the order data (the down-set masks, the ominus
 matrix, supplements) once; heavier derived structure is memoized per
 instance on first use.
 
@@ -357,27 +357,28 @@ class _SumAlgebra(_Memoizing):
     """Order-theoretic machinery shared by effect and generalized effect algebras.
 
     The public constructor verifies the table and then builds the order data
-    that every method reads: the below and above masks, the ominus matrix
-    and, for effect algebras, the orthosupplement vector. _trusted builds the
-    same instance without the check, for a table derived from a verified
-    algebra by a construction that proves the axioms (see the module
-    docstring); so every instance, checked or trusted, satisfies them. The
-    defined sums themselves live on the table, as table.row_sums; sum and
-    defined are point lookups in table.entries. The order data are plain
+    that every method reads: the down-set masks _below, the ominus matrix
+    _ominus and, for effect algebras, the orthosupplement vector _sup.
+    _trusted builds the same instance without the check, for a table derived
+    from a verified algebra by a construction that proves the axioms (see
+    the module docstring); so every instance, checked or trusted, satisfies
+    them. The defined sums themselves live on the table, as table.row_sums;
+    sum and defined are point lookups in table.entries. The order data are plain
     instance attributes, not dataclass fields, so they take no part in ==,
     hash, repr or dataclasses.replace. Built on first use per instance
     (instances are immutable) and freed with the algebra: the rank numbering
     and the rank masks that greatest/least lookups read, the meet table
     _meets that meet and the lattice, Riesz and Boolean classifiers read,
     and heavier derived structure. Every join, in both algebra kinds, is the
-    least element of the AND of the up-set rank masks _rabove.
+    least element of the AND of the up-set rank masks _rabove, the one
+    up-set table. A pickle carries the order data and whatever rank data and
+    meet table were built before it; the memo stays behind.
     """
 
     table: PartialOpTable
     zero: int
     names: tuple[str, ...] | None
     _below: tuple[int, ...]
-    _above: tuple[int, ...]
     _ominus: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self):
@@ -417,20 +418,16 @@ class _SumAlgebra(_Memoizing):
     def _bind_order_data(self):
         n = self.table.order
         # y + z = v puts y below v with v minus y = z; cancellation makes z unique.
-        bits = [1 << x for x in range(n)]
         below = [0] * n
-        above = []
         ominus = []
-        for bit, row in zip(bits, self.table.row_sums):
-            up = 0
+        for y, row in enumerate(self.table.row_sums):
+            bit = 1 << y
             diffs: list[int | None] = [None] * n
             for z, v in row:
                 below[v] |= bit
-                up |= bits[v]
                 diffs[v] = z
-            above.append(up)
             ominus.append(tuple(diffs))
-        self.__dict__.update(_below=tuple(below), _above=tuple(above), _ominus=tuple(ominus))
+        self.__dict__.update(_below=tuple(below), _ominus=tuple(ominus))
         one = getattr(self, "one", None)
         if one is not None:
             # the supplement of y is one minus y
@@ -472,8 +469,9 @@ class _SumAlgebra(_Memoizing):
         return self._below[x]
 
     def above_mask(self, x: int) -> int:
+        """Bitmask of elements z with x <= z: the rank up-set _rabove[x] in labels."""
         _check_element(self, x)
-        return self._above[x]
+        return sum(1 << self._by_rank[r] for r in _mask_elements(self._rabove[x]))
 
     def down_set(self, x: int) -> tuple[int, ...]:
         _check_element(self, x)
@@ -496,8 +494,9 @@ class _SumAlgebra(_Memoizing):
     # their down-sets, ties broken by label. x < y gives y a strictly larger
     # down-set, so this is a linear extension of the order, and a set's
     # greatest element, if it has one, holds the set's top rank and its least
-    # element the bottom rank. The label masks _below/_above stay the primary
-    # order data; their iteration order fixes every witness.
+    # element the bottom rank. The label down-sets _below stay primary order
+    # data; their iteration order fixes every witness. Up-sets live only in
+    # rank numbering, as _rabove.
     @functools.cached_property
     def _by_rank(self) -> tuple[int, ...]:
         below = self._below

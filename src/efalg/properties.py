@@ -392,16 +392,16 @@ def check_corcduya(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     meager_mask = sum(1 << m for m in meager_elements(E))
     bounds = sharp_bounds(E)
-    block_masks = [(b, sum(1 << y for y in b)) for b in blocks(E)]
-    rows, below, above = E.table.entries, E._below, E._above
+    block_masks = [(b, E._rank_mask(sum(1 << y for y in b))) for b in blocks(E)]
+    rows, below, rbelow, rabove, rank = E.table.entries, E._below, E._rbelow, E._rabove, E._rank
     for x in E.elements():
         floor, hat = bounds.below[x], bounds.above[x]
         for t in _maximal_totals(E, x, below[x] & meager_mask):
             out.tick((x, t), rows[floor][t] == x)
-        # the intervals [floor, x] and [x, hat], as one mask
-        span = above[floor] & below[x] | above[x] & below[hat]
+        # the intervals [floor, x] and [x, hat], as one rank mask
+        span = rabove[floor] & rbelow[x] | rabove[x] & rbelow[hat]
         for b, b_mask in block_masks:
-            if b_mask >> x & 1:
+            if b_mask >> rank[x] & 1:
                 out.tick((x, b), not span & ~b_mask)
     return out
 

@@ -320,14 +320,16 @@ def _riesz_counterexample(E: FiniteEffectAlgebra, bounded: bool) -> tuple[int, i
     """The least witness of the Riesz scan: unbounded for RDP, bounded by u'
     for homogeneity.
 
-    Per (u, v1), on masks of the sums s = v1 + v2: the targets are the s
+    Per (u, v1), on rank masks (_rbelow, _rabove) of the sums s = v1 + v2,
+    with the common lower bounds walked in label order: the targets are the s
     above u and v1 (and below u' when bounded). u splits as u1 + u2 with
     u1 <= v1, u2 <= v2 = s - v1 exactly when s - v1 >= u - u1 for a common
     lower bound u1, i.e. s >= v1 + (u - u1), so the covered sums are the
     up-sets of those translates. u1 -> u - u1 is antitone, so when u and v1
     have a meet its translate's up-set holds all the others; otherwise every
     common lower bound is tried. s -> s - v1 is one to one, so the least v2
-    without a split is the least difference over the uncovered targets.
+    without a split is the least difference over the uncovered targets,
+    whatever their numbering.
     A u comparable with v1 always splits: as u + 0 when u <= v1, as
     v1 + (u - v1) when v1 <= u <= v1 + v2. The bounded targets are a subset
     of the unbounded ones and the covered sums are the same, so an algebra
@@ -345,13 +347,13 @@ def _riesz_counterexample(E: FiniteEffectAlgebra, bounded: bool) -> tuple[int, i
     """
     if bounded and _riesz_counterexample(E, False) is None:
         return None
-    below, above, ominus, rows = E._below, E._above, E._ominus, E.table.entries
+    below, ominus, rows, rbelow, rabove, rank = E._below, E._ominus, E.table.entries, E._rbelow, E._rabove, E._rank
     for u in E.elements():
-        targets_u = above[u] & below[E._sup[u]] if bounded else above[u]
-        comparable = below[u] | above[u]
+        targets_u = rabove[u] & rbelow[E._sup[u]] if bounded else rabove[u]
+        comparable = rbelow[u] | rabove[u]
         for v1 in E.elements() if bounded else range(u + 1, E.order):
-            targets = targets_u & above[v1]
-            if not targets or (comparable >> v1) & 1:
+            targets = targets_u & rabove[v1]
+            if not targets or (comparable >> rank[v1]) & 1:
                 continue
             meet = E._meets[u][v1]  # read here: a chain has no incomparable pair and builds no table
             row = rows[v1]
@@ -359,9 +361,9 @@ def _riesz_counterexample(E: FiniteEffectAlgebra, bounded: bool) -> tuple[int, i
             for u1 in (meet,) if meet is not None else _mask_elements(below[u] & below[v1]):
                 t = row[ominus[u1][u]]
                 if t != UNDEFINED:
-                    covered |= above[t]
+                    covered |= rabove[t]
             if missing := targets & ~covered:
-                return (u, v1, min(ominus[v1][s] for s in _mask_elements(missing)))
+                return (u, v1, min(ominus[v1][E._by_rank[r]] for r in _mask_elements(missing)))
     return None
 
 

@@ -196,7 +196,7 @@ def pi_s(T: TripleRep, s: int, x: int) -> int | None:
 @memoized
 def _r_vector(T: TripleRep) -> tuple[int, ...]:
     mea = T.meager
-    rows, below, above, ominus = mea.table.entries, mea._below, mea._above, mea._ominus
+    rows, below, ominus = mea.table.entries, mea._below, mea._ominus
     rbelow, greatest = mea._rbelow, mea._greatest
     widehat = _widehat_vector(T)
     hm = _h_masks(T)
@@ -209,9 +209,11 @@ def _r_vector(T: TripleRep) -> tuple[int, ...]:
         right = sum(1 << z for z in _mask_elements(hm[hat] & below[y]) if widehat[ominus[z][y]] == hat)
         by_profile.setdefault((hat, right), []).append(y)
     out = []
-    for x in mea.elements():
+    for x, sums in enumerate(mea.table.row_sums):
         hat = widehat[x]
-        left = hm[hat] & sum(1 << ominus[x][v] for v in _mask_elements(hm[hat] & above[x]))
+        h = hm[hat]
+        # L(x): the z in h(hat) with x + z defined and in h(hat) too
+        left = h & sum(1 << z for z, v in sums if h >> v & 1)
         # the pair must meet inside the meager algebra and x + (y - (x meet y))
         # must stay meager and below the cover; one meet per candidate, so
         # the meager algebra builds no meet table
@@ -219,7 +221,7 @@ def _r_vector(T: TripleRep) -> tuple[int, ...]:
         row = rows[x]
         for y in by_profile.get((hat, left), ()):
             u = greatest(rbelow[x] & rbelow[y])
-            if u is not None and (w := row[ominus[u][y]]) != UNDEFINED and hm[hat] >> w & 1:
+            if u is not None and (w := row[ominus[u][y]]) != UNDEFINED and h >> w & 1:
                 matches.append(y)
         if len(matches) != 1:
             raise ReconstructionError(

@@ -429,6 +429,33 @@ def naive_blocks(entries, zero, one) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(s)) for s in good if not any(s < t for t in good))
 
 
+def naive_corcduya(entries, zero, one):
+    """(checked, failures) of corcduya in a sharply dominating algebra, ticked
+    in the library's order. For each x, with floor the greatest sharp element
+    below x and hat the least above: each maximal total t of the meager
+    families below x, in ascending order, ticks (x, t) on floor + t = x; then
+    each block holding x, in naive_blocks order, ticks (x, block) on the
+    intervals [floor, x] and [x, hat] lying inside it."""
+    n = len(entries)
+    leq = _naive_leq(entries)
+    sharp = naive_sharp(entries, zero, one)
+    meager = {x for x in range(n) if not any(s != zero and (s, x) in leq for s in sharp)}
+    blocks = naive_blocks(entries, zero, one)
+    ticks = []
+    for x in range(n):
+        lower = [s for s in sharp if (s, x) in leq]
+        upper = [s for s in sharp if (x, s) in leq]
+        floor = next(s for s in lower if all((t, s) in leq for t in lower))
+        hat = next(s for s in upper if all((s, t) in leq for t in upper))
+        for t in sorted(naive_maximal_totals(entries, zero, x, meager)):
+            ticks.append(((x, t), entries[floor][t] == x))
+        span = {y for y in range(n) if (floor, y) in leq and (y, x) in leq or (x, y) in leq and (y, hat) in leq}
+        for b in blocks:
+            if x in b:
+                ticks.append(((x, b), span <= set(b)))
+    return len(ticks), [witness for witness, ok in ticks if not ok]
+
+
 def naive_pi(entries, hs, x):
     """Join of the members of hs below x, kept when it lies in hs; entries is a
     generalized effect algebra's table and hs a set of its elements."""

@@ -355,6 +355,15 @@ def test_enumerate_bound_refusal(capsys, tmp_path):
     assert code == 3 and "bound" in err
 
 
+def test_enumerate_refusal_makes_no_directory(capsys, tmp_path):
+    """The bound is refused before the output directory is made, as gen
+    refuses before it writes."""
+    out_dir = tmp_path / "a" / "b"
+    code, _, err = run(capsys, "enumerate", "--max-order", str(HARD_BOUND + 1), "--out", str(out_dir))
+    assert code == 3 and "bound" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -479,8 +479,9 @@ def test_order_data_matches_the_table(universe_6):
 
 def test_rank_masks_renumber_the_order_masks(universe_6):
     """_rbelow and _rabove, read off the defined sums in one pass, are the
-    label masks _below and _above renumbered by rank, whichever of the two
-    is read first."""
+    label down-sets _below and the up-sets read off them (x <= v exactly
+    when bit x of _below[v] is set) renumbered by rank, whichever of the
+    two is read first."""
     rng = random.Random(29)
     algs = [alg for _, alg in universe_6]
     algs += [permuted_copy(alg, rng) for alg in algs]
@@ -491,7 +492,8 @@ def test_rank_masks_renumber_the_order_masks(universe_6):
         getattr(alg, first)
         getattr(alg, second)
         assert alg._rbelow == tuple(map(alg._rank_mask, alg._below))
-        assert alg._rabove == tuple(map(alg._rank_mask, alg._above))
+        above = [sum(1 << v for v, below in enumerate(alg._below) if below >> x & 1) for x in alg.elements()]
+        assert alg._rabove == tuple(map(alg._rank_mask, above))
 
 
 def _assert_same_table(built, dense):

@@ -23,6 +23,7 @@ from efalg.properties import (
     _maximal_totals,
     _meet_distributes,
     check_center_boolean,
+    check_corcduya,
     check_gejzasum,
     check_infasoc,
     check_jpy2,
@@ -46,6 +47,7 @@ from efalg.structure import (
 from efalg.triple import ReconstructionError, TripleRep, r_map
 
 from naive_oracles import (
+    naive_corcduya,
     naive_infasoc,
     naive_jpy2_unique,
     naive_maximal_totals,
@@ -424,6 +426,22 @@ def test_maximal_totals_match_the_maximal_families_listed_one_by_one(relabelled_
                 allowed = alg.below_mask(x) & sum(1 << y for y in within)
                 got = list(_maximal_totals(alg, x, allowed))
                 assert got == sorted(naive_maximal_totals(entries, zero, x, within)), (x, within)
+
+
+def test_corcduya_ticks_the_law_read_off_the_table(catalog, enumerated_8):
+    """corcduya, called without its gate on every sharply dominating algebra
+    of the catalog and up to order 8, ticks as the oracle reading the table
+    alone: the same count and the same failures in order. The block clause
+    fails on some of the non-homogeneous ones, so both of its outcomes are
+    compared."""
+    block_failures = 0
+    for alg in [alg for _, alg in catalog] + list(enumerated_8):
+        if not is_sharply_dominating(alg):
+            continue
+        outcome = check_corcduya(alg)
+        assert (outcome.checked, outcome.failures) == naive_corcduya(*plain(alg)), alg
+        block_failures += sum(isinstance(witness, tuple) for _, witness in outcome.failures)
+    assert block_failures > 0
 
 
 def test_modyjem_and_jpy2_tick_the_laws_walked_element_by_element(relabelled_6, monkeypatch):

@@ -47,7 +47,7 @@ def assert_verified(alg, label):
     assert axiom_verdict(alg).ok, label
     fresh = checked(alg)
     assert fresh == alg and hash(fresh) == hash(alg) and repr(fresh) == repr(alg), label
-    for name in ("_below", "_above", "_ominus", "_sup"):
+    for name in ("_below", "_ominus", "_sup"):
         assert getattr(fresh, name, None) == getattr(alg, name, None), (label, name)
 
 
@@ -167,8 +167,9 @@ def test_trusted_instances_compare_hash_print_and_pickle_like_checked_ones():
         fresh = checked(alg)
         assert alg == fresh and hash(alg) == hash(fresh) and repr(alg) == repr(fresh)
         back = pickle.loads(pickle.dumps(alg))
-        assert back == fresh and back.__dict__.keys() >= {"_below", "_above", "_ominus"}
-        assert (back._below, back._above, back._ominus) == (fresh._below, fresh._above, fresh._ominus)
+        assert back == fresh and back.__dict__.keys() >= {"_below", "_ominus"}
+        for name in ("_below", "_ominus", "_sup"):
+            assert getattr(back, name, None) == getattr(fresh, name, None), name
 
 
 @pytest.mark.parametrize("name", LARGE)
