@@ -28,9 +28,9 @@ proves the axioms in its docstring:
 - catalog.direct_product and catalog.horizontal_sum of verified factors;
 - the rebuild of triple.verify_roundtrip, once its map to the source is an
   isomorphism; on any failure the rebuild gets the full check first.
-Every constructor builds the order data (the down-set masks, the ominus
-matrix, supplements) once; heavier derived structure is memoized per
-instance on first use.
+No constructor builds derived data: the order data, the rank data, the meet
+table and heavier memoized structure are built on first read and freed with
+the algebra, and a pickle holds the fields only.
 
 Associativity is decided on a symmetric table by walking only the triples
 whose left side (x + y) + z is defined, checking that x + (y + z) is defined
@@ -321,15 +321,15 @@ _MEMO = "_memo"
 
 
 class _Memoizing:
-    """Base of immutable values that carry a memo of their derived data.
+    """Base of immutable dataclass values that carry their derived data.
 
-    The memo lives in the instance __dict__, outside the dataclass fields, so
-    it takes no part in ==, hash, repr or dataclasses.replace, and pickling
-    leaves it out.
+    The derived data (the memo, the cached properties) live in the instance
+    __dict__ outside the fields, so they take no part in ==, hash, repr,
+    dataclasses.replace or pickling: a pickle holds the fields only.
     """
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != _MEMO}
+        return {f.name: self.__dict__[f.name] for f in dataclasses.fields(self)}
 
 
 def memoized(fn):
@@ -356,30 +356,19 @@ def memoized(fn):
 class _SumAlgebra(_Memoizing):
     """Order-theoretic machinery shared by effect and generalized effect algebras.
 
-    The public constructor verifies the table and then builds the order data
-    that every method reads: the down-set masks _below, the ominus matrix
-    _ominus and, for effect algebras, the orthosupplement vector _sup.
-    _trusted builds the same instance without the check, for a table derived
-    from a verified algebra by a construction that proves the axioms (see
-    the module docstring); so every instance, checked or trusted, satisfies
-    them. The defined sums themselves live on the table, as table.row_sums;
-    sum and defined are point lookups in table.entries. The order data are plain
-    instance attributes, not dataclass fields, so they take no part in ==,
-    hash, repr or dataclasses.replace. Built on first use per instance
-    (instances are immutable) and freed with the algebra: the rank numbering
-    and the rank masks that greatest/least lookups read, the meet table
-    _meets that meet and the lattice, Riesz and Boolean classifiers read,
-    and heavier derived structure. Every join, in both algebra kinds, is the
-    least element of the AND of the up-set rank masks _rabove, the one
-    up-set table. A pickle carries the order data and whatever rank data and
-    meet table were built before it; the memo stays behind.
+    The public constructor checks the names and the axioms and builds nothing
+    else; _trusted sets the same fields without the check, for a table whose
+    axioms a construction proves (see the module docstring). The defined sums
+    live on the table, as table.row_sums; sum and defined read table.entries.
+    Every derived datum is built on first read (see _Memoizing): the order
+    data _below, _ominus and, for effect algebras, _sup; the rank numbering
+    and masks; the meet table _meets. Every join, in both algebra kinds, is
+    the least element of the AND of the up-set rank masks _rabove.
     """
 
     table: PartialOpTable
     zero: int
     names: tuple[str, ...] | None
-    _below: tuple[int, ...]
-    _ominus: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self):
         n = self.table.order
@@ -396,28 +385,28 @@ class _SumAlgebra(_Memoizing):
         verdict = axiom_verdict(self)
         if not verdict.ok:
             raise AxiomViolationError(verdict)
-        self._bind_order_data()
 
     @classmethod
     def _trusted(cls, *values):
         """The instance the constructor would build from these field values,
         built without the axiom check.
 
-        Only for a table whose axioms the caller has proven: the fields, and
-        so ==, hash, repr and pickling, and the order data are the
-        constructor's. Names are not passed; they default to None.
+        Only for a table whose axioms the caller has proven: it sets the
+        fields alone, as the constructor does. Names are not passed; they
+        default to None.
         """
         self = object.__new__(cls)
         # in field order, as the generated __init__ sets them: instances
         # that share one attribute layout keep attribute lookups fast
         for i, f in enumerate(dataclasses.fields(cls)):
             object.__setattr__(self, f.name, values[i] if i < len(values) else f.default)
-        self._bind_order_data()
         return self
 
-    def _bind_order_data(self):
+    @functools.cached_property
+    def _below(self) -> tuple[int, ...]:
+        """Down-set masks, built with _ominus in one pass over the defined sums:
+        y + z = v puts y below v with v minus y = z (unique by cancellation)."""
         n = self.table.order
-        # y + z = v puts y below v with v minus y = z; cancellation makes z unique.
         below = [0] * n
         ominus = []
         for y, row in enumerate(self.table.row_sums):
@@ -427,11 +416,14 @@ class _SumAlgebra(_Memoizing):
                 below[v] |= bit
                 diffs[v] = z
             ominus.append(tuple(diffs))
-        self.__dict__.update(_below=tuple(below), _ominus=tuple(ominus))
-        one = getattr(self, "one", None)
-        if one is not None:
-            # the supplement of y is one minus y
-            self.__dict__["_sup"] = tuple(diffs[one] for diffs in ominus)
+        self.__dict__["_ominus"] = tuple(ominus)
+        return tuple(below)
+
+    @functools.cached_property
+    def _ominus(self) -> tuple[tuple[int | None, ...], ...]:
+        """x minus y as _ominus[y][x], None unless y <= x; see _below."""
+        self._below  # builds both
+        return self.__dict__["_ominus"]
 
     @property
     def order(self) -> int:
@@ -490,13 +482,12 @@ class _SumAlgebra(_Memoizing):
                 acc = self.sum(acc, x)
         return acc
 
-    # Rank numbering, built on first use: the elements sorted by the size of
-    # their down-sets, ties broken by label. x < y gives y a strictly larger
-    # down-set, so this is a linear extension of the order, and a set's
-    # greatest element, if it has one, holds the set's top rank and its least
-    # element the bottom rank. The label down-sets _below stay primary order
-    # data; their iteration order fixes every witness. Up-sets live only in
-    # rank numbering, as _rabove.
+    # Rank numbering: the elements sorted by the size of their down-sets,
+    # ties broken by label. x < y gives y a strictly larger down-set, so this
+    # is a linear extension of the order, and a set's greatest element, if it
+    # has one, holds the set's top rank and its least element the bottom
+    # rank. The label down-sets _below, by their iteration order, fix every
+    # witness; up-sets live only in rank numbering, as _rabove.
     @functools.cached_property
     def _by_rank(self) -> tuple[int, ...]:
         below = self._below
@@ -632,6 +623,10 @@ class FiniteEffectAlgebra(_SumAlgebra):
         """The unique y with x + y = one; involutive."""
         _check_element(self, x)
         return self._sup[x]
+
+    @functools.cached_property
+    def _sup(self) -> tuple[int, ...]:
+        return tuple(diffs[self.one] for diffs in self._ominus)  # one minus each element
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,13 @@ from typing import Callable, Iterable, Iterator
 from .core import UNDEFINED, FiniteEffectAlgebra, _mask_elements, _table_laws, axiom_verdict, memoized
 from .iso import find_isomorphism  # not called here; perfbench's tracer wraps this module-level name
 from .structure import (
+    HypothesisError,
     _below_both,
     _block_algebra,
     _compat_masks,
     _families,
     _family_refines,
+    _missing_sharp_bound,
     _orthogonal_pool,
     _reachable_totals,
     _sub_center,
@@ -70,6 +72,7 @@ from .structure import (
     theta_map,
 )
 from .triple import (
+    ReconstructionError,
     _h_masks,
     _pi_table,
     _r_vector,
@@ -389,6 +392,8 @@ def check_cduya(E: FiniteEffectAlgebra) -> CheckOutcome:
 
 
 def check_corcduya(E: FiniteEffectAlgebra) -> CheckOutcome:
+    if _missing_sharp_bound(E) is not None:  # floor and hat are read below
+        raise HypothesisError("sharply_dominating", _missing_sharp_bound(E)[0])
     out = CheckOutcome()
     meager_mask = sum(1 << m for m in meager_elements(E))
     bounds = sharp_bounds(E)
@@ -724,7 +729,7 @@ def check_m3(E: FiniteEffectAlgebra) -> CheckOutcome:
     above = sharp_bounds(E).above
     try:
         r = _r_vector(T)
-    except Exception as exc:  # uniqueness failures are check failures, one per meager element
+    except ReconstructionError as exc:  # uniqueness failures are check failures, one per meager element
         for x_src in T.meager_to_source:
             out.tick((x_src, str(exc)), False)
         return out

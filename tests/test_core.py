@@ -444,6 +444,34 @@ def test_memo_is_invisible_and_freed_with_its_algebra():
     assert ref() is None
 
 
+ORDER_DATA = {"_below", "_ominus", "_sup"}
+
+
+def test_order_data_are_built_on_first_read():
+    """A freshly parsed algebra holds no order data; a read of _below builds
+    _ominus with it, and _sup is built when a supplement is first read."""
+    alg = parse(serialize(make_chain(4)))
+    assert not alg.__dict__.keys() & ORDER_DATA
+    assert alg.leq(1, 3) and alg.__dict__.keys() & ORDER_DATA == {"_below", "_ominus"}
+    assert alg.orthosupplement(1) == 3 and alg.__dict__.keys() >= ORDER_DATA
+    mea, _ = meager_algebra(parse(serialize(make_chain(4))))
+    assert not mea.__dict__.keys() & ORDER_DATA
+    assert mea.ominus(3, 1) == 2 and mea.__dict__.keys() & ORDER_DATA == {"_below", "_ominus"}
+
+
+def test_a_pickle_holds_the_value_whatever_was_read_before_it(universe_6):
+    """pickle.dumps gives the same bytes before and after structure_report and
+    verify_roundtrip, and the same bytes as a fresh parse of the same text."""
+    for name, E in universe_6 + [(name, build()) for name, build in LARGE.items()]:
+        text = serialize(E)
+        alg = parse(text)
+        before = pickle.dumps(alg)
+        structure_report(alg)
+        if is_homogeneous(alg) and is_sharply_dominating(alg):
+            assert verify_roundtrip(alg).ok
+        assert pickle.dumps(alg) == before == pickle.dumps(parse(text)), name
+
+
 def test_catalog_algebras_are_freed_with_the_catalog():
     # named_catalog builds fresh algebras on each call and keeps none of them
     catalog = named_catalog()

@@ -34,7 +34,9 @@ from efalg.properties import (
     worker_count,
 )
 from efalg.structure import (
+    HypothesisError,
     _families,
+    decompose,
     homogeneity_counterexample,
     is_homogeneous,
     is_sharply_dominating,
@@ -442,6 +444,31 @@ def test_corcduya_ticks_the_law_read_off_the_table(catalog, enumerated_8):
         assert (outcome.checked, outcome.failures) == naive_corcduya(*plain(alg)), alg
         block_failures += sum(isinstance(witness, tuple) for _, witness in outcome.failures)
     assert block_failures > 0
+
+
+def test_corcduya_refuses_an_algebra_that_is_not_sharply_dominating(catalog, enumerated_8):
+    """Outside its hypothesis corcduya refuses by name, with the witness that
+    decompose names, instead of crashing on a missing sharp bound."""
+    outside = [alg for alg in [alg for _, alg in catalog] + list(enumerated_8) if not is_sharply_dominating(alg)]
+    assert outside
+    for alg in outside:
+        with pytest.raises(HypothesisError, match="sharply_dominating") as refused:
+            check_corcduya(alg)
+        with pytest.raises(HypothesisError) as expected:
+            decompose(alg, alg.zero)
+        assert refused.value.witness == expected.value.witness
+
+
+def test_m3_lets_an_error_other_than_a_failed_reconstruction_through(monkeypatch):
+    """Only a ReconstructionError of the r vector ticks as a law failure; any
+    other error is a fault of the program and propagates."""
+
+    def planted(T):
+        raise IndexError("planted")
+
+    monkeypatch.setattr(properties, "_r_vector", planted)
+    with pytest.raises(IndexError, match="planted"):
+        properties.check_m3(make_chain(3))
 
 
 def test_modyjem_and_jpy2_tick_the_laws_walked_element_by_element(relabelled_6, monkeypatch):

@@ -167,9 +167,23 @@ def test_trusted_instances_compare_hash_print_and_pickle_like_checked_ones():
         fresh = checked(alg)
         assert alg == fresh and hash(alg) == hash(fresh) and repr(alg) == repr(fresh)
         back = pickle.loads(pickle.dumps(alg))
-        assert back == fresh and back.__dict__.keys() >= {"_below", "_ominus"}
+        assert back == fresh and back.__dict__.keys() == {f.name for f in dataclasses.fields(back)}
         for name in ("_below", "_ominus", "_sup"):
             assert getattr(back, name, None) == getattr(fresh, name, None), name
+
+
+def test_the_rebuild_holds_no_order_data(universe_6):
+    """verify_roundtrip compares the rebuild with E by its table alone, so the
+    rebuilt algebra holds no _below, _ominus or _sup. Each input is parsed
+    afresh, so no earlier test has read its rebuild's order data."""
+    inputs = [alg for _, alg in universe_6] + [build() for build in LARGE.values()]
+    tested = 0
+    for E in (parse(serialize(alg)) for alg in inputs):
+        if is_homogeneous(E) and is_sharply_dominating(E):
+            result = verify_roundtrip(E)
+            assert result.ok and not result.tea.algebra.__dict__.keys() & {"_below", "_ominus", "_sup"}, E
+            tested += 1
+    assert tested > len(LARGE)
 
 
 @pytest.mark.parametrize("name", LARGE)
