@@ -53,10 +53,19 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _load(path: str):
-    return parse(_read(path))
+    """The algebra in the file at `path`. A refusal names the file and keeps
+    its type, so an axiom failure still exits 1 and a malformed file 3."""
+    text = _read(path)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _write(path: Path, text: str) -> None:

@@ -126,6 +126,9 @@ class PartialOpTable:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # rows given as lists would compare unequal to the tuple columns the
+        # verifier reads; tuple(row) is row itself for a tuple row
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         n = len(self.entries)
         if n < 1:
             raise MalformedTableError("empty table")
@@ -145,7 +148,7 @@ class PartialOpTable:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "PartialOpTable":
-        return PartialOpTable(tuple(tuple(r) for r in rows))
+        return PartialOpTable(rows)
 
     @staticmethod
     def from_sums(sums: Iterable[Iterable[tuple[int, int]]]) -> "PartialOpTable":

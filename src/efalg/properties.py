@@ -5,11 +5,13 @@ examined and which failed. The suite runner aggregates the outcomes into a
 table keyed by short anchor tags; the tags are stable identifiers for the
 individual laws, used verbatim in reports so failures are greppable.
 
-The anchor table states each law's hypothesis (E homogeneous; E homogeneous
-and sharply dominating, the Triple Representation Theorem's own; or Sh(E) a
-sub-effect algebra) through `_requires`, so a law examines nothing on inputs
-outside its class. Only gejzasum tests homogeneity mid-body: its first
-clauses hold on every algebra.
+The anchor table states each law's hypothesis through `_requires`, so a law
+examines nothing on inputs outside its class: E homogeneous, the Triple
+Representation Theorem's, or Sh(E) a sub-effect algebra. The theorem holds
+for orthocomplete homogeneous E, and a finite E is orthocomplete, so it is
+sharply dominating when homogeneous; extract_triple and check_corcduya
+still refuse a table, built without the axiom check, that is not. Only
+gejzasum tests homogeneity mid-body: its first clauses hold on every algebra.
 
 The laws read the algebra's tables, bound to locals once per law, instead
 of its point methods, which check their ids on every call: E.sum(x, y) is
@@ -59,7 +61,6 @@ from .structure import (
     is_homogeneous,
     is_internally_compatible,
     is_lattice,
-    is_sharply_dominating,
     is_sub_effect_algebra,
     lattice_counterexample,
     meager_algebra,
@@ -845,10 +846,6 @@ def _homogeneous(E) -> bool:
     return is_homogeneous(E)
 
 
-def _qualifies(E) -> bool:
-    return is_homogeneous(E) and is_sharply_dominating(E)
-
-
 @memoized
 def _sharp_closed(E) -> bool:
     return is_sub_effect_algebra(E, sharp_elements(E))
@@ -858,10 +855,11 @@ def _requires(hypothesis: Callable[[FiniteEffectAlgebra], bool], check: CheckFn)
     """`check`, run only on algebras that satisfy `hypothesis`; the others
     get an empty outcome, which the suite does not count as examined.
 
-    The predicates above call is_homogeneous, is_sharply_dominating and
-    sharp_elements through this module's globals when they run, not through
-    names bound here: perfbench/tracing.py swaps those globals for timing
-    wrappers, so a hypothesis test is timed as the structure layer it calls.
+    The predicates above call is_homogeneous and sharp_elements through
+    this module's globals, not through names bound here: perfbench/tracing.py
+    swaps those globals for timing wrappers, so a hypothesis test is timed
+    as the structure layer it calls. No gate tests sharp domination, which
+    homogeneity implies on a finite, hence orthocomplete, E.
     """
 
     def guarded(E: FiniteEffectAlgebra) -> CheckOutcome:
@@ -870,7 +868,7 @@ def _requires(hypothesis: Callable[[FiniteEffectAlgebra], bool], check: CheckFn)
     return guarded
 
 
-_dusminimax = _requires(_qualifies, check_dusminimax)
+_dusminimax = _requires(_homogeneous, check_dusminimax)
 
 ANCHORS: tuple[tuple[str, CheckFn], ...] = (
     ("infasoc", check_infasoc),
@@ -890,26 +888,26 @@ ANCHORS: tuple[tuple[str, CheckFn], ...] = (
     ("jmpy2", _requires(_sharp_closed, check_jmpy2)),
     ("jpy2", _requires(_sharp_closed, check_jpy2)),
     ("cduya", _requires(_homogeneous, check_cduya)),
-    ("corcduya", _requires(_qualifies, check_corcduya)),
-    ("duscduya", _requires(_qualifies, check_duscduya)),
-    ("ocmdcduya", _requires(_qualifies, check_ocmdcduya)),
+    ("corcduya", _requires(_homogeneous, check_corcduya)),
+    ("duscduya", _requires(_homogeneous, check_duscduya)),
+    ("ocmdcduya", _requires(_homogeneous, check_ocmdcduya)),
     ("dusminimax", _dusminimax),
     # the same law under a second tag; run_checks runs it once for both rows
     ("minimax", _dusminimax),
-    ("meetmodjen", _requires(_qualifies, check_meetmodjen)),
-    ("blocksar", _requires(_qualifies, check_blocksar)),
-    ("archimde", _requires(_qualifies, check_archimde)),
-    ("ycoveredhea", _requires(_qualifies, check_ycoveredhea)),
-    ("modjen", _requires(_qualifies, check_modjen)),
-    ("modchov", _requires(_qualifies, check_modchov)),
-    ("blockua", _requires(_qualifies, check_blockua)),
-    ("m2", _requires(_qualifies, check_m2)),
-    ("m3", _requires(_qualifies, check_m3)),
-    ("triple_maps", _requires(_qualifies, check_triple_maps)),
-    ("pommeag", _requires(_qualifies, check_pommeag)),
-    ("tripletheor", _requires(_qualifies, check_tripletheor)),
-    ("triple_pure", _requires(_qualifies, check_triple_pure)),
-    ("triple_idem", _requires(_qualifies, check_triple_idem)),
+    ("meetmodjen", _requires(_homogeneous, check_meetmodjen)),
+    ("blocksar", _requires(_homogeneous, check_blocksar)),
+    ("archimde", _requires(_homogeneous, check_archimde)),
+    ("ycoveredhea", _requires(_homogeneous, check_ycoveredhea)),
+    ("modjen", _requires(_homogeneous, check_modjen)),
+    ("modchov", _requires(_homogeneous, check_modchov)),
+    ("blockua", _requires(_homogeneous, check_blockua)),
+    ("m2", _requires(_homogeneous, check_m2)),
+    ("m3", _requires(_homogeneous, check_m3)),
+    ("triple_maps", _requires(_homogeneous, check_triple_maps)),
+    ("pommeag", _requires(_homogeneous, check_pommeag)),
+    ("tripletheor", _requires(_homogeneous, check_tripletheor)),
+    ("triple_pure", _requires(_homogeneous, check_triple_pure)),
+    ("triple_idem", _requires(_homogeneous, check_triple_idem)),
 )
 
 

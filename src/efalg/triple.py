@@ -94,7 +94,8 @@ def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
     """Split E into (sharp algebra, meager algebra, h) with fresh indices.
 
     Requires E homogeneous and sharply dominating; the finite table makes
-    the remaining orthocompleteness hypotheses automatic. A violated
+    E orthocomplete, hence sharply dominating when homogeneous, so that
+    refusal fires only on a table built without the axiom check. A violated
     hypothesis aborts with its witness.
 
     h(s) = {m in Mea(E) : m <= s} needs no check once built. Mea(E) is a

@@ -28,9 +28,15 @@ def universe_6(catalog, enumerated_6):
 
 
 @pytest.fixture(scope="session")
-def enumerated_9():
-    """Every isomorphism class up to order 9."""
-    return tuple(enumerate_all(9, bound=9))
+def enumerated_10():
+    """Every isomorphism class up to order 10."""
+    return tuple(enumerate_all(10, bound=10))
+
+
+@pytest.fixture(scope="session")
+def enumerated_9(enumerated_10):
+    """Every isomorphism class up to order 9: the same stream, cut at order 9."""
+    return tuple(alg for alg in enumerated_10 if alg.order <= 9)
 
 
 @pytest.fixture(scope="session")

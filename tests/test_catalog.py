@@ -478,8 +478,8 @@ class TestEnumerate:
         assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_9_DIGEST
 
     @pytest.mark.slow
-    def test_order_10_matches_the_search_without_lex_leader(self):
-        forms = [canonical_form(a) for a in enumerate_all(10, bound=10) if a.order == 10]
+    def test_order_10_matches_the_search_without_lex_leader(self, enumerated_10):
+        forms = [canonical_form(a) for a in enumerated_10 if a.order == 10]
         assert len(forms) == ORDER_10_CLASS_COUNT
         assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_10_DIGEST
 

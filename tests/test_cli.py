@@ -117,6 +117,28 @@ def test_missing_file_is_input_error(capsys):
     assert code == 3 and err == "error: cannot read /nonexistent/foo.efa: No such file or directory\n"
 
 
+def test_an_undecodable_file_is_refused_by_its_path(capsys, tmp_path):
+    path = tmp_path / "binary.efa"
+    path.write_bytes(b"efa 1\n\xff\xfe\n")
+    for command in ("verify", "analyze"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (3, "") and err.startswith(f"error: cannot read {path}: "), err
+
+
+def test_iso_names_the_file_it_refuses(capsys, chain3_file, broken_file, tmp_path):
+    """The second operand is refused by its path: an axiom failure exits 1,
+    a malformed file 3, and nothing reaches stdout."""
+    code, out, err = run(capsys, "iso", chain3_file, broken_file)
+    assert (code, out) == (1, "")
+    assert err == f"error: input fails the algebra axioms: {broken_file}: Eiii at (1,) (no orthosupplement)\n"
+    malformed = tmp_path / "malformed.efa"
+    malformed.write_text("efa 1\norder 2\nzero 0\none 1\nsum 1 1\n")
+    code, out, err = run(capsys, "iso", chain3_file, str(malformed))
+    assert (code, out, err) == (3, "", f"error: {malformed}: line 5: 'sum' needs exactly three elements\n")
+    code, out, err = run(capsys, "gen", "--kind", "product", "--files", str(malformed), chain3_file)
+    assert (code, out, err) == (3, "", f"error: {malformed}: line 5: 'sum' needs exactly three elements\n")
+
+
 def test_parse_error_is_input_error(capsys, tmp_path):
     p = tmp_path / "bad.efa"
     p.write_text("efa 1\norder 2\nzero 0\none 1\nsum 1 1\n")

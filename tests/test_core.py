@@ -96,6 +96,23 @@ class TestVerifyEffectAlgebra:
         with pytest.raises(MalformedTableError, match="names must cover every element"):
             FiniteEffectAlgebra(table_of(CHAIN3_ROWS), 0, 2, ("a", "b"))
 
+    def test_a_table_given_as_lists_is_the_table_given_as_tuples(self):
+        """The dense constructor takes rows as lists too: the value, its hash
+        and every verdict are those of the tuple rows."""
+        table = PartialOpTable(CHAIN3_ROWS)
+        assert table == PartialOpTable.from_rows(CHAIN3_ROWS)
+        assert hash(table) == hash(PartialOpTable.from_rows(CHAIN3_ROWS))
+        E = FiniteEffectAlgebra(table, 0, 2)
+        assert E == make_chain(2) and hash(E) == hash(make_chain(2))
+        assert verify_effect_algebra(table, 0, 2).ok
+        assert verify_generalized(PartialOpTable([[0, 1], [1, UNDEFINED]]), 0).ok
+        rows = [r[:] for r in CHAIN3_ROWS]
+        rows[1][0] = 2  # 1 + 0 = 2 but 0 + 1 = 1
+        verdict = verify_effect_algebra(PartialOpTable(rows), 0, 2)
+        assert verdict.violations[0] == Violation("Ei", (0, 1), "asymmetric cells")
+        with pytest.raises(AxiomViolationError, match=r"^Ei at \(0, 1\)"):
+            FiniteEffectAlgebra(PartialOpTable(rows), 0, 2)
+
     @pytest.mark.parametrize(
         "sums, message",
         [

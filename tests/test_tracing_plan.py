@@ -27,7 +27,6 @@ PLANNED = {
         "is_archimedean",
         "is_homogeneous",
         "is_lattice",
-        "is_sharply_dominating",
         "lattice_counterexample",
         "meager_elements",
         "principal_elements",
