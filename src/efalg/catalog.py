@@ -3,42 +3,38 @@
 The enumerator completes partial sum tables cell by cell with constraint
 propagation (forced zero row, forbidden unit row, cancellation within rows,
 orthosupplement uniqueness, associativity) and de-duplicates leaves by
-their canonical labelling, building one canonical algebra per class. Two
+their canonical labelling, building one canonical algebra per class. Three
 devices keep the search small:
 
+- the supplement map first: x -> x' is an involution of the interior
+  labels 1..n-2, and two involutions with the same number f of fixed points
+  are conjugate. So every class has labellings whose supplement map is the
+  pattern P_f that fixes 1..f and pairs (f+1, f+2), (f+3, f+4), and so on.
+  One run per f with f = n (mod 2) pre-assigns x + P_f(x) = one;
 - lex-leader constraints (Crawford, Ginsberg, Luks & Roy, "Symmetry-breaking
-  predicates for search problems", KR 1996) for the swaps s = (k k+1) of
-  adjacent interior labels: cells are filled column by column, and the
-  table T, read as the sequence of its interior cells in that order with
-  UNDEFINED below every label, must not exceed its relabelling s.T. A node
-  is pruned once its assigned cells prove s.T < T for some s;
+  predicates for search problems", KR 1996) for the involutions g that
+  generate the centralizer C_f of P_f: the swaps of adjacent fixed points,
+  the swap inside each pair and the swap of two adjacent pairs. Cells are
+  filled column by column, and the table T, read as the sequence of its
+  interior cells in that order with UNDEFINED below every label, must not
+  exceed its relabelling g.T, which holds g(T[g(i)][g(j)]) at (i, j). A node
+  is pruned once its assigned cells prove g.T < T for some g;
 - watch lists: a newly assigned cell re-examines only its two rows and the
   interior triples that read it, found through an index from each value to
   the cells holding it, instead of rescanning every triple.
 
-The search keeps a member of every class. Let T* be the least table, in
-that order, among the relabellings of an algebra that fix zero and one.
-Every s.T* is such a relabelling, so T* passes every swap test, and
-propagation only assigns cells that every completion shares. Hence T* is a
-leaf.
-
-The swaps also prune everything that the least-number heuristic of SEM
-(J. Zhang & H. Zhang, "SEM: a system for enumerating models", IJCAI 1995)
-would: of the interior labels that no assigned cell holds, as an index or a
-value, try only the least. Let P be the labels up to the current column
-together with the values of the assigned interior cells. An interior value
-enters the table only as a candidate at the current cell (propagation
-copies values already there, or writes one), so P's interior labels stay a
-prefix 1..t. A value v that the heuristic skips lies above a smaller label
-outside P, so v - 1 and v both lie above t. The swap (v-1 v) fixes every
-index up to the column and every value before the cell, so its relabelling
-agrees with T there and holds v - 1 < v at the cell: the node for v fails
-propagation or the swap test.
+The search keeps a member of every class. A class has f interior x with
+x + x = one, an invariant, so it meets the run for that f alone. Let T* be
+the least table, in cell order, among its relabellings that fix zero and
+one and carry P_f. For g in C_f, g.T* is another such relabelling, since
+g P_f g^-1 = P_f; so T* passes every test. Propagation only assigns cells
+that every completion shares. Hence T* is a leaf.
 
 Pruning is a speed device only: every surviving leaf is re-validated by the
-full axiom check, and completeness is guarded by an independent
-generate-and-filter oracle and by a seeded search without symmetry breaking
-in the test suite.
+full axiom check, and completeness is guarded in the test suite by an
+independent generate-and-filter oracle, by a seeded search without symmetry
+breaking, and by counting that search's leaves: an order-n class E has
+(n-2)!/|Aut(E)| labellings that fix zero and one (orbit-stabilizer).
 """
 
 from __future__ import annotations
@@ -73,20 +69,22 @@ __all__ = [
 GENERATOR_VERSION = 3
 
 DEFAULT_BOUND = 6
-HARD_BOUND = 10
+HARD_BOUND = 12
 
 # (search nodes, leaves) that _complete_tables(n) visits, measured per order.
 SEARCH_COST = {
     2: (1, 1),
-    3: (2, 1),
+    3: (1, 1),
     4: (7, 3),
-    5: (26, 5),
-    6: (112, 17),
-    7: (458, 40),
-    8: (2515, 177),
-    9: (14398, 514),
-    10: (114553, 2776),
-    11: (1154984, 9571),
+    5: (17, 4),
+    6: (92, 11),
+    7: (225, 15),
+    8: (1058, 53),
+    9: (2605, 85),
+    10: (12767, 384),
+    11: (39413, 685),
+    12: (257444, 4176),
+    13: (1802041, 8106),
 }
 
 _UNDECIDED = -2
@@ -212,10 +210,11 @@ def _complete_tables(n: int, rng: random.Random | None = None) -> Iterator[Finit
     stream is complete up to isomorphism once de-duplicated. Yields only
     tables that pass the full axiom check.
 
-    Unseeded, cells are filled column by column and nodes that break a
-    lex-leader constraint are pruned. Seeded (``rng``), cells are filled row
-    by row and every candidate is tried in shuffled order, so that search
-    shares no symmetry breaking with the unseeded one.
+    Unseeded, one run per supplement pattern P_f fills cells column by
+    column and prunes nodes that break a lex-leader constraint. Seeded
+    (``rng``), cells are filled row by row and every candidate is tried in
+    shuffled order, so that search shares no symmetry breaking with the
+    unseeded one.
     """
     one = n - 1
     t = [[_UNDECIDED] * n for _ in range(n)]
@@ -321,30 +320,22 @@ def _complete_tables(n: int, rng: random.Random | None = None) -> Iterator[Finit
                 return values + [UNDEFINED]
         return [UNDEFINED] + values
 
-    def swap(k: int, x: int) -> int:
-        return k + 1 if x == k else k if x == k + 1 else x
-
-    # lex-leader, unseeded only: for each swap s = (k k+1) of adjacent
-    # interior labels and each cell (i, j) in cell order, the row and column
-    # of T at (i, j) and at (s(i), s(j)); s.T holds s(T[s(i)][s(j)]) at (i, j)
-    lex_swaps = range(1, one - 1) if rng is None else ()
-    swaps = {k: [(t[i], j, t[swap(k, i)], swap(k, j)) for i, j in cells] for k in lex_swaps}
-
     def lex_open(pending: list) -> list | None:
-        """The comparisons T <= s.T still undecided, or None if the assigned cells prove s.T < T.
+        """The comparisons T <= g.T still undecided, or None if the assigned cells prove g.T < T.
 
-        Each entry is (k, p): cells before p agree in T and s.T.
+        Each entry is (g, image, p): cells before p agree in T and g.T, and
+        image holds, per cell (i, j) in cell order, the row and column of T
+        at (i, j) and at (g(i), g(j)); g.T holds g(T[g(i)][g(j)]) at (i, j).
         """
         out = []
-        for k, p in pending:
-            image = swaps[k]
+        for g, image, p in pending:
             while p < len(image):
-                row, j, srow, sj = image[p]
-                x, y = row[j], srow[sj]
+                row, j, grow, gj = image[p]
+                x, y = row[j], grow[gj]
                 if x == _UNDECIDED or y == _UNDECIDED:
-                    out.append((k, p))
+                    out.append((g, image, p))
                     break
-                y = swap(k, y)
+                y = g[y]
                 if x != y:
                     if y < x:
                         return None
@@ -371,7 +362,31 @@ def _complete_tables(n: int, rng: random.Random | None = None) -> Iterator[Finit
                     yield from dfs(k + 1, still)
             undo(trail)
 
-    yield from dfs(0, [(k, 0) for k in swaps])
+    if rng is not None:
+        yield from dfs(0, [])
+        return
+    # one run per fixed-point count f of x -> x': pre-assign x + P_f(x) = one,
+    # then test T <= g.T for the involutions g that generate P_f's centralizer
+    for f in range(n % 2, n - 1, 2):
+        pairs = range(f + 1, one, 2)
+        generators = [((k, k + 1),) for k in range(1, f)]
+        generators += [((a, a + 1),) for a in pairs]
+        generators += [((a, a + 2), (a + 1, a + 3)) for a in pairs if a + 3 < one]
+        pending = []
+        for swaps in generators:
+            # g as a lookup table; its last entry maps UNDEFINED (-1) to itself
+            g = list(range(n)) + [UNDEFINED]
+            for a, b in swaps:
+                g[a], g[b] = b, a
+            pending.append((g, [(t[i], j, t[g[i]], g[j]) for i, j in cells], 0))
+        trail = []
+        if (
+            all(assign(x, x, one, trail) for x in range(1, f + 1))
+            and all(assign(a, a + 1, one, trail) for a in pairs)
+            and propagate(trail)
+        ):
+            yield from dfs(0, pending)
+        undo(trail)
 
 
 def enumerate_all(max_order: int, *, bound: int = DEFAULT_BOUND) -> Iterator[FiniteEffectAlgebra]:

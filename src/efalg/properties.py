@@ -43,7 +43,6 @@ from .structure import (
     _block_algebra,
     _compat_masks,
     _families,
-    _family_refines,
     _missing_sharp_bound,
     _orthogonal_pool,
     _reachable_totals,
@@ -353,13 +352,25 @@ def check_gejzasum(E: FiniteEffectAlgebra) -> CheckOutcome:
     out.tick(("v", "union"), covered == (1 << E.order) - 1)
     if E.order <= 8:
         # compatibility with the witnessing family drawn from the whole
-        # algebra, with one walk over the families shared by every subset
-        covers = {sums for _, sums in _families(E, tuple(x for x in E.elements() if x != E.zero))}
+        # algebra: combo + (one,) is refined exactly when combo lies in the
+        # interior of a cover holding one. A cover's members are pairwise
+        # compatible, so no compatibility pre-check is needed. Each cover's
+        # interior adds all its submasks, so one already present adds none.
+        ends = 1 << E.zero | 1 << E.one
+        refined: set[int] = set()
+        for _, sums in _families(E, tuple(x for x in E.elements() if x != E.zero)):
+            inner = sums & ~ends
+            if sums >> E.one & 1 and inner not in refined:
+                sub = inner
+                while sub:
+                    refined.add(sub)
+                    sub = (sub - 1) & inner
+                refined.add(0)
         block_sets = [frozenset(b) for b in blks]
         universe = [x for x in E.elements() if x not in (E.zero, E.one)]
         for r in range(len(universe) + 1):
             for combo in itertools.combinations(universe, r):
-                if _family_refines(E, combo + (E.one,), covers):
+                if sum(1 << x for x in combo) in refined:
                     # every block holds zero and one
                     out.tick(("v", combo), any(b.issuperset(combo) for b in block_sets))
     out.tick(("vi",), _sharp_closed(E))

@@ -28,9 +28,15 @@ def universe_6(catalog, enumerated_6):
 
 
 @pytest.fixture(scope="session")
-def enumerated_10():
-    """Every isomorphism class up to order 10."""
-    return tuple(enumerate_all(10, bound=10))
+def enumerated_11():
+    """Every isomorphism class up to order 11."""
+    return tuple(enumerate_all(11, bound=11))
+
+
+@pytest.fixture(scope="session")
+def enumerated_10(enumerated_11):
+    """Every isomorphism class up to order 10: the same stream, cut at order 10."""
+    return tuple(alg for alg in enumerated_11 if alg.order <= 10)
 
 
 @pytest.fixture(scope="session")

@@ -172,22 +172,38 @@ def naive_enumerate_tables(n: int):
 
 
 def naive_is_lex_leader(entries, n: int) -> bool:
-    """No swap of two adjacent interior labels makes the table smaller.
+    """The table carries the supplement pattern P_f, and no generator of
+    P_f's centralizer makes it smaller.
 
-    Each swap relabels the whole table; the two tables are then compared as
-    the sequences of their interior cells i <= j, column by column, with
-    the undefined marker below every element.
+    f counts the interior x with x + x = one; P_f fixes 1..f and pairs
+    (f+1, f+2), (f+3, f+4), and so on. The generators are the swaps of
+    adjacent fixed points, the swap inside each pair and the swap of two
+    adjacent pairs. Each relabels the whole table; the two tables are then
+    compared as the sequences of their interior cells i <= j, column by
+    column, with the undefined marker below every element.
     """
-    cells = [(i, j) for j in range(1, n - 1) for i in range(1, j + 1)]
-    for k in range(1, n - 2):
+    one = n - 1
+    f = sum(1 for x in range(1, one) if entries[x][x] == one)
+    pattern = list(range(n))
+    for a in range(f + 1, one, 2):
+        pattern[a], pattern[a + 1] = a + 1, a
+    if any(entries[x][pattern[x]] != one for x in range(1, one)):
+        return False
+    generators = [[(k, k + 1)] for k in range(1, f)]
+    generators += [[(a, a + 1)] for a in range(f + 1, one, 2)]
+    generators += [[(a, a + 2), (a + 1, a + 3)] for a in range(f + 1, one - 3, 2)]
+    cells = [(i, j) for j in range(1, one) for i in range(1, j + 1)]
+    for swaps in generators:
         perm = list(range(n))
-        perm[k], perm[k + 1] = k + 1, k
-        swapped = [[UNDEF] * n for _ in range(n)]
+        for a, b in swaps:
+            perm[a], perm[b] = b, a
+        assert all(perm[pattern[x]] == pattern[perm[x]] for x in range(n)), swaps
+        relabelled = [[UNDEF] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 v = entries[i][j]
-                swapped[perm[i]][perm[j]] = UNDEF if v == UNDEF else perm[v]
-        if [swapped[i][j] for i, j in cells] < [entries[i][j] for i, j in cells]:
+                relabelled[perm[i]][perm[j]] = UNDEF if v == UNDEF else perm[v]
+        if [relabelled[i][j] for i, j in cells] < [entries[i][j] for i, j in cells]:
             return False
     return True
 

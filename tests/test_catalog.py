@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import math
 import random
 import weakref
 
@@ -23,7 +24,7 @@ from efalg.catalog import (
     random_algebra,
 )
 from efalg.core import UNDEFINED, FiniteEffectAlgebra, PartialOpTable
-from efalg.iso import canonical_form, find_isomorphism
+from efalg.iso import canonical_form, find_isomorphism, isomorphisms
 from efalg.structure import (
     blocks,
     hypermeager_elements,
@@ -53,24 +54,33 @@ ORDER_9_DIGEST = "c89978240444266991fb0a59071a3f2836e92309e4ac9dc93d741a6881ca80
 # with the search that added it.
 ORDER_10_CLASS_COUNT = 172
 ORDER_10_DIGEST = "0a3571b4923bb49a4ebca8f66f2427ff57f953568cbd14e2a61b6e7164964ab8"
-# Tables the unshuffled search yields per order. With the least-number
-# heuristic alone it yielded 14, 95 and 510, and without symmetry breaking
-# (generator version 2) 16, 142 and 1006; a rise back means a symmetry break
-# has stopped pruning.
-REDUCED_LEAVES = {5: 5, 6: 17, 7: 40}
+# Orders 11 and 12, recorded from the supplement-first search and confirmed by
+# the search it replaced (adjacent-swap lex-leader alone: 9,571 leaves at
+# order 11 and 68,438 at order 12), which gave the same digests.
+ORDER_11_CLASS_COUNT = 282
+ORDER_11_DIGEST = "5285bc5f81e048409c42c7108c1220acfed989fc6cc18bd6a52823144c29953a"
+ORDER_12_CLASS_COUNT = 950
+ORDER_12_DIGEST = "46551c03f29c85a81fde9277962df4c6393f11c21a049fc4b7e9702058cd924e"
+# Tables the unshuffled search yields per order. With adjacent-swap
+# lex-leader alone it yielded 5, 17 and 40, with the least-number heuristic
+# alone 14, 95 and 510, and without symmetry breaking (generator version 2)
+# 16, 142 and 1006; a rise back means a symmetry break has stopped pruning.
+REDUCED_LEAVES = {5: 4, 6: 11, 7: 15}
 # sha256 of repr([a.table.entries for a in _complete_tables(n)]) per order
-# n, recorded with the least-number heuristic and lex-leader pruning both in
-# the unseeded search: dropping the heuristic, which lex-leader subsumes,
-# must keep every leaf and the order they come in.
+# n, recorded with the supplement-first search: a change to its pruning
+# must keep every leaf and the order they come in, or re-record these.
 LEAF_SEQUENCE_DIGESTS = {
     2: "0097584ffb9703fe144864e5805024d0dfb81092c77d2e20dceba516388203f0",
     3: "3430967e619bb4f5c46f8aca1ae31063a2450af7064dbcbaaba9bf43ae0bb807",
     4: "dfd0417ca971df5b04c7c7345395370b4e9d8d19b36bd8d825a4747f5c3b58ac",
-    5: "deca736de537a33b8e84f5d79ed060be8491186669d3ea4d505783fc63570c29",
-    6: "fc207f18b75efcb6c2249e11c1423afb28f80a51b871bdfc0c27639e1baa5561",
-    7: "8baa66116816eef4d4dc40399316d5139aec562a49d1255117acff540964d415",
-    8: "b4ac7eb8e138186591d6a2946f46f321c688e2f10d05145bd26ed7caaf330736",
+    5: "db04407957bac6f6b4b59627cb455431fc6abb78bcce740a4d56bb2e60bba1fb",
+    6: "5f95951f5d4e013553fff54169db4d63942dfe108937f0c959d7eab61ea52cb2",
+    7: "05dba97c38e2ca9b5662b1ea0f2518da6c16b3574b544eeafbda33f157db4313",
+    8: "4857d86c89f9b9bad00293d8c582c97c6bed7c0e7150e434b4e1b67330a7f694",
 }
+# Leaves of the seeded search at orders 2 to 7: every labelled table with
+# zero = 0 and one = n - 1. It gave 15,136 at order 8 and 165,544 at order 9.
+SEEDED_LEAVES = (1, 1, 4, 16, 142, 1006)
 # sha256 of repr([random_algebra(seed, n).table.entries for seed in range(20)])
 # per order n, recorded before lex-leader pruning entered the unseeded search:
 # the seeded search, and so every random draw, must not move.
@@ -282,7 +292,7 @@ class TestRefusals:
             random_algebra(1, 1)
 
     def test_random_order_past_the_bound(self):
-        with pytest.raises(EnumerationBoundError, match="visits 2515 nodes and validates 177 leaves"):
+        with pytest.raises(EnumerationBoundError, match="visits 1058 nodes and validates 53 leaves"):
             random_algebra(1, 8)
 
 
@@ -420,9 +430,26 @@ class TestEnumerate:
             assert hashlib.sha256(repr(tables).encode()).hexdigest() == want, n
 
     def test_leaves_are_lex_leaders(self):
-        for n in range(2, 9):
+        for n in range(2, 10):
             for alg in _complete_tables(n):
                 assert naive_is_lex_leader(alg.table.entries, n)
+
+    def test_seeded_leaves_count_the_labellings_of_every_class(self):
+        # orbit-stabilizer: an order-n class E has (n - 2)! / |Aut(E)|
+        # labellings with zero = 0 and one = n - 1, and the seeded search,
+        # which breaks no symmetry, yields each once. A class the unseeded
+        # search drops leaves a deficit.
+        classes = list(enumerate_all(7, bound=7))
+        counts = []
+        for n in range(2, 8):
+            want = sum(
+                math.factorial(n - 2) // sum(1 for _ in isomorphisms(alg, alg))
+                for alg in classes
+                if alg.order == n
+            )
+            got = sum(1 for _ in _complete_tables(n, random.Random(n)))
+            counts.append((n, got, want))
+        assert counts == [(n, want, want) for n, want in zip(range(2, 8), SEEDED_LEAVES)]
 
     def test_one_canonical_algebra_per_class(self, monkeypatch):
         # each leaf is verified once as found; the canonical relabelling of
@@ -482,6 +509,17 @@ class TestEnumerate:
         forms = [canonical_form(a) for a in enumerated_10 if a.order == 10]
         assert len(forms) == ORDER_10_CLASS_COUNT
         assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_10_DIGEST
+
+    def test_order_11_matches_the_adjacent_swap_search(self, enumerated_11):
+        forms = [canonical_form(a) for a in enumerated_11 if a.order == 11]
+        assert len(forms) == ORDER_11_CLASS_COUNT
+        assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_11_DIGEST
+
+    @pytest.mark.slow
+    def test_order_12_matches_the_adjacent_swap_search(self):
+        forms = [canonical_form(a) for a in enumerate_all(12, bound=12) if a.order == 12]
+        assert len(forms) == ORDER_12_CLASS_COUNT
+        assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_12_DIGEST
 
 
 class TestRandom:

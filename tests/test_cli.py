@@ -439,11 +439,11 @@ def test_suite_refuses_past_the_hard_bound_before_any_anchor_runs(capsys, monkey
         raise AssertionError("an anchor ran before the refusal")
 
     monkeypatch.setattr(properties, "run_checks", never)
-    code, out, err = run(capsys, "suite", "--max-order", "11")
+    code, out, err = run(capsys, "suite", "--max-order", "13")
     assert (code, out) == (3, "")
     assert err == (
-        "error: max_order 11 exceeds the configured bound 10; "
-        "the search at order 11 visits 1154984 nodes and validates 9571 leaves\n"
+        "error: max_order 13 exceeds the configured bound 12; "
+        "the search at order 13 visits 1802041 nodes and validates 8106 leaves\n"
     )
 
 
@@ -473,10 +473,12 @@ def test_suite_table_does_not_move(capsys, monkeypatch, jobs, flags):
 
 # SHA-256 of the one-worker `efalg suite --max-order 8` and `--max-order 9`
 # tables, recorded before check_infasoc skipped the families whose sum is
-# undefined; they fix every anchor's count where that skip acts.
+# undefined; they fix every anchor's count where that skip acts. The
+# `--max-order 11` table was recorded when order 11 entered the CLI.
 SUITE_SHA256 = {
     "8": "fc1419c8544f016ef3b28d855b7d1b1da97bcce70978e33a2b9cfe49726bba08",
     "9": "d0796636f8036f229fc736c776b582efa40af3dbf720a6ba3c5e0ba66d5523f4",
+    "11": "7b15b226a74c293cb13fd6d2f4da175a715910890e091e3d1ac67ec88719176a",
 }
 
 

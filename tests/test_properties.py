@@ -36,6 +36,7 @@ from efalg.properties import (
 from efalg.structure import (
     HypothesisError,
     _families,
+    _family_refines,
     decompose,
     homogeneity_counterexample,
     is_homogeneous,
@@ -567,6 +568,41 @@ def test_gejzasum_clause_v_ticks_the_refined_subsets(universe_6, monkeypatch):
         assert set(internal) <= set(got), name
         wider += len(internal) < len(got)
     assert wider > 0
+
+
+def test_gejzasum_clause_v_agrees_with_family_refinement(catalog, enumerated_8, monkeypatch):
+    """Clause (v) reads one set of refined interior submasks; per subset it
+    ticks exactly what _family_refines decides over the same covers, in the
+    same order, on every homogeneous algebra to order 8."""
+    ticked = []
+    tick = CheckOutcome.tick
+
+    def record(self, witness=None, ok=True):
+        ticked.append(witness)
+        tick(self, witness, ok)
+
+    monkeypatch.setattr(CheckOutcome, "tick", record)
+    seen = 0
+    for alg in [e.algebra for e in catalog] + list(enumerated_8):
+        if alg.order > 8 or not is_homogeneous(alg):
+            continue
+        ticked.clear()
+        check_gejzasum(alg)
+        covers = {sums for _, sums in _families(alg, tuple(x for x in alg.elements() if x != alg.zero))}
+        universe = [x for x in alg.elements() if x not in (alg.zero, alg.one)]
+        want = [
+            ("v", combo)
+            for r in range(len(universe) + 1)
+            for combo in itertools.combinations(universe, r)
+            if _family_refines(alg, combo + (alg.one,), covers)
+        ]
+        v = [i for i, w in enumerate(ticked) if w[0] == "v" and w[1] != "union"]
+        assert [ticked[i] for i in v] == want
+        # contiguous, between the union tick and clause (vi)
+        assert v == list(range(v[0], v[0] + len(v)))
+        assert ticked[v[0] - 1] == ("v", "union") and ticked[v[-1] + 1] == ("vi",)
+        seen += 1
+    assert seen == 70
 
 
 @pytest.mark.parametrize("centre", [(0, 1, 3), (0, 2, 3)])
