@@ -295,8 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.fn is cmd_gen and args.kind in ("chain", "boolean") and args.n is None:
-        parser.error(f"--kind {args.kind} needs --n")
+    if args.fn is cmd_gen:
+        # chain and boolean read --n alone, hsum and product --files alone
+        sized = args.kind in ("chain", "boolean")
+        if sized and args.n is None:
+            parser.error(f"--kind {args.kind} needs --n")
+        if sized and args.files or not sized and args.n is not None:
+            parser.error(f"--kind {args.kind} does not read {'--files' if sized else '--n'}")
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -14,7 +14,8 @@ Effect algebras:
 
 Generalized effect algebras use the magic line ``gefa 1`` and carry no
 ``one`` header. Each header line (``order``, ``zero``, ``one``) takes exactly
-one value; trailing tokens are refused on their line. ``#`` starts a
+one value; trailing tokens are refused on their line. Every integer is
+written as ASCII digits with an optional leading ``-``. ``#`` starts a
 comment. A ``sum I J K`` line states that I + J = K; absent pairs are
 undefined. The serializer emits sums only for I <= J in sorted order, so
 output is canonical and diff friendly; the parser applies the commutative
@@ -25,6 +26,8 @@ would take and a lower bound on the time.
 """
 
 from __future__ import annotations
+
+import re
 
 from .core import (
     UNDEFINED,
@@ -68,6 +71,10 @@ BYTES_PER_CELL = 94
 # estimate is a lower bound.
 SECONDS_PER_CELL = 1e-7
 
+# The only integer spelling a file holds: int() alone would also take a '+'
+# sign, '_' between digits and non-ASCII digits, which the format never writes.
+_INTEGER = re.compile(r"-?[0-9]+")
+
 
 class ParseError(ValueError):
     def __init__(self, line_no: int, reason: str):
@@ -98,6 +105,7 @@ def _parse_common(text: str, magic: str, with_one: bool):
 
     order: int | None = None
     headers: dict[str, int] = {}
+    element_ids: dict[str, int] = {}  # each element's id as the serializer spells it
     names: dict[int, str] = {}
     rows: list[list[int]] = []
 
@@ -113,12 +121,8 @@ def _parse_common(text: str, magic: str, with_one: bool):
             n = need_order(no)
             if len(fields) != 4:
                 raise ParseError(no, "'sum' needs exactly three elements")
-            try:
-                i, j, k = int(fields[1]), int(fields[2]), int(fields[3])
-                valid = 0 <= i < n and 0 <= j < n and 0 <= k < n
-            except ValueError:
-                valid = False
-            if not valid:  # name the first bad field
+            i, j, k = element_ids.get(fields[1]), element_ids.get(fields[2]), element_ids.get(fields[3])
+            if i is None or j is None or k is None:  # another spelling, or a bad field to name
                 i, j, k = (_element_field(no, fields, f, n) for f in (1, 2, 3))
             # A line writes its cell and the mirrored one, so a pair stated
             # twice, in either order, finds its cell already set.
@@ -139,6 +143,7 @@ def _parse_common(text: str, magic: str, with_one: bool):
                 if order > MAX_ORDER:
                     raise ParseError(no, ceiling_message(order))
                 rows = [[UNDEFINED] * order for _ in range(order)]
+                element_ids = {str(v): v for v in range(order)}
             else:
                 headers[kind] = _element_field(no, fields, 1, need_order(no))
         elif kind == "name":
@@ -184,10 +189,9 @@ def _seconds(s: float) -> str:
 def _int_field(no: int, fields: list[str], idx: int, what: str) -> int:
     if len(fields) <= idx:
         raise ParseError(no, f"missing value for {what}")
-    try:
-        return int(fields[idx])
-    except ValueError:
-        raise ParseError(no, f"{what} is not an integer: {fields[idx]!r}") from None
+    if not _INTEGER.fullmatch(fields[idx]):
+        raise ParseError(no, f"{what} is not an integer: {fields[idx]!r}")
+    return int(fields[idx])
 
 
 def _element_field(no: int, fields: list[str], idx: int, order: int) -> int:

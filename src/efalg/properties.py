@@ -45,7 +45,7 @@ from .structure import (
     _families,
     _missing_sharp_bound,
     _orthogonal_pool,
-    _reachable_totals,
+    _orthogonal_totals,
     _sub_center,
     blocks,
     central_elements,
@@ -126,10 +126,12 @@ def _meet_distributes(meets, rows, a: int, b: int, c: int, whole: int | None) ->
 
 def _maximal_totals(E: FiniteEffectAlgebra, x: int, allowed: int) -> Iterator[int]:
     """Sums of the orthogonal families below x inside the down-set mask
-    allowed that no further member of x's pool extends inside allowed."""
+    allowed that no further member of x's pool extends inside allowed;
+    allowed lies inside the down-set of x, as every caller's does (see
+    _orthogonal_totals)."""
     rows = E.table.entries
     pool = _orthogonal_pool(E, x)
-    for t in _reachable_totals(E, pool, allowed):
+    for t in _mask_elements(_orthogonal_totals(E, x) & allowed):
         row = rows[t]
         if not any((n := row[y]) != UNDEFINED and allowed >> n & 1 for y in pool):
             yield t
@@ -266,7 +268,7 @@ def check_exssuplem(E: FiniteEffectAlgebra) -> CheckOutcome:
         if floor is None:
             continue
         below_rest = below[ominus[floor][x]]
-        for total in _reachable_totals(E, _orthogonal_pool(E, x), below[x]):
+        for total in _mask_elements(_orthogonal_totals(E, x)):
             ok = below_rest >> total & 1 and b.below[ominus[total][x]] == floor
             out.tick((x, total), ok)
     return out

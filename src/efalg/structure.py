@@ -613,24 +613,26 @@ def _orthogonal_pool(E: FiniteEffectAlgebra, x: int) -> tuple[int, ...]:
     return _mask_elements(_below_both(E)[x] & ~(1 << E.zero))
 
 
-def _reachable_totals(E: _SumAlgebra, pool: tuple[int, ...], allowed: int) -> tuple[int, ...]:
-    """Sums of orthogonal multisets from the pool that lie in the down-set mask allowed.
+@memoized
+def _orthogonal_totals(E: FiniteEffectAlgebra, x: int) -> int:
+    """Mask of the sums of orthogonal multisets from x's pool that lie below x.
 
-    Partial sums lie below the total, so when the total is allowed so is every
-    partial sum in any order: the totals are the closure of zero under adding
-    pool elements inside allowed.
+    Partial sums lie below the total, so the totals are the closure of zero
+    under adding pool elements inside the down-set of x. A reader that keeps
+    the totals inside a down-set D reads this mask & D: a total in D has its
+    members and its partial sums below it, so in D too.
     """
-    rows = E.table.entries
+    rows, pool, allowed = E.table.entries, _orthogonal_pool(E, x), E._below[x]
     reached = 1 << E.zero
     frontier = [E.zero]
     while frontier:
         t = frontier.pop()
-        for x in pool:
-            s = rows[t][x]
+        for y in pool:
+            s = rows[t][y]
             if s != UNDEFINED and (allowed >> s) & 1 and not (reached >> s) & 1:
                 reached |= 1 << s
                 frontier.append(s)
-    return _mask_elements(reached)
+    return reached
 
 
 @memoized
@@ -638,15 +640,15 @@ def vartheta(E: FiniteEffectAlgebra, u: int) -> tuple[int, ...]:
     """Elements v and u - v for sums v of meager families orthogonal to u.
 
     The families range over meager elements below the supplement of u, with
-    a defined sum that stays below u and lands in the meager set. Both bounds
-    are down-sets, so the sums are a closure (see _reachable_totals).
+    a defined sum that stays below u and lands in the meager set. The meager
+    set is a down-set, so these are u's orthogonal totals inside it (see
+    _orthogonal_totals): a meager total has meager members.
     """
     _check_element(E, u)
     meager = sum(1 << m for m in meager_elements(E))
-    pool = tuple(m for m in _orthogonal_pool(E, u) if (meager >> m) & 1)
     out = set()
     ominus = E._ominus
-    for v in _reachable_totals(E, pool, E._below[u] & meager):
+    for v in _mask_elements(_orthogonal_totals(E, u) & meager):
         out.add(v)
         w = ominus[v][u]
         assert w is not None
@@ -676,28 +678,18 @@ def sigma_closure(E: FiniteEffectAlgebra, subset: Iterable[int]) -> frozenset[in
 
 
 def is_boolean_algebra(E: FiniteEffectAlgebra) -> bool:
-    """Lattice, distributive, orthosupplement complements: a Boolean algebra.
+    """A Boolean algebra: exactly an orthoalgebra with RDP, at finite order.
 
-    x ^ x' = 0 alone makes x' a complement. x -> x' reverses the order
-    (Foulis and Bennett, "Effect algebras and unsharp quantum logics",
-    Found. Phys. 24, 1994), so it maps the upper bounds of x and x' onto the
-    lower bounds of x' and x, and x v x' = (x' ^ x)' = 0' = 1.
-    Distributivity, x ^ (y v z) = (x ^ y) v (x ^ z), is compared a row of z
-    at a time on the meet table and a join table read, as every join is,
-    from the up-set rank masks; a lattice defines both.
+    A finite effect algebra with RDP is a product of chains (Ravindran, PhD
+    thesis, Kansas State 1996; Dvurecenskij and Pulmannova, "New Trends in
+    Quantum Structures", Kluwer 2000). A chain of three or more elements has
+    an atom a with a + a defined, and so does any product with such a factor.
+    So the product is an orthoalgebra only when every factor is the 2-chain,
+    which makes it a Boolean algebra. Conversely a Boolean algebra, with
+    x + y = x v y for disjoint x and y, defines x + x only for x = 0 and has
+    RDP, being a product of 2-chains.
     """
-    if not is_lattice(E):
-        return False
-    meet, sup, rabove, least = E._meets, E._sup, E._rabove, E._least
-    if any(meet[x][xc] != E.zero for x, xc in enumerate(sup)):
-        return False
-    join = [[least(ay & az) for az in rabove] for ay in rabove]
-    for mx in meet:
-        for y, jy in enumerate(join):
-            jxy = join[mx[y]]  # z -> (x ^ y) v z
-            if [mx[j] for j in jy] != [jxy[m] for m in mx]:
-                return False
-    return True
+    return orthoalgebra_counterexample(E) is None and rdp_counterexample(E) is None
 
 
 @dataclass(frozen=True)

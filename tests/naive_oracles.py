@@ -406,6 +406,24 @@ def naive_maximal_totals(entries, zero, x, within) -> set[int]:
     return totals
 
 
+def naive_orthogonal_totals(entries, zero, x, within) -> set[int]:
+    """Totals of the orthogonal families below x inside within.
+
+    Every multiset of the nonzero y <= x with x + y defined, of size below
+    the order, is folded member by member; its total counts when it is
+    defined, lies below x and is in within.
+    """
+    leq = _naive_leq(entries)
+    pool = [y for y in range(len(entries)) if y != zero and (y, x) in leq and entries[x][y] != UNDEF]
+    totals = set()
+    for size in range(len(entries)):
+        for family in itertools.combinations_with_replacement(pool, size):
+            total = _naive_fold(entries, zero, family)
+            if total is not None and (total, x) in leq and total in within:
+                totals.add(total)
+    return totals
+
+
 def _naive_refined(families, subset) -> bool:
     return any(members <= subset <= subs for members, subs in families)
 

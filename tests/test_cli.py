@@ -411,6 +411,11 @@ def test_unwritable_output_is_input_error(capsys, tmp_path, chain3_file, argv):
         (["suite", "--jobs", "0"], 3),
         (["suite", "--jobs", "-5"], 3),
         (["suite", "--jobs", "abc"], 3),
+        # gen refuses an option its kind does not read, before any file is opened
+        (["gen", "--kind", "chain", "--n", "2", "--files", "/nonexistent/x.efa"], 3),
+        (["gen", "--kind", "boolean", "--n", "2", "--files", "a.efa"], 3),
+        (["gen", "--kind", "hsum", "--files", "a.efa", "--n", "2"], 3),
+        (["gen", "--kind", "product", "--files", "a.efa", "b.efa", "--n", "9"], 3),
     ],
 )
 def test_usage_errors_are_input_errors(capsys, argv, expected):

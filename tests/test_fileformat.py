@@ -77,6 +77,13 @@ def test_symmetric_closure_on_read():
     assert alg.sum(0, 1) == 1
 
 
+def test_integers_are_ascii_digits_after_an_optional_minus():
+    # leading zeros and -0 are such integers, though the serializer writes neither
+    text = "efa 1\norder 03\nzero -0\none 002\nsum 0 0 0\nsum 01 0 1\nsum 2 -0 2\nsum 1 1 02\n"
+    canonical = "efa 1\norder 3\nzero 0\none 2\nsum 0 0 0\nsum 1 0 1\nsum 2 0 2\nsum 1 1 2\n"
+    assert serialize(parse(text)) == serialize(parse(canonical))
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -92,6 +99,11 @@ def test_symmetric_closure_on_read():
         ("efa 1\norder 2 7\nzero 0\none 1\n", "'order' takes one value, got 2"),
         ("efa 1\norder 2\nzero 0 1\none 1\n", "'zero' takes one value, got 2"),
         ("efa 1\norder 2\nzero 0\none 1 junk\n", "'one' takes one value, got 2"),
+        ("efa 1\norder 0_3\nzero 0\none 2\n", "order is not an integer: '0_3'"),
+        ("efa 1\norder +3\nzero 0\none 2\n", "order is not an integer: '+3'"),
+        ("efa 1\norder 3\nzero +0\none 2\n", "element is not an integer: '+0'"),
+        ("efa 1\norder 3\nzero 0\none \u0662\n", "element is not an integer: '\u0662'"),
+        ("efa 1\norder 3\nzero 0\none 2\nname \u0661 a\n", "element is not an integer: '\u0661'"),
     ],
 )
 def test_parse_errors_carry_line_and_reason(text, fragment):
@@ -120,6 +132,11 @@ _BAD_SUM_FIELDS = [
     ("sum 4 1 2", "element 4 out of range for order 4"),
     ("sum 1 5 2", "element 5 out of range for order 4"),
     ("sum 1 1 -6", "element -6 out of range for order 4"),
+    # int() takes these spellings too, but an integer is ASCII digits after an optional '-'
+    ("sum 0_1 1 2", "element is not an integer: '0_1'"),
+    ("sum 1 +1 2", "element is not an integer: '+1'"),
+    ("sum 1 1 \u0662", "element is not an integer: '\u0662'"),
+    ("sum 1 1 \uff12", "element is not an integer: '\uff12'"),
     # the first bad field is named, whatever follows it
     ("sum 1 b 6", "element is not an integer: 'b'"),
     ("sum 1 5 c", "element 5 out of range for order 4"),

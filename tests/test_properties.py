@@ -15,7 +15,7 @@ from efalg.catalog import direct_product, horizontal_sum, make_chain, named_cata
 import efalg.core
 import efalg.triple
 from efalg import properties
-from efalg.core import UNDEFINED, FiniteEffectAlgebra, PartialOpTable, Verdict, Violation
+from efalg.core import UNDEFINED, FiniteEffectAlgebra, PartialOpTable, Verdict, Violation, _mask_elements
 from efalg.properties import (
     ANCHORS,
     AnchorReport,
@@ -37,6 +37,7 @@ from efalg.structure import (
     HypothesisError,
     _families,
     _family_refines,
+    _orthogonal_totals,
     decompose,
     homogeneity_counterexample,
     is_homogeneous,
@@ -57,6 +58,7 @@ from naive_oracles import (
     naive_meet,
     naive_modyjem,
     naive_orthogonal_ticks,
+    naive_orthogonal_totals,
     naive_refined_cores,
 )
 from test_core import PLANTED
@@ -429,6 +431,26 @@ def test_maximal_totals_match_the_maximal_families_listed_one_by_one(relabelled_
                 allowed = alg.below_mask(x) & sum(1 << y for y in within)
                 got = list(_maximal_totals(alg, x, allowed))
                 assert got == sorted(naive_maximal_totals(entries, zero, x, within)), (x, within)
+
+
+def test_orthogonal_totals_match_the_families_listed_one_by_one(relabelled_6):
+    """For every x, with D the meager set or the down-set of any z, the
+    orthogonal totals of x that lie in D are the totals in D of the
+    orthogonal families below x, each folded member by member. Some x has
+    totals besides zero, and some D keeps only part of them."""
+    grown = cut = 0
+    for alg in relabelled_6:
+        entries, zero, _ = plain(alg)
+        meager = set(meager_elements(alg))
+        for x in alg.elements():
+            totals = _orthogonal_totals(alg, x)
+            grown += totals != 1 << zero
+            for within in [meager] + [set(alg.down_set(z)) for z in alg.elements()]:
+                inside = totals & sum(1 << y for y in within)
+                cut += inside != totals
+                got = _mask_elements(inside)
+                assert got == tuple(sorted(naive_orthogonal_totals(entries, zero, x, within))), (x, within)
+    assert grown and cut
 
 
 def test_corcduya_ticks_the_law_read_off_the_table(catalog, enumerated_8):

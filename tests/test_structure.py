@@ -265,8 +265,8 @@ class TestPrincipalCentral:
             assert is_boolean_algebra(sub)
 
     def test_boolean_check_refuses_non_boolean_algebras(self, enumerated_6):
-        # MO2 is a complemented lattice that is not distributive, so only the
-        # distributivity scan refuses it; a chain fails the complement check
+        # MO2 is a complemented lattice that is not distributive: an
+        # orthoalgebra without RDP; a chain of three has a + a defined
         mo2 = horizontal_sum([make_boolean(2)] * 2)
         assert is_lattice(mo2) and not is_boolean_algebra(mo2)
         assert not is_boolean_algebra(make_chain(2))
@@ -283,6 +283,21 @@ class TestPrincipalCentral:
         assert verdicts == {True, False}
         for sub in subs:
             assert is_boolean_algebra(sub) == naive_is_boolean(*plain(sub)), sub
+
+    def test_boolean_check_matches_the_definition_on_a_wider_corpus(self, catalog, enumerated_8):
+        """is_boolean_algebra, which asks for an orthoalgebra with RDP, agrees
+        with the definition (a lattice, complemented by x', distributive) on
+        the catalog and the classes to order 8, on each one's centre, its
+        block restrictions and its nonzero intervals; both verdicts occur."""
+        subs = []
+        for alg in [alg for _, alg in catalog] + list(enumerated_8):
+            subs += [alg, restrict(alg, central_elements(alg))[0]]
+            subs += [_block_algebra(alg, b)[0] for b in blocks(alg) if is_sub_effect_algebra(alg, b)]
+            subs += [interval_algebra(alg, top)[0] for top in alg.elements() if top != alg.zero]
+        verdicts = [is_boolean_algebra(sub) for sub in subs]
+        assert set(verdicts) == {True, False}
+        for sub, verdict in zip(subs, verdicts):
+            assert verdict == naive_is_boolean(*plain(sub)), sub
 
     def test_centre_needs_a_principal_supplement(self, enumerated_8):
         # two order-8 classes have a principal element across which, with its
