@@ -3,9 +3,8 @@
 Exit codes are a stable contract for CI: 0 all checks passed, 1 a property
 or axiom check failed, 2 an operation's hypotheses were not met, 3 the
 input was malformed, a usage error or an output that cannot be written.
-``suite`` takes its worker count from ``--jobs``, which must be at least 1,
-or else the EFALG_JOBS environment variable, capped at the CPU count; output
-bytes do not depend on it.
+``suite`` takes its worker count from ``--jobs`` (default 1), which must be
+at least 1 and is capped at the CPU count; output bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run every property check over the catalog and enumeration")
     p.add_argument("--max-order", type=int, default=6)
-    p.add_argument("--jobs", type=_worker_count, help="workers, at least 1; default EFALG_JOBS or 1")
+    p.add_argument("--jobs", type=_worker_count, default=1, help="workers, at least 1; default 1")
     p.set_defaults(fn=cmd_suite)
 
     return parser

@@ -19,15 +19,17 @@ is checked once. An algebra derived from one already verified is not
 checked again when its axioms follow from the construction. Those
 constructions build through the private _SumAlgebra._trusted, and each
 proves the axioms in its docstring:
-- structure.restrict, once its closure check passed and the subset holds
-  zero, one and every member's supplement (a sub-effect algebra: Sh(E),
-  blocks, the centre);
-- structure.restrict_downset on a down-set holding zero (Mea(E)) and
-  structure.interval_algebra;
+- structure.restrict on a sub-effect algebra: a subset closed under sums
+  and holding zero, one and every member's supplement (Sh(E), blocks, the
+  centre);
+- structure.restrict_downset on a down-set holding zero (Mea(E), HMea(E))
+  and structure.interval_algebra;
 - iso.canonical_algebra, a relabelling of a verified table;
 - catalog.direct_product and catalog.horizontal_sum of verified factors;
 - the rebuild of triple.verify_roundtrip, once its map to the source is an
   isomorphism; on any failure the rebuild gets the full check first.
+The two restrictions refuse any other subset with ValueError naming what it
+lacks, so neither runs the verifier.
 No constructor builds derived data: the order data, the rank data, the meet
 table and heavier memoized structure are built on first read and freed with
 the algebra, and a pickle holds the fields only.
@@ -321,6 +323,7 @@ def _left_defined_triples_agree(table: PartialOpTable) -> bool:
 
 
 _MEMO = "_memo"
+_MISSING = object()  # a memo miss; results may be None
 
 
 class _Memoizing:
@@ -345,12 +348,11 @@ def memoized(fn):
     @functools.wraps(fn)
     def wrapper(obj, *args):
         key = (fn, args)
-        try:
-            return obj.__dict__[_MEMO][key]
-        except KeyError:
-            pass
-        value = fn(obj, *args)
-        obj.__dict__.setdefault(_MEMO, {})[key] = value
+        memo = obj.__dict__.get(_MEMO)
+        value = _MISSING if memo is None else memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = fn(obj, *args)
+            obj.__dict__.setdefault(_MEMO, {})[key] = value
         return value
 
     return wrapper

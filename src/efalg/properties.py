@@ -85,7 +85,7 @@ from .triple import (
     verify_roundtrip,
 )
 
-__all__ = ["CheckOutcome", "AnchorReport", "ANCHORS", "run_checks", "run_suite", "worker_count"]
+__all__ = ["CheckOutcome", "AnchorReport", "ANCHORS", "run_checks", "run_suite"]
 
 
 @dataclass
@@ -930,32 +930,18 @@ def run_checks(E: FiniteEffectAlgebra) -> list[tuple[str, CheckOutcome]]:
     return [(anchor, outcomes[fn]) for anchor, fn in ANCHORS]
 
 
-def worker_count() -> int:
-    """Worker override from the environment; invalid values mean one worker."""
-    raw = os.environ.get("EFALG_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        return 1
-    return max(jobs, 1)
-
-
 def _named_checks(item: tuple[str, FiniteEffectAlgebra]):
     name, alg = item
     return name, run_checks(alg)
 
 
-def run_suite(
-    universe: Iterable[tuple[str, FiniteEffectAlgebra]], jobs: int | None = None
-) -> list[AnchorReport]:
+def run_suite(universe: Iterable[tuple[str, FiniteEffectAlgebra]], jobs: int = 1) -> list[AnchorReport]:
     """Run every anchor over the universe; output is independent of job count.
 
     One worker checks each algebra as it reads it; more list the universe once.
     The job count, which comes from outside the program, is capped at the CPU
     count, so no value starts more processes than the machine can run.
     """
-    if jobs is None:
-        jobs = worker_count()
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         import multiprocessing

@@ -463,52 +463,61 @@ def decompose(E: FiniteEffectAlgebra, x: int) -> tuple[int, int]:
 # _members, before it reads the table.
 
 
-def is_sub_effect_algebra(E: FiniteEffectAlgebra, subset: Iterable[int]) -> bool:
-    """Unit membership plus two-out-of-three closure under defined sums.
+def _sub_effect_failure(E: FiniteEffectAlgebra, elems: tuple[int, ...]) -> str | None:
+    """Why the members elems (ascending) are not a sub-effect algebra of E, or
+    None when they are.
 
-    A defined sum x + y = z breaks the closure exactly when two of x, y, z
-    are members and the third is not.
+    A sub-effect algebra Q holds one and is closed two out of three: a
+    defined sum x + y = z with two of x, y, z in Q has the third in Q. With
+    one in Q that holds exactly when Q is closed under defined sums, holds
+    zero and one, and holds each member's supplement. Forward: x, y in Q
+    give z; one + zero = one gives zero; x + x' = one gives x'. Back: if
+    x + y = z with x and z in Q, then x + z' is defined, since
+    (x + y) + z' = one, and y = (x + z')' lies in Q; the case y, z in Q is
+    the same. The first failure is named in that order: the first member x
+    (ascending) with a defined sum x + y, y a member and x + y not, in
+    row_sums order; then zero, one; then the least member whose supplement
+    is missing.
     """
-    q = sum(1 << x for x in _members(E, subset))
-    if not (q >> E.one) & 1:
-        return False
-    # a sum with two members has a member summand, and the table is
-    # symmetric, so the sum appears in that member's row
-    for x in _mask_elements(q):
+    q = sum(1 << x for x in elems)
+    for x in elems:
         for y, z in E.table.row_sums[x]:
-            if ((q >> y) & 1) + ((q >> z) & 1) == 1:
-                return False
-    return True
+            if (q >> y) & 1 and not (q >> z) & 1:
+                return f"subset not closed under defined sums at ({x},{y})"
+    for role, c in (("zero", E.zero), ("one", E.one)):
+        if not (q >> c) & 1:
+            return f"subset does not hold {role} ({c})"
+    sup = E._sup
+    for x in elems:
+        if not (q >> sup[x]) & 1:
+            return f"subset does not hold the supplement of {x} ({sup[x]})"
+    return None
+
+
+def is_sub_effect_algebra(E: FiniteEffectAlgebra, subset: Iterable[int]) -> bool:
+    """Unit membership plus two-out-of-three closure under defined sums; see
+    _sub_effect_failure."""
+    return _sub_effect_failure(E, _members(E, subset)) is None
 
 
 def restrict(E: FiniteEffectAlgebra, subset: Iterable[int]) -> tuple[FiniteEffectAlgebra, tuple[int, ...]]:
-    """Sub-effect algebra on a closed subset, with the element back-map.
+    """Sub-effect algebra on a subset, with the element back-map.
 
-    The result skips the axiom check exactly when the subset Q is a
-    sub-effect algebra of the verified E, that is, closed under defined
-    sums and holding one and each member's supplement (then for members
-    x <= z, z - x = (x + z')' is a member). The induced table is E's table
-    on Q. Commutativity and associativity are inherited: if (x + y) + z is
-    defined for members, E defines y + z, a member, and x + (y + z) equals
-    it (and symmetrically). Each member x has its supplement in Q, the
-    only y with x + y = one, as in E; one + x is defined only for x = zero,
-    and zero != one, as in E. A subset not closed under sums, or closed but
-    without zero or one, is refused with ValueError naming what it lacks
-    (the empty subset lacks zero); any other gets the full constructor,
-    which refuses it.
+    The result skips the axiom check: the subset Q is a sub-effect algebra
+    of the verified E, closed under defined sums and holding zero, one and
+    each member's supplement. The induced table is E's table on Q. Commutativity and
+    associativity are inherited: if (x + y) + z is defined for members, E
+    defines y + z, a member, and x + (y + z) equals it (and symmetrically).
+    Each member x has its supplement in Q, the only y with x + y = one, as
+    in E; one + x is defined only for x = zero, and zero != one, as in E.
+    Any other subset is refused with ValueError naming its first failure in
+    _sub_effect_failure's order (the empty subset lacks zero).
     """
     table, pos, elems = _induced_table(E, subset)
-    zero, one = pos[E.zero], pos[E.one]
-    if is_sub_effect_algebra(E, elems):
-        return FiniteEffectAlgebra._trusted(table, zero, one), elems
-    for a in elems:
-        for b, v in E.table.row_sums[a]:
-            if pos[b] != UNDEFINED and pos[v] == UNDEFINED:
-                raise ValueError(f"subset not closed under defined sums at ({a},{b})")
-    for role, c in (("zero", E.zero), ("one", E.one)):
-        if pos[c] == UNDEFINED:
-            raise ValueError(f"subset does not hold {role} ({c})")
-    return FiniteEffectAlgebra(table, zero, one), elems
+    failure = _sub_effect_failure(E, elems)
+    if failure is not None:
+        raise ValueError(failure)
+    return FiniteEffectAlgebra._trusted(table, pos[E.zero], pos[E.one]), elems
 
 
 @memoized
@@ -558,22 +567,28 @@ def restrict_downset(
 ) -> tuple[FiniteGeneralizedEffectAlgebra, tuple[int, ...]]:
     """Generalized effect algebra on a down-set: sums defined when they stay inside.
 
-    On a down-set D (non-empty, so holding zero) the result skips the axiom
-    check, since the axioms follow from those of the verified E.
-    Commutativity is inherited. Associativity: if (x + y) + z is defined in
-    D, E defines y + z and x + (y + z) with the same value, and y + z lies
-    below it, so in D; the other direction is symmetric. Cancellation and "x + y = zero only for x = y = zero"
-    hold in E, and x + zero = x is in D. A subset without zero, the empty
-    one included, is refused with ValueError naming zero; any other gets the
-    full constructor.
+    On a down-set D holding zero the result skips the axiom check, since
+    the axioms follow from those of the verified E. Commutativity is
+    inherited. Associativity: if (x + y) + z is defined in D, E defines
+    y + z and x + (y + z) with the same value, and y + z lies below it, so
+    in D; the other direction is symmetric. Cancellation and
+    "x + y = zero only for x = y = zero" hold in E, and x + zero = x is in
+    D. A subset without zero, the empty one included, is refused with
+    ValueError naming zero; any other subset that is not a down-set is
+    refused naming its least member x with some y <= x outside it, and the
+    least such y. The callers pass down-sets that hold zero: Mea(E), since
+    a nonzero sharp element below y <= x lies below x; and HMea(E), a union
+    of the down-sets of common lower bounds of y and y'.
     """
     table, pos, elems = _induced_table(E, downset)
     if pos[E.zero] == UNDEFINED:
         raise ValueError(f"subset does not hold zero ({E.zero})")
     inside = sum(1 << x for x in elems)
-    if all(E._below[x] & ~inside == 0 for x in elems):  # a non-empty down-set holds zero
-        return FiniteGeneralizedEffectAlgebra._trusted(table, pos[E.zero]), elems
-    return FiniteGeneralizedEffectAlgebra(table, pos[E.zero]), elems
+    for x in elems:
+        outside = E._below[x] & ~inside
+        if outside:
+            raise ValueError(f"subset is not a down-set: {_mask_elements(outside)[0]} <= {x} lies outside it")
+    return FiniteGeneralizedEffectAlgebra._trusted(table, pos[E.zero]), elems
 
 
 @memoized

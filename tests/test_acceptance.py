@@ -220,7 +220,7 @@ def test_criterion_5_mutation_sensitivity():
     )
 
 
-def test_criterion_6_format_stability(universe_6, tmp_path, monkeypatch):
+def test_criterion_6_format_stability(universe_6, tmp_path):
     fix_ok = all(
         parse(serialize(alg)) == alg and serialize(parse(serialize(alg))) == serialize(alg)
         for _, alg in universe_6
@@ -242,10 +242,9 @@ def test_criterion_6_format_stability(universe_6, tmp_path, monkeypatch):
 
     outputs = {}
     for jobs in ("1", "2"):
-        monkeypatch.setenv("EFALG_JOBS", jobs)
         buf = io.StringIO()
         with redirect_stdout(buf):
-            code = main(["suite", "--max-order", "4"])
+            code = main(["suite", "--max-order", "4", "--jobs", jobs])
         assert code == 0
         outputs[jobs] = buf.getvalue()
     _report(

@@ -463,14 +463,8 @@ def test_suite_reaches_past_the_default_bound(capsys):
 SUITE_6_SHA256 = "b048a36303e54248cf6f2e0f2b4d7958c327da61525fd86f3a220dbfacf42791"
 
 
-@pytest.mark.parametrize(
-    "jobs, flags", [(None, ()), ("2", ()), (None, ("--jobs", "2"))], ids=["None", "2", "jobs-flag"]
-)
-def test_suite_table_does_not_move(capsys, monkeypatch, jobs, flags):
-    if jobs is None:
-        monkeypatch.delenv("EFALG_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("EFALG_JOBS", jobs)
+@pytest.mark.parametrize("flags", [(), ("--jobs", "1"), ("--jobs", "2")], ids=["default", "jobs-1", "jobs-2"])
+def test_suite_table_does_not_move(capsys, flags):
     code, out, _ = run(capsys, "suite", "--max-order", "6", *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SUITE_6_SHA256
@@ -489,8 +483,7 @@ SUITE_SHA256 = {
 
 @pytest.mark.slow
 @pytest.mark.parametrize("max_order", SUITE_SHA256)
-def test_larger_suite_tables_do_not_move(capsys, monkeypatch, max_order):
-    monkeypatch.setenv("EFALG_JOBS", "1")
+def test_larger_suite_tables_do_not_move(capsys, max_order):
     code, out, _ = run(capsys, "suite", "--max-order", max_order)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SUITE_SHA256[max_order]
@@ -499,8 +492,7 @@ def test_larger_suite_tables_do_not_move(capsys, monkeypatch, max_order):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_suite_prints_failures_and_notes(capsys, monkeypatch, jobs):
     monkeypatch.setattr(properties, "ANCHORS", FAILING_ANCHORS)
-    monkeypatch.setenv("EFALG_JOBS", jobs)
-    code, out, _ = run(capsys, "suite", "--max-order", "3")
+    code, out, _ = run(capsys, "suite", "--max-order", "3", "--jobs", jobs)
     # the first three failures in universe order, then every note
     assert (code, out) == (1, (
         "odd    algebras   17  checks      17  FAIL\n"
@@ -513,6 +505,19 @@ def test_suite_prints_failures_and_notes(capsys, monkeypatch, jobs):
         "       note: hsum-3-3: order 4\n"
         "anchors: 2, failing: 1\n"
     ))
+
+
+def test_the_environment_sets_no_worker_count(capsys, monkeypatch):
+    """EFALG_JOBS is not read: the suite runs in process, one worker."""
+    import multiprocessing
+
+    def no_pool(method):
+        raise AssertionError("a worker pool was asked for")
+
+    monkeypatch.setenv("EFALG_JOBS", "2")
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    code, out, _ = run(capsys, "suite", "--max-order", "3")
+    assert code == 0 and "failing: 0" in out
 
 
 def test_module_entry_point_subprocess(tmp_path):

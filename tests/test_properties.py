@@ -31,7 +31,6 @@ from efalg.properties import (
     check_structure_sets,
     run_checks,
     run_suite,
-    worker_count,
 )
 from efalg.structure import (
     HypothesisError,
@@ -294,20 +293,8 @@ def test_suite_passes_on_the_order_9_classes(enumerated_9):
     assert [(r.anchor, r.failures) for r in reports] == [(a, []) for a, _ in ANCHORS]
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("EFALG_JOBS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("EFALG_JOBS", "garbage")
-    assert worker_count() == 1
-    monkeypatch.setenv("EFALG_JOBS", "-2")
-    assert worker_count() == 1
-    monkeypatch.delenv("EFALG_JOBS")
-    assert worker_count() == 1
-
-
 def test_job_count_is_capped_at_the_cpu_count(monkeypatch):
-    """A huge job count, passed in or from EFALG_JOBS, asks for a pool of
-    the CPU count. The pool is a fake that records its size and maps in
+    """A huge job count asks for a pool of the CPU count. The pool is a fake that records its size and maps in
     process, so no process starts."""
     sizes = []
 
@@ -332,12 +319,10 @@ def test_job_count_is_capped_at_the_cpu_count(monkeypatch):
     universe = [("chain-3", make_chain(2))]
     want = run_suite(universe, jobs=1)
     assert run_suite(universe, jobs=10**6) == want
-    monkeypatch.setenv("EFALG_JOBS", "1000000")
-    assert run_suite(universe) == want
     # an unknown CPU count means one worker, in process
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert run_suite(universe) == want
-    assert sizes == [3, 3]
+    assert run_suite(universe, jobs=10**6) == want
+    assert sizes == [3]
 
 
 def test_false_flags_carry_least_witness():

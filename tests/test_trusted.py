@@ -4,16 +4,19 @@ The oracle rebuilds every such algebra through the public constructor, which
 runs the full verifier, and requires the same value and the same order data.
 """
 
+import ast
 import dataclasses
 import itertools
 import pickle
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 import efalg.core
 from efalg.catalog import direct_product, horizontal_sum, make_boolean, make_chain
-from efalg.core import AxiomViolationError, FiniteEffectAlgebra, FiniteGeneralizedEffectAlgebra, axiom_verdict
+from efalg.core import UNDEFINED, FiniteEffectAlgebra, FiniteGeneralizedEffectAlgebra, axiom_verdict
 from efalg.fileformat import parse, serialize
 from efalg.iso import canonical_algebra
 from efalg.structure import (
@@ -63,7 +66,7 @@ def derived(E):
     for b in blocks(E):
         try:
             yield f"block {b}", restrict(E, b)[0]
-        except ValueError:  # refused by the closure check or the full constructor
+        except ValueError:  # not a sub-effect algebra, refused by name
             pass
     sharp = sharp_elements(E)
     if is_sub_effect_algebra(E, sharp):
@@ -119,8 +122,8 @@ def test_products_and_horizontal_sums_pass_the_full_check(catalog):
 
 
 def test_a_restriction_missing_a_supplement_is_still_refused():
-    # {0, 1, 3} passes the closure check of restrict, but 2 = 1' is missing
-    with pytest.raises(AxiomViolationError, match="Eiii"):
+    # {0, 1, 3} is closed under sums and holds zero and one, but 2 = 1' is missing
+    with pytest.raises(ValueError, match=r"^subset does not hold the supplement of 1 \(2\)$"):
         restrict(make_boolean(2), [0, 1, 3])
 
 
@@ -143,7 +146,7 @@ def test_restrict_trusts_exactly_the_sub_effect_algebras(universe_6, monkeypatch
                 try:
                     restrict(E, subset)
                     trusted = calls == []
-                except ValueError:  # not closed under sums, or refused by the verifier
+                except ValueError:  # not a sub-effect algebra, refused by name
                     trusted = False
                 assert trusted == expected, (name, subset)
                 seen[expected] += 1
@@ -157,8 +160,86 @@ def test_only_down_sets_skip_the_check(monkeypatch):
     chain = make_chain(3)
     restrict_downset(chain, [0, 1, 2])
     assert calls == []
-    restrict_downset(chain, [0, 2])  # not a down-set: 1 <= 2 is missing
-    assert len(calls) == 1
+    with pytest.raises(ValueError, match=r"^subset is not a down-set: 1 <= 2 lies outside it$"):
+        restrict_downset(chain, [0, 2])
+    assert calls == []
+
+
+def refusal_reason(entries, zero, one, subset, message):
+    """The kind of a restriction's refusal message, or None unless the
+    message is true of the table."""
+    inside = set(subset)
+    if m := re.fullmatch(r"subset not closed under defined sums at \((\d+),(\d+)\)", message):
+        a, b = map(int, m.groups())
+        holds = {a, b} <= inside and entries[a][b] != UNDEFINED and entries[a][b] not in inside
+        return "sum" if holds else None
+    if m := re.fullmatch(r"subset does not hold (zero|one) \((\d+)\)", message):
+        c = int(m[2])
+        return m[1] if c == {"zero": zero, "one": one}[m[1]] and c not in inside else None
+    if m := re.fullmatch(r"subset does not hold the supplement of (\d+) \((\d+)\)", message):
+        x, sup = map(int, m.groups())
+        return "supplement" if x in inside and entries[x][sup] == one and sup not in inside else None
+    if m := re.fullmatch(r"subset is not a down-set: (\d+) <= (\d+) lies outside it", message):
+        y, x = map(int, m.groups())
+        return "down-set" if x in inside and x in entries[y] and y not in inside else None
+    return None
+
+
+def test_no_restriction_runs_the_axiom_check(universe_6, monkeypatch):
+    """restrict and restrict_downset trust every subset they accept and
+    refuse every other one with a true reason, without the verifier."""
+    corpus = list(with_relabelling(universe_6, 44))  # relabelling runs the verifier
+    calls = []
+    for fn in ("verify_effect_algebra", "verify_generalized"):
+        original = getattr(efalg.core, fn)
+        monkeypatch.setattr(efalg.core, fn, lambda *a, original=original: calls.append(a) or original(*a))
+    reasons = {restrict: set(), restrict_downset: set()}
+    for name, E in corpus:
+        entries, zero, one = plain(E)
+        for k in range(E.order + 1):
+            for subset in itertools.combinations(E.elements(), k):
+                for fn in (restrict, restrict_downset):
+                    try:
+                        fn(E, subset)
+                    except ValueError as exc:
+                        reason = refusal_reason(entries, zero, one, subset, str(exc))
+                        assert reason is not None, (name, fn.__name__, subset, exc)
+                        reasons[fn].add(reason)
+    assert calls == []
+    assert reasons == {restrict: {"sum", "zero", "one", "supplement"}, restrict_downset: {"zero", "down-set"}}
+
+
+def constructor_calls(source: str) -> set[str]:
+    """The enclosing function paths, such as outer/inner, of the calls
+    FiniteEffectAlgebra(...) and FiniteGeneralizedEffectAlgebra(...)."""
+    found = set()
+
+    def walk(node, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            path = path + (node.name,)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("FiniteEffectAlgebra", "FiniteGeneralizedEffectAlgebra"):
+                found.add("/".join(path))
+        for child in ast.iter_child_nodes(node):
+            walk(child, path)
+
+    walk(ast.parse(source), ())
+    return found
+
+
+def test_only_outside_input_named_constructions_and_leaves_run_the_axiom_check():
+    """The public constructors, which run the verifier, are called only on
+    outside input, on the dense named constructions and on the enumerator's
+    leaves; every derived algebra is built trusted, by proof."""
+    src = Path(efalg.core.__file__).parent
+    calls = {(path.stem, fn) for path in sorted(src.glob("*.py")) for fn in constructor_calls(path.read_text())}
+    assert calls == {
+        ("fileformat", "parse"),
+        ("fileformat", "parse_generalized"),
+        ("catalog", "make_chain"),
+        ("catalog", "make_boolean"),
+        ("catalog", "_complete_tables/dfs"),
+    }
 
 
 def test_trusted_instances_compare_hash_print_and_pickle_like_checked_ones():
