@@ -113,8 +113,8 @@ class Verdict:
 class PartialOpTable:
     """Square table of the partial sum; cell value UNDEFINED marks a missing sum.
 
-    The table is fully materialized and immutable. Squareness and cell range
-    are enforced here; everything semantic (symmetry included) is the
+    The table is fully materialized and immutable. Squareness, int cells and
+    cell range are enforced here; everything semantic (symmetry included) is the
     verifier's job, so that broken tables can still be diagnosed.
 
     row_sums[x] holds the pairs (y, x + y) of the defined cells of row x, in
@@ -138,10 +138,11 @@ class PartialOpTable:
         for i, row in enumerate(self.entries):
             if len(row) != n:
                 raise MalformedTableError(f"row {i} has length {len(row)}, expected {n}")
-            sums.append(tuple([(j, v) for j, v in enumerate(row) if v != UNDEFINED]))
+            # a cell equal to UNDEFINED but not an int (-1.0) is listed, and refused
+            sums.append(tuple([(j, v) for j, v in enumerate(row) if v != UNDEFINED or v.__class__ is not int]))
             for j, v in sums[-1]:
-                if not (0 <= v < n):
-                    raise MalformedTableError(f"cell ({i},{j}) holds {v}, out of range")
+                if v.__class__ is not int or not 0 <= v < n:
+                    raise MalformedTableError(_cell_failure(i, j, v))
         object.__setattr__(self, "row_sums", tuple(sums))
 
     @property
@@ -171,12 +172,12 @@ class PartialOpTable:
             cells = [UNDEFINED] * n
             last = -1
             for j, v in row:
-                if not (last < j < n and 0 <= v < n):
+                if not (last < j < n and 0 <= v < n) or v.__class__ is not int:
                     if not 0 <= j < n:
                         raise MalformedTableError(f"cell ({i},{j}) lies outside the {n} columns")
                     if j <= last:
                         raise MalformedTableError(f"cell ({i},{j}) does not follow column {last}")
-                    raise MalformedTableError(f"cell ({i},{j}) holds {v}, out of range")
+                    raise MalformedTableError(_cell_failure(i, j, v))
                 cells[j] = v
                 last = j
             entries.append(tuple(cells))
@@ -186,8 +187,17 @@ class PartialOpTable:
         return table
 
 
+def _cell_failure(i: int, j: int, v) -> str:
+    """Why the cell (i, j), holding v, is refused: v is not an int, or out of range."""
+    if v.__class__ is not int:
+        return f"cell ({i},{j}) holds {v!r}, not an int"
+    return f"cell ({i},{j}) holds {v}, out of range"
+
+
 def _check_constants(table: PartialOpTable, *constants: int) -> None:
     for c in constants:
+        if c.__class__ is not int:
+            raise MalformedTableError(f"distinguished element {c!r} is not an int")
         if not (0 <= c < table.order):
             raise MalformedTableError(f"distinguished element {c} out of range")
 

@@ -21,7 +21,10 @@ E.ominus(x, y) is E._ominus[y][x]; E.meet(x, y) is E._meets[x][y];
 E.orthosupplement(x) is E._sup[x]; E.join(x, y) is
 _least(_rabove[x] & _rabove[y]) in E and in Mea(E) alike, join_set taking
 the AND over the set; are_compatible(E, x, y) is _compat_masks(E)[x] >> y
-& 1. The triple's maps read its memoized tables: x in h(s) is
+& 1. A meet or join inside a block, Mea(E) or [0, t] is E's, with the
+carrier's rank mask ANDed in, as _greatest(_rbelow[x] & _rbelow[y] &
+carrier): a restriction orders its carrier as E does (see structure.py's
+restrictions). The triple's maps read its memoized tables: x in h(s) is
 _h_masks(T)[s] >> x & 1, widehat_triple(T, x) is _widehat_vector(T)[x],
 r_map(T, x) is _r_vector(T)[x], pi_s(T, s, x) is _pi_table(T)[s][x] and
 s_map(T, x, y) is _split_table(T)[0][x][y]. A bit that enters a witness is
@@ -451,24 +454,29 @@ def check_ocmdcduya(E: FiniteEffectAlgebra) -> CheckOutcome:
 
 
 def check_dusminimax(E: FiniteEffectAlgebra) -> CheckOutcome:
+    """Every two meager elements have a meet in Mea(E), keyed by their
+    indices in Mea(E). Their common lower bounds are meager, Mea(E) being a
+    down-set, so their meet in E is their meet in Mea(E)."""
     out = CheckOutcome()
-    mea, _ = meager_algebra(E)
-    for x, row in enumerate(mea._meets):
-        for y in range(x, mea.order):
-            out.tick((x, y), row[y] is not None)
+    meager, meets = meager_elements(E), E._meets
+    for i, x in enumerate(meager):
+        row = meets[x]
+        for j in range(i, len(meager)):
+            out.tick((i, j), row[meager[j]] is not None)
     return out
 
 
 def check_meetmodjen(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     above = sharp_bounds(E).above
-    meets = E._meets
+    meets, rbelow, greatest, zero = E._meets, E._rbelow, E._greatest, E.zero
     for b in blocks(E):
-        sub, elems = _block_algebra(E, b)  # b is sorted, so elems == b
-        for x, sub_row in zip(elems, sub._meets):
-            for y, m in zip(elems, sub_row):
-                if m == sub.zero:
-                    out.tick((b, x, y), meets[above[x]][above[y]] == E.zero)
+        b_rank = E._rank_mask(sum(1 << y for y in b))
+        for x in b:
+            for y in b:
+                # x ^ y = zero inside the block
+                if greatest(rbelow[x] & rbelow[y] & b_rank) == zero:
+                    out.tick((b, x, y), meets[above[x]][above[y]] == zero)
     return out
 
 
@@ -495,47 +503,31 @@ def check_ycoveredhea(E: FiniteEffectAlgebra) -> CheckOutcome:
 
 
 def check_modjen(E: FiniteEffectAlgebra) -> CheckOutcome:
+    """Meets and joins in a block, in Mea(E) and in the interval from zero to
+    the sharp cover are E's own, read inside each carrier's rank mask."""
     out = CheckOutcome()
     meager = frozenset(meager_elements(E))
     bounds = sharp_bounds(E)
-    mea, mea_src = meager_algebra(E)
-    mea_index = {e: i for i, e in enumerate(mea_src)}
-    mea_rabove, mea_least = mea._rabove, mea._least
+    mea_rank = E._rank_mask(sum(1 << m for m in meager))
     rows, below, ominus, meets = E.table.entries, E._below, E._ominus, E._meets
+    rbelow, rabove, greatest, least = E._rbelow, E._rabove, E._greatest, E._least
     for b in blocks(E):
-        sub, elems = _block_algebra(E, b)
-        index = {e: i for i, e in enumerate(elems)}
-        sub_meets, sub_rabove, sub_least = sub._meets, sub._rabove, sub._least
+        b_rank = E._rank_mask(sum(1 << y for y in b))
         b_meager = [x for x in b if x in meager]
         for y in b_meager:
             for v in b:
-                mb = sub_meets[index[v]][index[y]]
                 me = meets[v][y]
-                out.tick((b, v, y, "i"), me is not None and mb is not None and elems[mb] == me)
+                out.tick((b, v, y, "i"), me is not None and greatest(rbelow[v] & rbelow[y] & b_rank) == me)
         for x in b_meager:
             hat = bounds.above[x]
-            if hat != E.zero:
-                ivl, ivl_elems = interval_algebra(E, hat)
-                ivl_index = {e: i for i, e in enumerate(ivl_elems)}
-                ivl_rabove, ivl_least = ivl._rabove, ivl._least
             for y in b_meager:
                 if bounds.above[y] != hat:
                     continue
                 m = meets[x][y]
                 out.tick((b, x, y, "ii"), m is not None and ominus[m][hat] in meager)
-                jm = mea_least(mea_rabove[mea_index[x]] & mea_rabove[mea_index[y]])
-                jb = sub_least(sub_rabove[index[x]] & sub_rabove[index[y]])
-                if hat == E.zero:
-                    ji_src: int | None = E.zero
-                else:
-                    ji = ivl_least(ivl_rabove[ivl_index[x]] & ivl_rabove[ivl_index[y]])
-                    ji_src = None if ji is None else ivl_elems[ji]
-                ok = (
-                    jm is not None
-                    and jb is not None
-                    and ji_src is not None
-                    and mea_src[jm] == elems[jb] == ji_src
-                )
+                up = rabove[x] & rabove[y]
+                jm = least(up & mea_rank)
+                ok = jm is not None and jm == least(up & b_rank) == least(up & rbelow[hat])
                 out.tick((b, x, y, "iii"), ok)
                 out.tick((b, x, y, "iv"), m is not None and bounds.above[m] == hat)
         for x in b_meager:
@@ -551,19 +543,17 @@ def check_modjen(E: FiniteEffectAlgebra) -> CheckOutcome:
 def check_modchov(E: FiniteEffectAlgebra) -> CheckOutcome:
     out = CheckOutcome()
     mea, mea_src = meager_algebra(E)
+    mea_rank = E._rank_mask(sum(1 << m for m in mea_src))
+    # compatibility inside Mea(E) is c2, a question about Mea(E) itself
     compat, mea_compat = _compat_masks(E), _compat_masks(mea)
-    ominus, mea_meets, mea_rabove, mea_least = E._ominus, mea._meets, mea._rabove, mea._least
+    ominus, meets, rabove, least = E._ominus, E._meets, E._rabove, E._least
     for i, x in enumerate(mea_src):
         for j, y in enumerate(mea_src):
             c1 = compat[x] >> y & 1 == 1
             c2 = mea_compat[i] >> j & 1 == 1
-            join = mea_least(mea_rabove[i] & mea_rabove[j])
-            meet = mea_meets[i][j]
-            c3 = (
-                join is not None
-                and meet is not None
-                and ominus[y][mea_src[join]] == ominus[mea_src[meet]][x]
-            )
+            join = least(rabove[x] & rabove[y] & mea_rank)
+            meet = meets[x][y]
+            c3 = join is not None and meet is not None and ominus[y][join] == ominus[meet][x]
             out.tick((x, y, c1, c2, c3), c1 == c2 == c3)
     return out
 

@@ -14,6 +14,7 @@ from efalg.core import (
     UNDEFINED,
     AxiomViolationError,
     FiniteEffectAlgebra,
+    FiniteGeneralizedEffectAlgebra,
     MalformedTableError,
     PartialOpTable,
     Verdict,
@@ -123,6 +124,8 @@ class TestVerifyEffectAlgebra:
             ([[(0, 0), (1, UNDEFINED)], [(0, 1)]], r"cell \(0,1\) holds -1, out of range"),
             ([[(1, 1), (0, 0)], [(0, 1)]], r"cell \(0,0\) does not follow column 1"),
             ([[(0, 0), (0, 1)], [(0, 1)]], r"cell \(0,0\) does not follow column 0"),
+            ([[(0, 0), (1, 1.0)], [(0, 1)]], r"cell \(0,1\) holds 1\.0, not an int"),
+            ([[(0, 0), (1, True)], [(0, 1)]], r"cell \(0,1\) holds True, not an int"),
         ],
     )
     def test_from_sums_refuses_a_malformed_table_naming_the_cell(self, sums, message):
@@ -134,6 +137,24 @@ class TestVerifyEffectAlgebra:
         rows[1][1] = 1  # a + a = a breaks cancellation and supplements
         with pytest.raises(AxiomViolationError):
             FiniteEffectAlgebra(table_of(rows), 0, 2)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: FiniteEffectAlgebra(make_chain(3).table, 0.0, 3), r"distinguished element 0\.0 is not an int"),
+            (lambda: FiniteEffectAlgebra(make_chain(3).table, 0, True), r"distinguished element True is not an int"),
+            (lambda: FiniteGeneralizedEffectAlgebra(make_chain(3).table, 0.0), r"distinguished element 0\.0 is not an int"),
+            (lambda: PartialOpTable([[0.0, 1.0], [1.0, -1]]), r"cell \(0,0\) holds 0\.0, not an int"),
+            # a cell equal to UNDEFINED is refused too when it is no int
+            (lambda: PartialOpTable([[0, 1], [1, -1.0]]), r"cell \(1,1\) holds -1\.0, not an int"),
+        ],
+        ids=["float-zero", "bool-one", "generalized-float-zero", "float-cell", "float-undefined"],
+    )
+    def test_constructor_refuses_a_non_integer_constant_or_cell(self, build, message):
+        """A float, a bool or another non-int id is refused by name before
+        any of it is read as an index or shifted into a mask."""
+        with pytest.raises(MalformedTableError, match=f"^{message}$"):
+            build()
 
 
 class TestVerifyGeneralized:

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import multiprocessing
 import os
+import pickle
 import random
 import time
 import weakref
@@ -24,9 +25,13 @@ from efalg.properties import (
     _meet_distributes,
     check_center_boolean,
     check_corcduya,
+    check_dusminimax,
     check_gejzasum,
     check_infasoc,
     check_jpy2,
+    check_meetmodjen,
+    check_modchov,
+    check_modjen,
     check_modyjem,
     check_structure_sets,
     run_checks,
@@ -620,3 +625,26 @@ def test_center_boolean_ticks_a_centre_that_is_no_sub_effect_algebra(monkeypatch
     monkeypatch.setattr(properties, "central_elements", lambda E: centre)
     outcome = check_center_boolean(make_chain(3))
     assert ("closure",) in outcome.failures
+
+
+def test_order_questions_build_no_sub_algebra(monkeypatch, universe_6):
+    """modjen, meetmodjen, dusminimax and modchov ask for meets and joins
+    inside blocks, Mea(E) and intervals, which E's own order answers: they
+    build no block or interval algebra and no meet table of Mea(E). Each
+    algebra is a fresh copy, so no memoized restriction hides a call."""
+    calls = []
+    for name in ("interval_algebra", "_block_algebra"):
+        real = getattr(properties, name)
+        monkeypatch.setattr(
+            properties, name, lambda E, *args, real=real, name=name: calls.append(name) or real(E, *args)
+        )
+    seen = 0
+    for _, alg in universe_6:
+        if not is_homogeneous(alg):
+            continue
+        E = pickle.loads(pickle.dumps(alg))
+        for check in (check_modjen, check_meetmodjen, check_dusminimax, check_modchov):
+            check(E)
+        assert "_meets" not in meager_algebra(E)[0].__dict__
+        seen += 1
+    assert calls == [] and seen > 0

@@ -838,3 +838,22 @@ class TestIntervalAndReport:
             for x in mea.elements():
                 for y in mea.elements():
                     assert mea.meet(x, y) is not None
+
+
+def test_every_restriction_orders_its_carrier_as_E_does(universe_6):
+    """A restriction's order is E's order on its carrier: a sub-effect algebra
+    holds y - x for its members x <= y by two-out-of-three closure, and a
+    down-set holds everything below its members. The laws read meets and
+    joins inside blocks, Mea(E) and intervals from E's order on that ground."""
+    seen = 0
+    for _, E in universe_6:
+        restrictions = [meager_algebra(E), hypermeager_algebra(E)]
+        restrictions += [interval_algebra(E, top) for top in E.elements() if top != E.zero]
+        subsets = [*blocks(E), sharp_elements(E), central_elements(E)]
+        restrictions += [restrict(E, s) for s in subsets if is_sub_effect_algebra(E, s)]
+        for sub, elems in restrictions:
+            carrier = set(elems)
+            for i, x in enumerate(elems):
+                assert {elems[j] for j in sub.down_set(i)} == set(E.down_set(x)) & carrier
+            seen += 1
+    assert seen > len(universe_6)
