@@ -160,8 +160,8 @@ class PartialOpTable:
 
         It equals the dense constructor's table of the same cells, row_sums
         included, and refuses what that one refuses, naming the cell; a
-        column out of range or out of order is refused too. Only the listed
-        cells are read and written.
+        column that is no int, out of range or out of order is refused too.
+        Only the listed cells are read and written.
         """
         sums = tuple(map(tuple, sums))
         n = len(sums)
@@ -172,7 +172,9 @@ class PartialOpTable:
             cells = [UNDEFINED] * n
             last = -1
             for j, v in row:
-                if not (last < j < n and 0 <= v < n) or v.__class__ is not int:
+                if j.__class__ is not int or not (last < j < n and 0 <= v < n) or v.__class__ is not int:
+                    if j.__class__ is not int:
+                        raise MalformedTableError(f"cell ({i},{j!r}) has column {j!r}, not an int")
                     if not 0 <= j < n:
                         raise MalformedTableError(f"cell ({i},{j}) lies outside the {n} columns")
                     if j <= last:

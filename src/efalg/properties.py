@@ -9,9 +9,10 @@ The anchor table states each law's hypothesis through `_requires`, so a law
 examines nothing on inputs outside its class: E homogeneous, the Triple
 Representation Theorem's, or Sh(E) a sub-effect algebra. The theorem holds
 for orthocomplete homogeneous E, and a finite E is orthocomplete, so it is
-sharply dominating when homogeneous; extract_triple and check_corcduya
-still refuse a table, built without the axiom check, that is not. Only
-gejzasum tests homogeneity mid-body: its first clauses hold on every algebra.
+sharply dominating when homogeneous: extract_triple and heyting_block_check
+test homogeneity alone. check_corcduya, which can be called on any E, still
+refuses one that is not sharply dominating. Only gejzasum tests homogeneity
+mid-body: its first clauses hold on every algebra.
 
 The laws read the algebra's tables, bound to locals once per law, instead
 of its point methods, which check their ids on every call: E.sum(x, y) is
@@ -862,7 +863,8 @@ def _requires(hypothesis: Callable[[FiniteEffectAlgebra], bool], check: CheckFn)
     this module's globals, not through names bound here: perfbench/tracing.py
     swaps those globals for timing wrappers, so a hypothesis test is timed
     as the structure layer it calls. No gate tests sharp domination, which
-    homogeneity implies on a finite, hence orthocomplete, E.
+    homogeneity implies on a finite, hence orthocomplete, E; nor do
+    extract_triple and heyting_block_check, which the gated laws call.
     """
 
     def guarded(E: FiniteEffectAlgebra) -> CheckOutcome:

@@ -9,12 +9,12 @@ Finiteness is load bearing in three places and all are deliberate:
 every orthogonal family of nonzero elements has size below the order
 (partial sums strictly increase), so orthocompleteness and its meager
 variant hold automatically; every nonzero element has finite order,
-so the Archimedean property holds automatically; and every nonzero element
-is a sum of atoms, so the blocks are the maximal sub-sum sets of the
-atom decompositions of the unit. One walk over orthogonal families,
-`_families`, finds those sets and also decides internal compatibility. The
-classifiers still compute these honestly from the table so that bugs in
-the primitives surface.
+so the Archimedean property holds, and is_archimedean is decided by that
+proof (element_order still walks each element's multiples, so a table that
+breaks it fails there); and every nonzero element is a sum of atoms, so the
+blocks are the maximal sub-sum sets of the atom decompositions of the unit.
+One walk over orthogonal families, `_families`, finds those sets and also
+decides internal compatibility.
 """
 
 from __future__ import annotations
@@ -142,8 +142,15 @@ def element_order(alg: _SumAlgebra, x: int) -> int | float:
 
 
 def is_archimedean(alg: _SumAlgebra) -> bool:
-    """True when every nonzero element has finite order; automatic at finite size."""
-    return all(element_order(alg, x) != math.inf for x in alg.elements() if x != alg.zero)
+    """True when every nonzero element has finite order, which finiteness proves.
+
+    Let x be nonzero. If j < k and jx = kx, then jx + 0 = jx + (k - j)x, so
+    (k - j)x = 0 by cancellation, and x = 0 by positivity. Hence the
+    multiples of x are distinct while defined, and only finitely many are.
+    element_order still walks them, and raises AssertionError on a table
+    where this fails.
+    """
+    return True
 
 
 @memoized
@@ -431,7 +438,7 @@ def sharp_bounds(E: FiniteEffectAlgebra) -> SharpBounds:
 def _missing_sharp_bound(E: FiniteEffectAlgebra) -> tuple[int, str] | None:
     """Least element lacking a sharp bound, with the side ("below" first) it
     lacks: the one decision that is_sharply_dominating, decompose,
-    extract_triple and structure_report read."""
+    check_corcduya and structure_report read."""
     bounds = sharp_bounds(E)
     for x, (lo, hi) in enumerate(zip(bounds.below, bounds.above)):
         if lo is None:
@@ -722,30 +729,30 @@ class HeytingVerdict:
 
 def heyting_block_check(E: FiniteEffectAlgebra, block: Iterable[int]) -> HeytingVerdict:
     """Verify a block is a lattice with pseudocomplement (smallest sharp cover)'
-    whose image is exactly the center of the block."""
+    whose image is exactly the center of the block.
+
+    The verdict fails on one of three clauses: "hypothesis" (E is not
+    homogeneous, or the set is not one of its blocks), "pseudocomplement" or
+    "heyting_center". Past the hypothesis the rest of the statement holds by
+    theorem, so it is not tested here. A finite effect algebra is
+    orthocomplete, so a homogeneous one is sharply dominating (the paper's
+    corollary; see properties.py) and every x has its sharp cover. Every block
+    of a homogeneous E has RDP (Jenča 2001, cited in `blocks`), and a finite
+    effect algebra with RDP is a product of chains (see is_boolean_algebra),
+    hence a lattice. The suite still ticks both facts on every block: RDP in
+    gejzasum (iv), the lattice in blocksar.
+    """
     b = tuple(sorted(frozenset(block)))
     if homogeneity_counterexample(E) is not None:
         return HeytingVerdict(False, "hypothesis", ("homogeneous",))
-    if not is_sharply_dominating(E):
-        return HeytingVerdict(False, "hypothesis", ("sharply_dominating",))
     if b not in blocks(E):
         return HeytingVerdict(False, "hypothesis", ("block", b))
-
-    sub, elems = _block_algebra(E, b)
-    bad = lattice_counterexample(sub)
-    if bad is not None:
-        return HeytingVerdict(False, "lattice", (elems[bad[0]], elems[bad[1]], bad[2]))
-    bad = rdp_counterexample(sub)
-    if bad is not None:
-        return HeytingVerdict(False, "rdp", bad)
 
     above, sup, below = sharp_bounds(E).above, E._sup, E._below
     b_mask = sum(1 << x for x in b)
     star = {}
     for x in b:
-        hat = above[x]
-        assert hat is not None
-        star[x] = sup[hat]
+        star[x] = sup[above[x]]
         if not b_mask >> star[x] & 1:
             return HeytingVerdict(False, "pseudocomplement", (x, "image outside block"))
 
@@ -840,7 +847,6 @@ def structure_report(E: FiniteEffectAlgebra) -> StructureReport:
     b = sharp_bounds(E)
     sd_witness = _missing_sharp_bound(E)
     orders = [element_order(E, x) for x in E.elements()]
-    arch_witness = next((x for x, k in enumerate(orders) if x != E.zero and k == math.inf), None)
     return StructureReport(
         order=E.order,
         zero=E.zero,
@@ -858,6 +864,6 @@ def structure_report(E: FiniteEffectAlgebra) -> StructureReport:
         rdp=Flag(rdp is None, rdp),
         lattice=Flag(lat is None, lat),
         sharply_dominating=Flag(sd_witness is None, sd_witness),
-        archimedean=Flag(arch_witness is None, (arch_witness,) if arch_witness is not None else None),
+        archimedean=Flag(is_archimedean(E)),
         orthoalgebra=Flag(orth is None, orth),
     )

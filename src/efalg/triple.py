@@ -31,9 +31,7 @@ from .core import (
 from .iso import morphism_failure
 from .structure import (
     HypothesisError,
-    _missing_sharp_bound,
     homogeneity_counterexample,
-    is_sharply_dominating,
     meager_algebra,
     restrict,
     sharp_bounds,
@@ -93,10 +91,18 @@ class TeaAlgebra:
 def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
     """Split E into (sharp algebra, meager algebra, h) with fresh indices.
 
-    Requires E homogeneous and sharply dominating; the finite table makes
-    E orthocomplete, hence sharply dominating when homogeneous, so that
-    refusal fires only on a table built without the axiom check. A violated
-    hypothesis aborts with its witness.
+    Requires E homogeneous, and refuses any other E with the homogeneity
+    witness. The theorem also asks for sharp domination, which needs no
+    test: the finite table makes E orthocomplete, hence sharply dominating
+    when homogeneous (the paper's corollary).
+
+    Sh(E) of a homogeneous E is a sub-effect algebra, so restrict accepts
+    it and the ReconstructionError below is a fault detector. Take s, t
+    sharp with s + t = u, and w <= u, u'. Then u <= w', so w <= s + t <= w',
+    and homogeneity splits w = w1 + w2 with w1 <= s and w2 <= t. Since
+    s <= u, w1 <= w <= u' <= s', so w1 = 0 as s is sharp; likewise w2 = 0.
+    So u is sharp. Zero and one are sharp, and x is sharp exactly when x'
+    is, so _sub_effect_failure finds nothing.
 
     h(s) = {m in Mea(E) : m <= s} needs no check once built. Mea(E) is a
     down-set of E, so its order is E's restricted: h(s) is a down-set of
@@ -108,8 +114,6 @@ def extract_triple(E: FiniteEffectAlgebra) -> TripleRep:
     witness = homogeneity_counterexample(E)
     if witness is not None:
         raise HypothesisError("homogeneous", witness)
-    if not is_sharply_dominating(E):
-        raise HypothesisError("sharply_dominating", _missing_sharp_bound(E)[0])
 
     try:
         sharp, sharp_src = restrict(E, sharp_elements(E))

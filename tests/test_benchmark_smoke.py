@@ -25,7 +25,6 @@ def _files(path: Path) -> set[Path]:
 @pytest.mark.parametrize("workload", ["analyze-large", "canon-symmetric", "sweep-7"])
 def test_smoke_sample_has_no_failures(workload, trace):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
-    env.pop("EFALG_JOBS", None)
     before = _files(PERFBENCH)
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload, "--seed", "3",

@@ -132,6 +132,14 @@ class TestVerifyEffectAlgebra:
         with pytest.raises(MalformedTableError, match=f"^{message}$"):
             PartialOpTable.from_sums(sums)
 
+    @pytest.mark.parametrize("column, shown", [(1.0, r"1\.0"), (True, "True")])
+    def test_from_sums_refuses_a_column_that_is_not_an_int(self, column, shown):
+        """A float column cannot index a row, and a bool one would stand in
+        row_sums as given, unlike the dense constructor's int; both are
+        refused, naming the cell."""
+        with pytest.raises(MalformedTableError, match=f"^cell \\(0,{shown}\\) has column {shown}, not an int$"):
+            PartialOpTable.from_sums([[(0, 0), (column, 1)], [(0, 1)]])
+
     def test_constructor_refuses_bad_tables(self):
         rows = [r[:] for r in CHAIN3_ROWS]
         rows[1][1] = 1  # a + a = a breaks cancellation and supplements

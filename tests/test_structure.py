@@ -857,3 +857,53 @@ def test_every_restriction_orders_its_carrier_as_E_does(universe_6):
                 assert {elems[j] for j in sub.down_set(i)} == set(E.down_set(x)) & carrier
             seen += 1
     assert seen > len(universe_6)
+
+
+def _to_order_10(catalog, enumerated_10):
+    """The catalog and every class to order 10, with its homogeneous members."""
+    algebras = [alg for _, alg in catalog] + list(enumerated_10)
+    homogeneous = [alg for alg in algebras if is_homogeneous(alg)]
+    assert (len(algebras), len(homogeneous)) == (320, 168)
+    return algebras, homogeneous
+
+
+@pytest.mark.slow
+def test_every_block_of_a_homogeneous_algebra_to_order_10_has_rdp_and_is_a_lattice(catalog, enumerated_10):
+    """heyting_block_check tests neither fact: every block of a homogeneous
+    E has RDP (Jenča 2001), and a finite effect algebra with RDP is a
+    product of chains, hence a lattice."""
+    _, homogeneous = _to_order_10(catalog, enumerated_10)
+    for alg in homogeneous:
+        for b in blocks(alg):
+            sub, _ = _block_algebra(alg, b)
+            assert rdp_counterexample(sub) is None and lattice_counterexample(sub) is None
+
+
+@pytest.mark.slow
+def test_sharp_elements_of_a_homogeneous_algebra_to_order_10_are_a_sub_effect_algebra(catalog, enumerated_10):
+    """extract_triple's ReconstructionError for an Sh(E) that restrict
+    refuses is a fault detector: homogeneity makes Sh(E) closed under
+    defined sums (the proof is in extract_triple's docstring). Some
+    algebra that is not homogeneous has an Sh(E) that is not closed."""
+    algebras, homogeneous = _to_order_10(catalog, enumerated_10)
+    assert all(is_sub_effect_algebra(alg, sharp_elements(alg)) for alg in homogeneous)
+    assert not all(is_sub_effect_algebra(alg, sharp_elements(alg)) for alg in algebras)
+
+
+@pytest.mark.slow
+def test_every_nonzero_element_to_order_10_has_an_order_below_the_algebras(catalog, enumerated_10):
+    """is_archimedean returns True by proof: the multiples x, 2x, ... of a
+    nonzero x are distinct while defined (cancellation and positivity), so
+    there are fewer than the order of them. Checked against the definition,
+    the n-fold sums walked with the point method, in E and in Mea(E)."""
+    algebras, _ = _to_order_10(catalog, enumerated_10)
+    for E in algebras:
+        for alg in (E, meager_algebra(E)[0]):
+            for x in alg.elements():
+                if x == alg.zero:
+                    continue
+                multiples = [x]
+                while (nxt := alg.sum(multiples[-1], x)) is not None:
+                    assert nxt not in multiples
+                    multiples.append(nxt)
+                assert element_order(alg, x) == len(multiples) < alg.order

@@ -56,7 +56,6 @@ PLANNED = {
     "efalg.triple": {
         "extract_triple",
         "homogeneity_counterexample",
-        "is_sharply_dominating",
         "reconstruct_tea",
         "sharp_bounds",
         "sharp_elements",
