@@ -125,8 +125,8 @@ def cmd_triple(args) -> int:
     h = {str(s): sorted(rep.h[s]) for s in rep.sharp.elements()}
     _write(out / "h.json", json.dumps(h, indent=2, sort_keys=True) + "\n")
     backmaps = {
-        "sharp_to_source": list(rep.sharp_to_source or ()),
-        "meager_to_source": list(rep.meager_to_source or ()),
+        "sharp_to_source": list(rep.sharp_to_source),
+        "meager_to_source": list(rep.meager_to_source),
     }
     _write(out / "backmaps.json", json.dumps(backmaps, indent=2, sort_keys=True) + "\n")
     print(f"wrote triple of {args.file} to {out}")

@@ -280,28 +280,39 @@ def _family_refines(alg: _SumAlgebra, members: Iterable[int], covers: Iterable[i
     return any(sums & need == need for sums in covers)
 
 
-@memoized
 def blocks(E: FiniteEffectAlgebra) -> tuple[tuple[int, ...], ...]:
-    """All maximal internally compatible subsets containing the unit.
+    """All maximal internally compatible subsets containing the unit, each
+    as its ascending members, in ascending order of those tuples.
 
     In a homogeneous algebra these are exactly the blocks of the theory
     (maximal RDP sub-effect algebras; Jenča, "Blocks of homogeneous effect
     algebras", Bull. Austral. Math. Soc. 64, 2001); on other input the
     operation still returns the maximal internally compatible subsets, and
     callers consult the homogeneity flag to know whether the block theory
-    applies.
+    applies. The members are read off the memo `_block_masks`, which finds
+    the blocks (see there) and keeps their masks.
+    """
+    return tuple(members for members, _, _ in _block_masks(E))
 
-    They are the maximal sub-sum sets R(F) over the multisets F of atoms that
-    sum to the unit. R(F) is internally compatible, since F lies in it and
-    refines it; every internally compatible M lies in R(F) for a family F
-    drawn from M; and splitting a member of F into atoms (finite order makes
-    every nonzero element a sum of atoms) or adding the supplement of the sum
-    of F only enlarges R(F).
+
+@memoized
+def _block_masks(E: FiniteEffectAlgebra) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Per block, in `blocks` order: (members, label mask, rank mask).
+
+    The blocks are the maximal sub-sum sets R(F) over the multisets F of
+    atoms that sum to the unit, and the label mask is the sub-sum mask that
+    `_families` returns for F. R(F) is internally compatible, since F lies
+    in it and refines it; every internally compatible M lies in R(F) for a
+    family F drawn from M; and splitting a member of F into atoms (finite
+    order makes every nonzero element a sum of atoms) or adding the
+    supplement of the sum of F only enlarges R(F). The rank mask is the
+    label mask renumbered by rank, which a meet or join inside the block
+    ANDs in (see restrictions).
     """
     atoms = tuple(x for x in E.elements() if x != E.zero and E._below[x] == (1 << E.zero) | (1 << x))
     found = {sums for total, sums in _families(E, atoms) if total == E.one}
-    maximal = [m for m in found if not any(m != o and m & o == m for o in found)]
-    return tuple(sorted(_mask_elements(m) for m in maximal))
+    maximal = sorted((_mask_elements(m), m) for m in found if not any(m != o and m & o == m for o in found))
+    return tuple((members, mask, E._rank_mask(mask)) for members, mask in maximal)
 
 
 def rdp_counterexample(E: FiniteEffectAlgebra) -> tuple[int, int, int] | None:

@@ -648,3 +648,32 @@ def test_order_questions_build_no_sub_algebra(monkeypatch, universe_6):
         assert "_meets" not in meager_algebra(E)[0].__dict__
         seen += 1
     assert calls == [] and seen > 0
+
+
+def test_gejzasum_clause_v_failures_keep_the_combinations_order(catalog, enumerated_8, monkeypatch):
+    """Clause (v) ticks its refined subsets sorted by size, then members,
+    which is itertools.combinations order: with the first block dropped from
+    the block memo the law reads, every refined subset that only the first
+    block holds fails, and the failures come in the order of a walk over
+    every subset, on every homogeneous algebra to order 8 with two or more
+    blocks."""
+    block_masks = properties._block_masks
+    monkeypatch.setattr(properties, "_block_masks", lambda E: block_masks(E)[1:])
+    seen = failed = 0
+    for alg in [e.algebra for e in catalog] + list(enumerated_8):
+        if alg.order > 8 or not is_homogeneous(alg) or len(block_masks(alg)) < 2:
+            continue
+        refined = set(naive_refined_cores(*plain(alg), internal=False))
+        rest = [frozenset(members) for members, _, _ in block_masks(alg)[1:]]
+        universe = [x for x in alg.elements() if x not in (alg.zero, alg.one)]
+        want = [
+            ("v", combo)
+            for r in range(len(universe) + 1)
+            for combo in itertools.combinations(universe, r)
+            if combo in refined and not any(b.issuperset(combo) for b in rest)
+        ]
+        got = [w for w in check_gejzasum(alg).failures if w[0] == "v" and w[1] != "union"]
+        assert got == want
+        seen += 1
+        failed += len(want)
+    assert (seen, failed) == (49, 278)

@@ -907,3 +907,20 @@ def test_every_nonzero_element_to_order_10_has_an_order_below_the_algebras(catal
                     assert nxt not in multiples
                     multiples.append(nxt)
                 assert element_order(alg, x) == len(multiples) < alg.order
+
+
+def test_block_masks_hold_each_blocks_members_label_mask_and_rank_mask(catalog, enumerated_8):
+    """The laws read a block's label mask and rank mask from the memo
+    _block_masks instead of rebuilding them: per block, in blocks order, it
+    holds the members, the OR of 1 << x over them and E's rank mask of that
+    OR, on the catalog, the classes to order 8 and a relabelling of each."""
+    rng = random.Random(47)
+    algebras = [alg for _, alg in catalog] + list(enumerated_8)
+    for E in algebras + [permuted_copy(alg, rng) for alg in algebras]:
+        want = []
+        for b in blocks(E):
+            mask = 0
+            for x in b:
+                mask |= 1 << x
+            want.append((b, mask, E._rank_mask(mask)))
+        assert structure._block_masks(E) == tuple(want)
